@@ -25,7 +25,7 @@ from .stability import (Trajectory, branch_eigenvalues, branch_state,
 from .steady import (ScaledPolynomial, SolverOptions, SteadyBranch, Verdict,
                      assemble_fixed_point_polynomial, effective_detunings,
                      photon_numbers_from_q, q_upper_bound, steady_amplitudes,
-                     steady_branches, steady_residual)
+                     steady_branches, steady_q_grid, steady_residual)
 from .studies import (FoldStudyReport, SubUnityReport, fold_power_study,
                       subunity_search)
 
@@ -40,7 +40,8 @@ __all__ = [
     "preset_hill_params", "replace_params",
     "RealPolynomial", "all_roots", "real_roots",
     "Verdict", "SolverOptions", "SteadyBranch", "ScaledPolynomial",
-    "assemble_fixed_point_polynomial", "steady_branches", "steady_residual",
+    "assemble_fixed_point_polynomial", "steady_branches", "steady_q_grid",
+    "steady_residual",
     "steady_amplitudes", "photon_numbers_from_q", "effective_detunings",
     "q_upper_bound",
     "branch_state", "vector_field", "jacobian", "characteristic_polynomial",

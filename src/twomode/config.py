@@ -132,6 +132,9 @@ class _Entries:
     def has(self, key: str) -> bool:
         return key in self._entries
 
+    def line(self, key: str):
+        return self._entries.get(key, (None, None))[1]
+
     def reject_leftovers(self):
         for key, (_, line) in self._entries.items():
             raise ConfigError(f"unknown key {key!r}", key=key, line=line)
@@ -274,7 +277,8 @@ def _build_drive(ent: _Entries, params: SystemParams, amp: str) -> DrivePoint:
         raise ConfigError(f"bad drive: {exc}") from exc
 
 
-def _build_sweep(ent: _Entries, drive: DrivePoint) -> SweepSpec | None:
+def _build_sweep(ent: _Entries, params: SystemParams,
+                 drive: DrivePoint) -> SweepSpec | None:
     keys = ("sweep.axis", "sweep.points", "sweep.direction")
     has_any = any(ent.has(k) for k in keys) or any(
         ent.has(f"sweep.{e}{s}") for e in ("start", "stop")
@@ -291,6 +295,10 @@ def _build_sweep(ent: _Entries, drive: DrivePoint) -> SweepSpec | None:
                           key="sweep.axis", line=line)
 
     def endpoint(name):
+        """(value, key, line) of one endpoint."""
+        suffixed = [f"sweep.{name}{s}" for s in ("_hz", "_rad_s", "_w")]
+        key = next((k for k in suffixed if ent.has(k)), f"sweep.{name}")
+        line = ent.line(key)
         if axis in ("power_l", "power_r"):
             value, found = ent.power(f"sweep.{name}")
             for bad in ("_hz", "_rad_s"):
@@ -309,10 +317,10 @@ def _build_sweep(ent: _Entries, drive: DrivePoint) -> SweepSpec | None:
         if not found:
             raise ConfigError(f"sweep.{name} endpoint is required",
                               key=f"sweep.{name}")
-        return value
+        return value, key, line
 
-    start = endpoint("start")
-    stop = endpoint("stop")
+    endpoints = [endpoint("start"), endpoint("stop")]
+    start, stop = (value for value, _, _ in endpoints)
     points = 400
     if ent.has("sweep.points"):
         value, line = ent.take("sweep.points")
@@ -328,10 +336,18 @@ def _build_sweep(ent: _Entries, drive: DrivePoint) -> SweepSpec | None:
             raise ConfigError("expected 'up', 'down', or 'both'",
                               key="sweep.direction", line=line)
     try:
-        return SweepSpec(axis=axis, start=start, stop=stop, drive=drive,
+        spec = SweepSpec(axis=axis, start=start, stop=stop, drive=drive,
                          points=points, direction=direction)
     except ParameterError as exc:
         raise ConfigError(f"bad sweep: {exc}") from exc
+    # every sample between the endpoints is valid when both endpoints are
+    for value, key, line in endpoints:
+        try:
+            drive.with_value(params, axis, value)
+        except ParameterError as exc:
+            raise ConfigError(f"{key} is out of range: {exc}",
+                              key=key, line=line) from exc
+    return spec
 
 
 def _build_options(ent: _Entries, sign: int) -> SolverOptions:
@@ -377,7 +393,7 @@ def parse_config(text: str, *, sign_convention: str | None = None,
     sign, kappa2, amp = _build_flags(ent, overrides)
     params, preset_name = _build_system(ent, kappa2)
     drive = _build_drive(ent, params, amp)
-    sweep = _build_sweep(ent, drive)
+    sweep = _build_sweep(ent, params, drive)
     options = _build_options(ent, sign)
     out_path, out_format = _build_output(ent)
     ent.reject_leftovers()

@@ -1,10 +1,12 @@
 """Parameter sweeps, fold location, and quasi-static hysteresis traces.
 
 Sweeps are embarrassingly parallel per sample and may fan out over a
-process pool.  Fold (branch-count change) locations are refined by
-bisection on the axis; hysteresis traces follow the stable branch nearest
-in q_s to the previous selection and jump when that branch disappears at a
-fold, which is the quasi-static reading of a slow experimental ramp.
+process pool.  Fold (branch-count change) locations are found on a coarse
+scan whose samples are solved as one batch (:func:`steady_q_grid`); each
+bracket where the count changes is then bisected on the axis with single
+solves.  Hysteresis traces follow the stable branch nearest in q_s to the
+previous selection and jump when that branch disappears at a fold, which
+is the quasi-static reading of a slow experimental ramp.
 """
 
 from __future__ import annotations
@@ -16,9 +18,11 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import NoStableBranchError, ParameterError, SweepError
+from .errors import (NoStableBranchError, ParameterError, PolynomialError,
+                     SolverError, SweepError)
 from .params import AXES, DrivePoint, SystemParams
-from .steady import SolverOptions, SteadyBranch, Verdict, steady_branches
+from .steady import (SolverOptions, SteadyBranch, Verdict, steady_branches,
+                     steady_q_grid)
 from .stability import solve_and_classify
 
 _POWER_AXES = ("power_l", "power_r")
@@ -94,7 +98,7 @@ def _solve_classified(params, drive, axis, value, options):
     try:
         point = drive.with_value(params, axis, value)
         branches, diags = solve_and_classify(params, point, options)
-    except (NoStableBranchError, SweepError):
+    except (ParameterError, SweepError):
         raise
     except Exception as exc:
         raise SweepError(f"solve failed at {axis}={value!r}: {exc}",
@@ -110,6 +114,8 @@ def _branch_count(params, drive, axis, value, options) -> int:
     try:
         point = drive.with_value(params, axis, value)
         return len(steady_branches(params, point, options))
+    except ParameterError:
+        raise
     except Exception as exc:
         raise SweepError(f"solve failed at {axis}={value!r}: {exc}",
                          axis_value=value) from exc
@@ -178,15 +184,16 @@ def locate_folds(params: SystemParams, drive: DrivePoint, axis: str,
     """
     scan = SweepSpec(axis=axis, start=lo, stop=hi, drive=drive, points=samples)
     values = axis_grid(scan)
-    counts = [_branch_count(params, drive, axis, float(v), options)
-              for v in values]
-    folds = []
-    for v0, v1, c0, c1 in zip(values, values[1:], counts, counts[1:]):
-        if c0 != c1:
-            folds.append(_refine_count_change(params, drive, axis,
-                                              float(v0), float(v1), options,
-                                              _FOLD_SCAN_REL_TOL))
-    return tuple(folds)
+    try:
+        q_s = steady_q_grid(params, drive, axis, values, options)
+    except (PolynomialError, SolverError) as exc:
+        raise SweepError(f"fold scan failed on {axis} in [{lo!r}, {hi!r}]: "
+                         f"{exc}") from exc
+    counts = np.count_nonzero(~np.isnan(q_s), axis=1)
+    return tuple(_refine_count_change(params, drive, axis, float(values[i]),
+                                      float(values[i + 1]), options,
+                                      _FOLD_SCAN_REL_TOL)
+                 for i in np.flatnonzero(counts[1:] != counts[:-1]))
 
 
 def _stable(branches):

@@ -18,6 +18,8 @@ import math
 import warnings
 from dataclasses import dataclass, field, replace
 
+import numpy as np
+
 from .errors import ParameterError
 
 # Reduced Planck constant [J s], CODATA 2018.  Fixed here; not configurable.
@@ -254,6 +256,34 @@ class DrivePoint:
                   "power_l": self.power_l, "power_r": self.power_r}
         kwargs[axis] = value
         return self.build(params, amp_convention=self.amp_convention, **kwargs)
+
+    def with_values(self, params: SystemParams, axis: str, values: np.ndarray):
+        """:meth:`with_value` at every entry of ``values``, as arrays.
+
+        Returns ``(columns, ok)``.  ``columns`` is a DrivePoint whose fields
+        broadcast against ``values``, for the vectorized solvers only; its
+        fields are computed exactly as :meth:`build` computes them.  ``ok``
+        marks the values :meth:`with_value` accepts; fields elsewhere are
+        meaningless.
+        """
+        if axis not in AXES:
+            raise ParameterError(f"unknown drive axis {axis!r}, expected one of {AXES}")
+        fields = {"delta1": self.delta1, "delta2": self.delta2,
+                  "power_l": self.power_l, "power_r": self.power_r,
+                  "amp_l": self.amp_l, "amp_r": self.amp_r}
+        fields[axis] = values
+        left = axis in ("delta1", "power_l")
+        power = fields["power_l" if left else "power_r"]
+        kappa = params.kappa1 if left else params.kappa2
+        omega_laser = (params.omega1 - fields["delta1"] if left
+                       else params.omega2 - fields["delta2"])
+        ok = np.isfinite(values) & (power >= 0.0) & (omega_laser > 0.0)
+        with np.errstate(all="ignore"):
+            flux = power / (HBAR * omega_laser)
+            amp = np.sqrt(2.0 * kappa * flux if self.amp_convention == "literal"
+                          else flux)
+        fields["amp_l" if left else "amp_r"] = np.where(power == 0.0, 0.0, amp)
+        return replace(self, **fields), ok
 
     @property
     def driven(self) -> bool:

@@ -197,3 +197,119 @@ def _newton_real(p: RealPolynomial, dp: RealPolynomial, x: float) -> float:
         if res < best_res:
             best, best_res = x, res
     return best
+
+
+# Row-wise forms of the above: each row of a (n, k) coefficient array is one
+# polynomial, ascending, and every operation is the scalar one applied
+# elementwise in the same order.
+
+def trim_rows(coeffs: np.ndarray) -> np.ndarray:
+    """:meth:`RealPolynomial.from_coeffs` over rows, keeping the shape.
+
+    Negligible leading coefficients become 0.0, so the degree of a row is
+    the index of its last nonzero entry.  A row with a non-finite
+    coefficient becomes all-NaN, where the scalar form would raise.
+    """
+    bad = ~np.isfinite(coeffs).all(axis=1)
+    mag = np.abs(coeffs)
+    keep = mag > _TRIM_REL * mag.max(axis=1, keepdims=True)
+    keep = np.logical_or.accumulate(keep[:, ::-1], axis=1)[:, ::-1]
+    keep[:, 0] = True
+    out = np.where(keep, coeffs, 0.0)
+    out[bad] = np.nan
+    return out
+
+
+def mul_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Row-by-row product of two coefficient arrays, summed as
+    ``np.convolve`` sums the interior terms."""
+    out = np.zeros((a.shape[0], a.shape[1] + b.shape[1] - 1))
+    for i in range(a.shape[1]):
+        out[:, i:i + b.shape[1]] += a[:, i:i + 1] * b
+    return out
+
+
+def _horner_rows(coeffs, x):
+    """``RealPolynomial.__call__`` of each row at the entries of x (n, m)."""
+    acc = x * 0.0 + coeffs[:, -1:]
+    for i in range(coeffs.shape[1] - 2, -1, -1):
+        acc = acc * x + coeffs[:, i:i + 1]
+    return acc
+
+
+def _scale_rows(coeffs, x):
+    """``RealPolynomial.residual_scale`` of each row at the entries of x."""
+    m = np.abs(x)
+    best = np.zeros(x.shape)
+    power = np.ones(x.shape)
+    for i in range(coeffs.shape[1]):
+        best = np.maximum(best, np.abs(coeffs[:, i:i + 1]) * power)
+        power = power * m
+    return best
+
+
+def _newton_real_rows(coeffs, x):
+    """:func:`_newton_real` at every non-NaN entry of x (n, m)."""
+    dcoeffs = coeffs[:, 1:] * np.arange(1, coeffs.shape[1])
+    out = np.full(x.shape, np.nan)
+    fx = _horner_rows(coeffs, x)
+    best, best_res = x, np.abs(fx)
+    active = ~np.isnan(x)
+    for _ in range(_POLISH_MAX_ITER):
+        done = active & (np.abs(fx) <= _POLISH_RESIDUAL_REL * _scale_rows(coeffs, x))
+        out[done] = x[done]
+        active &= ~done
+        dfx = _horner_rows(dcoeffs, x)
+        stuck = active & (dfx == 0.0)
+        out[stuck] = best[stuck]
+        active &= ~stuck
+        if not active.any():
+            return out
+        x = np.where(active, x - fx / dfx, x)
+        fx = _horner_rows(coeffs, x)
+        res = np.abs(fx)
+        better = active & (res < best_res)
+        best = np.where(better, x, best)
+        best_res = np.where(better, res, best_res)
+    out[active] = best[active]
+    return out
+
+
+def real_roots_rows(coeffs: np.ndarray, imag_tol: float) -> tuple:
+    """:func:`real_roots` of many polynomials of one degree d at once.
+
+    ``coeffs`` is (n, d + 1), ascending, trimmed (nonzero last column), with
+    a nonzero constant term.  Returns ``(roots, ok)``: the real roots of each
+    row, ascending and NaN-padded to (n, d), and a mask of the rows whose
+    roots are exactly what :func:`real_roots` computes.  A row outside the
+    mask needs a path only the scalar form has: the complex-Newton rescue
+    of a root failing the residual audit, a chain of two or more collapsing
+    pairs, or a failed eigenvalue iteration.
+    """
+    n, d = coeffs.shape[0], coeffs.shape[1] - 1
+    desc = coeffs[:, ::-1]
+    companion = np.zeros((n, d, d))
+    companion[:, 0, :] = -desc[:, 1:] / desc[:, :1]
+    sub = np.arange(d - 1)
+    companion[:, sub + 1, sub] = 1.0
+    ok = np.isfinite(companion[:, 0, :]).all(axis=1)
+    companion[~ok] = 0.0
+    try:
+        roots = np.linalg.eigvals(companion).astype(complex)
+    except np.linalg.LinAlgError:
+        return np.full((n, d), np.nan), np.zeros(n, dtype=bool)
+    limit = np.maximum(_ROOT_RESIDUAL_REL * _scale_rows(coeffs, roots), 1e-290)
+    ok &= (np.abs(_horner_rows(coeffs, roots)) <= limit).all(axis=1)
+    real = np.abs(roots.imag) <= imag_tol * (1.0 + np.abs(roots.real))
+    x = np.sort(_newton_real_rows(coeffs, np.where(real, roots.real, np.nan)),
+                axis=1)
+    close = np.abs(x[:, 1:] - x[:, :-1]) <= _DEDUP_REL * (1.0 + np.abs(x[:, 1:]))
+    ok &= close.sum(axis=1) <= 1
+    rows, left = np.nonzero(close & ok[:, None])
+    if len(rows):
+        pair = np.stack([x[rows, left], x[rows, left + 1]], axis=1)
+        res = np.abs(_horner_rows(coeffs[rows], pair))
+        # the later root replaces the earlier only with a smaller residual
+        x[rows, np.where(res[:, 1] < res[:, 0], left, left + 1)] = np.nan
+        x.sort(axis=1)
+    return x, ok

@@ -36,11 +36,15 @@ import numpy as np
 
 from .errors import ParameterError, SolverError
 from .params import DrivePoint, SystemParams
-from .polyroots import RealPolynomial, real_roots
+from .polyroots import (RealPolynomial, mul_rows, real_roots, real_roots_rows,
+                        trim_rows)
 
 _POLISH_MAX_ITER = 12
 # Solver-level sanity ceiling on the steady-state self-consistency defect.
 _RESIDUAL_CEILING = 1e-6
+# Rows per block of steady_q_grid; keeps its temporaries near 0.3 MB.
+_GRID_BLOCK = 256
+_MAX_BRANCHES = 5
 
 
 class Verdict(enum.IntEnum):
@@ -282,3 +286,155 @@ def steady_branches(params: SystemParams, drive: DrivePoint,
     if not branches:
         raise SolverError(f"no steady-state branch found for drive {drive!r}")
     return tuple(branches)
+
+
+# Grid solver: steady_branches over many drives at once.  Every helper
+# below does its scalar namesake's arithmetic elementwise and in the same
+# order; where numpy's power and product kernels round differently from
+# Python's, results differ in the last bits only.
+
+def _tail_root_bound_rows(params: SystemParams, drive: DrivePoint):
+    """:func:`_tail_root_bound` with array drive fields."""
+    bound = 0.0
+    tail_sum = 0.0
+    for kappa_e, amp, g, delta in (
+            (params.kappa_e1, drive.amp_l, params.g1, drive.delta1),
+            (params.kappa_e2, drive.amp_r, params.g2, drive.delta2)):
+        if g == 0.0:
+            continue
+        bound = np.maximum(bound, 2.0 * np.abs(delta) / g)
+        tail_sum = tail_sum + kappa_e * amp * amp / g
+    return np.maximum(bound, (8.0 * tail_sum / params.omega_m) ** (1.0 / 3.0))
+
+
+def _assemble_rows(params: SystemParams, drive: DrivePoint, sign: int,
+                   q_scale: np.ndarray) -> np.ndarray:
+    """:func:`_assemble` for a (n, 1) column of drives and scales.
+
+    Returns (n, 6) ascending coefficients, zero above each row's trimmed
+    degree, with every intermediate product trimmed as the scalar form
+    trims it.
+    """
+    om = params.omega_m
+    n = q_scale.shape[0]
+    modes = []
+    for kappa, delta, g, kappa_e, amp, s in (
+            (params.kappa1, drive.delta1, params.g1, params.kappa_e1, drive.amp_l, 1),
+            (params.kappa2, drive.delta2, params.g2, params.kappa_e2, drive.amp_r, sign)):
+        if g == 0.0:
+            continue
+        kt = kappa / om
+        dt = delta / om
+        gt = g * q_scale / om
+        lorentz = np.hstack(np.broadcast_arrays(kt * kt + dt * dt, -2.0 * dt * gt,
+                                                gt * gt))
+        c = 2.0 * g * (kappa_e * amp * amp) / (om**3 * q_scale)
+        modes.append((lorentz, s * c))
+    poly = np.broadcast_to([0.0, 1.0], (n, 2))
+    for lorentz, _ in modes:
+        poly = trim_rows(mul_rows(poly, lorentz))
+    coeffs = np.zeros((n, _MAX_BRANCHES + 1))
+    coeffs[:, :poly.shape[1]] = poly
+    for k, (_, signed_c) in enumerate(modes):
+        term = np.ones((n, 1))
+        for j, (lorentz, _) in enumerate(modes):
+            if j != k:
+                term = trim_rows(mul_rows(term, lorentz))
+        coeffs[:, :term.shape[1]] -= signed_c * term
+    return trim_rows(coeffs)
+
+
+def _polish_rows(q, lo, hi, params, drive, sign):
+    """:func:`_polish_root` at every non-NaN entry of q (n, m)."""
+    out = np.full(q.shape, np.nan)
+    x = q
+    fx = steady_residual(x, params, drive, sign)
+    best, best_res = x, np.abs(fx)
+    active = ~np.isnan(q)
+    for _ in range(_POLISH_MAX_ITER):
+        hit = active & (fx == 0.0)
+        out[hit] = x[hit]
+        active &= ~hit
+        dfx = residual_derivative(x, params, drive, sign)
+        stuck = active & ((dfx == 0.0) | ~np.isfinite(dfx))
+        out[stuck] = best[stuck]
+        active &= ~stuck
+        if not active.any():
+            return out
+        step = fx / dfx
+        x = np.where(active, np.minimum(np.maximum(x - step, lo), hi), x)
+        fx = steady_residual(x, params, drive, sign)
+        res = np.abs(fx)
+        better = active & (res < best_res)
+        best = np.where(better, x, best)
+        best_res = np.where(better, res, best_res)
+        small = active & (np.abs(step) <= 1e-16 * (1.0 + np.abs(x)))
+        out[small] = best[small]
+        active &= ~small
+    out[active] = best[active]
+    return out
+
+
+def _solve_rows(params, drive, axis, values, options, out) -> np.ndarray:
+    """Write the steady_q_grid rows of ``values`` into ``out``.
+
+    Returns the mask of rows solved here; every other row needs a path
+    that only :func:`steady_branches` has.
+    """
+    columns, ok = drive.with_values(params, axis, values[:, None])
+    ok = ok.ravel() & np.ravel((columns.power_l > 0.0) | (columns.power_r > 0.0))
+    sign = options.sign
+    with np.errstate(all="ignore"):
+        qb = np.minimum(q_upper_bound(params, columns),
+                        _tail_root_bound_rows(params, columns))
+        q_scale = np.maximum(qb, 1.0)
+        coeffs = _assemble_rows(params, columns, sign, q_scale)
+        # np.roots would strip a zero constant term: a root at exactly 0
+        ok &= np.isfinite(coeffs).all(axis=1) & (coeffs[:, 0] != 0.0)
+        degree = coeffs.shape[1] - 1 - np.argmax(coeffs[:, ::-1] != 0.0, axis=1)
+        x = np.full(out.shape, np.nan)
+        for d in range(1, _MAX_BRANCHES + 1):
+            rows = np.flatnonzero(ok & (degree == d))
+            if len(rows):
+                x[rows, :d], solved = real_roots_rows(coeffs[rows, :d + 1],
+                                                      options.imag_tol)
+                ok[rows[~solved]] = False
+        lo = -1.05 * qb if sign < 0 else 0.0
+        q = np.sort(_polish_rows(x * q_scale, lo, 1.05 * qb, params, columns,
+                                 sign), axis=1)
+        close = (np.abs(q[:, 1:] - q[:, :-1])
+                 <= options.dedup_rel * (1.0 + np.abs(q[:, 1:])))
+        ok &= close.sum(axis=1) <= 1
+        q[:, 1:][close] = np.nan
+        q.sort(axis=1)
+        defect = np.abs(steady_residual(q, params, columns, sign))
+        ok &= ~(defect > _RESIDUAL_CEILING * (1.0 + np.abs(q))).any(axis=1)
+        ok &= ~np.isnan(q[:, 0])
+    out[ok] = q[ok]
+    return ok
+
+
+def steady_q_grid(params: SystemParams, drive: DrivePoint, axis: str,
+                  values, options: SolverOptions = SolverOptions()) -> np.ndarray:
+    """q_s of every branch at ``drive.with_value(params, axis, v)`` for each v.
+
+    Row i holds what ``steady_branches`` gives at ``values[i]``: the q_s of
+    each branch, ascending, NaN-padded to 5 columns.  Rows are solved
+    together, block by block: one stacked companion eigenvalue call per
+    polynomial degree, then the scalar solver's audit, filters, Newton
+    polish and deduplication as masked array steps.  A row that needs a
+    path only the scalar solver has (rest point, a root-audit rescue,
+    chained duplicates, a self-consistency breach, no root) is re-solved
+    by :func:`steady_branches`, which rescues or raises as it always does.
+    """
+    values = np.asarray(values, dtype=float)
+    out = np.full((len(values), _MAX_BRANCHES), np.nan)
+    for start in range(0, len(values), _GRID_BLOCK):
+        block = values[start:start + _GRID_BLOCK]
+        rows = out[start:start + len(block)]
+        solved = _solve_rows(params, drive, axis, block, options, rows)
+        for i in np.flatnonzero(~solved):
+            point = drive.with_value(params, axis, float(block[i]))
+            qs = [b.q_s for b in steady_branches(params, point, options)]
+            rows[i, :len(qs)] = qs
+    return out

@@ -4,7 +4,8 @@ Everything here is implemented directly from the model definition with
 plain numpy/math, deliberately avoiding the package's evaluation paths,
 so a library bug cannot hide by canceling against itself.  The only
 package objects consumed are the parameter containers, read as plain
-numbers.
+numbers; the one exception is :func:`scan_counts`, the reference for the
+batched fold scan, which is the per-sample scalar solve it replaced.
 """
 
 from __future__ import annotations
@@ -12,6 +13,8 @@ from __future__ import annotations
 import math
 
 import numpy as np
+
+from twomode.steady import steady_branches
 
 GRID_POINTS = 1_000_000
 GRID_PAD = 1.02
@@ -95,6 +98,13 @@ def sign_change_count(params, drive, sign=1, n=GRID_POINTS, pad=GRID_PAD):
     s = np.sign(f)
     s = s[s != 0]
     return int(np.count_nonzero(s[:-1] * s[1:] < 0))
+
+
+def scan_counts(params, drive, axis, values, options):
+    """Branch count at each scan sample, one scalar ``steady_branches`` each."""
+    return [len(steady_branches(params, drive.with_value(params, axis, float(v)),
+                                options))
+            for v in values]
 
 
 def cubic_discriminant(a, b, c, d):

@@ -24,8 +24,9 @@ from __future__ import annotations
 import math
 
 from twomode.continuation import locate_folds
-from twomode.params import DrivePoint, preset_hill_params, replace_params
+from twomode.params import HBAR, DrivePoint, preset_hill_params, replace_params
 from twomode.stability import solve_and_classify
+from twomode.steady import steady_branches
 
 from oracles import GRID_PAD, GRID_POINTS, force_bound
 
@@ -106,3 +107,46 @@ def draw_three_root_point(rng, options, max_attempts=60):
             continue            # landed within rounding of a fold; redraw
         return params, point, branches, diagnostics
     raise AssertionError("no three-root point found; sampler domain broken")
+
+
+def _peak_power(params, mode, delta, height):
+    """Literal-convention pump power putting mode's force peak at ``height``
+    times its own position q_k = delta / g_k.
+
+    The peak of (2/omega_m) g A / (kappa^2 + (delta - g q)^2) is
+    (2/omega_m) g A / kappa^2 at q_k, with A = kappa_e E^2 and
+    E^2 = 2 P kappa / (hbar omega_laser).
+    """
+    if mode == 1:
+        omega, kappa, kappa_e, g = (params.omega1, params.kappa1,
+                                    params.kappa_e1, params.g1)
+    else:
+        omega, kappa, kappa_e, g = (params.omega2, params.kappa2,
+                                    params.kappa_e2, params.g2)
+    amp2 = height * (delta / g) * kappa**2 * params.omega_m / (2.0 * g * kappa_e)
+    return amp2 * HBAR * (omega - delta) / (2.0 * kappa)
+
+
+def draw_five_root_point(rng, options, max_attempts=200):
+    """A five-branch drive on the preset device, where both modes are bistable.
+
+    Each mode is detuned red by more than sqrt(3) linewidths (so it can
+    fold) and pumped so its force Lorentzian peaks at 1.5 to 4 times its
+    own position q_k = delta_k / g_k; mode 2's peak sits 3 to 8 times
+    further out than mode 1's, so the two S-curves do not overlap.  Draws
+    whose solve does not give five branches are redrawn.
+    """
+    params = preset_hill_params()
+    wm = params.omega_m
+    for _ in range(max_attempts):
+        delta1 = rng.uniform(2.0 * params.kappa1, 2.0 * wm)
+        delta2 = params.g2 * rng.uniform(3.0, 8.0) * delta1 / params.g1
+        if not 2.0 * params.kappa2 <= delta2 <= 4.0 * wm:
+            continue
+        drive = DrivePoint.build(
+            params, delta1=delta1, delta2=delta2,
+            power_l=_peak_power(params, 1, delta1, rng.uniform(1.5, 4.0)),
+            power_r=_peak_power(params, 2, delta2, rng.uniform(1.5, 4.0)))
+        if len(steady_branches(params, drive, options)) == 5:
+            return params, drive
+    raise AssertionError("no five-root point found; sampler domain broken")

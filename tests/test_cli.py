@@ -126,6 +126,18 @@ def test_config_error_exits_2(tmp_path, capsys):
     assert "system.coupling" in err
 
 
+def test_sweep_endpoint_past_mode_frequency_exits_2(tmp_path, capsys):
+    # pump 1 sits at 205.3 THz; a detuning of 300 THz puts the laser
+    # frequency below zero at the top of the sweep
+    cfg = _write(tmp_path, BASE + 'drive.power_l_w = 1e-13\n'
+                 'sweep.axis = "delta1"\nsweep.start_hz = 0\n'
+                 'sweep.stop_hz = 3e14\nsweep.points = 50\n')
+    assert main(["sweep", "--config", cfg, "--threads", "1"]) == 2
+    err = capsys.readouterr().err
+    assert "error:" in err
+    assert "sweep.stop_hz" in err
+
+
 def test_sweep_without_section_exits_2(tmp_path, capsys):
     cfg = _write(tmp_path, BASE)
     assert main(["sweep", "--config", cfg]) == 2

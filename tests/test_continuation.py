@@ -5,11 +5,14 @@ import math
 import numpy as np
 import pytest
 
-from twomode.continuation import (HysteresisResult, SweepSpec, Trace,
+import oracles
+from twomode import steady
+from twomode.continuation import (_FOLD_SCAN_REL_TOL, HysteresisResult,
+                                  SweepSpec, Trace, _refine_count_change,
                                   axis_grid, clamped_hysteresis_sweep,
                                   hysteresis_sweep, locate_folds, sweep_1d)
 from twomode.errors import NoStableBranchError, ParameterError
-from twomode.params import DrivePoint, replace_params
+from twomode.params import DrivePoint, preset_hill_params, replace_params
 from twomode.stability import solve_and_classify
 from twomode.steady import SolverOptions, Verdict, steady_branches
 
@@ -130,6 +133,49 @@ def test_locate_folds_linear_system_is_empty(preset, options):
                power_l=1e-12, power_r=1e-12)
     folds = locate_folds(p0, d, "power_l", 1e-14, 1e-6, options, samples=64)
     assert folds == ()
+
+
+def _fold_drive(name):
+    """(params, drive, axis, lo, hi, options) of a fold-scan reference drive."""
+    preset = preset_hill_params()
+    heavy = replace_params(preset, q_m=5.0)
+    if name == "ac5_loop":
+        return heavy, _loop_drive(heavy), "power_l", 1e-14, 1.0, SolverOptions()
+    if name == "ac6_single":
+        single = replace_params(preset, g2=0.0)
+        return (single, _loop_drive(single), "power_l", 1e-13, 1e-10,
+                SolverOptions())
+    if name == "delta1":
+        drive = _drive(heavy, delta1=heavy.omega_m, delta2=heavy.omega_m,
+                       power_l=2e-12)
+        return (heavy, drive, "delta1", 0.0, 2.0 * heavy.omega_m,
+                SolverOptions())
+    drive = DrivePoint.build(preset, delta1=preset.omega_m,
+                             delta2=preset.omega_m, power_r=1e-7,
+                             amp_convention="flux")
+    return preset, drive, "power_l", 1e-14, 1.0, SolverOptions(sign=-1)
+
+
+@pytest.mark.parametrize("name", ["ac5_loop", "ac6_single", "delta1",
+                                  "flux_study"])
+def test_locate_folds_matches_scalar_scan_oracle(name, monkeypatch):
+    params, drive, axis, lo, hi, options = _fold_drive(name)
+    values = axis_grid(SweepSpec(axis=axis, start=lo, stop=hi, drive=drive,
+                                 points=1024))
+    counts = oracles.scan_counts(params, drive, axis, values, options)
+    expected = tuple(
+        _refine_count_change(params, drive, axis, float(v0), float(v1),
+                             options, _FOLD_SCAN_REL_TOL)
+        for v0, v1, c0, c1 in zip(values, values[1:], counts, counts[1:])
+        if c0 != c1)
+    assert len(expected) == 2
+    # the batched scan solves every sample itself: no scalar fallback
+    fallbacks = []
+    scalar = steady.steady_branches
+    monkeypatch.setattr(steady, "steady_branches",
+                        lambda *a: fallbacks.append(a) or scalar(*a))
+    assert locate_folds(params, drive, axis, lo, hi, options) == expected
+    assert fallbacks == []
 
 
 def test_locate_folds_frozen_loop_device(heavy, options):
