@@ -23,12 +23,10 @@ def main(argv=None):
                     help="readout drive power in watts (default 1e-7)")
     ap.add_argument("--points", type=int, default=400,
                     help="sweep resolution for the fold bracketing")
-    ap.add_argument("--threads", type=int, default=1)
     ap.add_argument("--out", default=None, help="also write the report here")
     args = ap.parse_args(argv)
 
-    report = fold_power_study(power_r=args.power_r, points=args.points,
-                              threads=args.threads)
+    report = fold_power_study(power_r=args.power_r, points=args.points)
     text = report.render()
     print(text)
     if args.out:

@@ -27,7 +27,6 @@ def main(argv=None):
     ap.add_argument("--format", choices=("csv", "jsonlines"), default="csv")
     ap.add_argument("--kappa2", choices=("angular", "literal"), default="angular")
     ap.add_argument("--amp", choices=("literal", "flux"), default="literal")
-    ap.add_argument("--threads", type=int, default=1)
     args = ap.parse_args(argv)
 
     names = args.names or list(FIGURE_PRESETS)
@@ -35,8 +34,7 @@ def main(argv=None):
     outdir.mkdir(parents=True, exist_ok=True)
     for name in names:
         results = run_preset(name, kappa2_interpretation=args.kappa2,
-                             amp_convention=args.amp, points=args.points,
-                             threads=args.threads)
+                             amp_convention=args.amp, points=args.points)
         rows = {}
         for label, result in results.items():
             for inner, inner_rows in labeled_rows(result).items():

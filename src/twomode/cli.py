@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import os
 import sys
 
 from .config import parse_config
@@ -43,7 +42,8 @@ def _add_common(sub, *, config_required=True):
     sub.add_argument("--kappa2", default=None, choices=("angular", "literal"),
                      help="override flags.kappa2_interpretation")
     sub.add_argument("--threads", type=int, default=None,
-                     help="worker processes for sweeps (default: all cores)")
+                     help="accepted for compatibility and ignored: sweeps "
+                          "are solved as one batch in this process")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -81,12 +81,16 @@ def _load_config(args):
                         kappa2_interpretation=args.kappa2)
 
 
-def _threads(args) -> int:
-    if args.threads is not None:
-        if args.threads < 1:
-            raise ParameterError("--threads must be >= 1")
-        return args.threads
-    return os.cpu_count() or 1
+# Lowest accepted value of each count flag; a sweep or scan needs two
+# samples to bracket anything.
+_FLAG_MINIMUM = (("threads", 1), ("points", 2), ("samples", 2))
+
+
+def _check_flags(args) -> None:
+    for name, low in _FLAG_MINIMUM:
+        value = getattr(args, name, None)
+        if value is not None and value < low:
+            raise ParameterError(f"--{name} must be >= {low}, got {value!r}")
 
 
 def _out_and_format(args, config):
@@ -122,13 +126,10 @@ def _cmd_sweep(args) -> int:
     config = _load_config(args)
     if config.sweep is None:
         raise ConfigError("this run needs a sweep.* section")
-    threads = _threads(args)
     if config.sweep.direction == "both":
-        result = hysteresis_sweep(config.params, config.sweep,
-                                  config.options, threads=threads)
+        result = hysteresis_sweep(config.params, config.sweep, config.options)
     else:
-        result = sweep_1d(config.params, config.sweep, config.options,
-                          threads=threads)
+        result = sweep_1d(config.params, config.sweep, config.options)
     out, fmt = _out_and_format(args, config)
     rows = labeled_rows(result)
     write_rows(rows, fmt, out)
@@ -149,7 +150,7 @@ def _cmd_preset(args) -> int:
         options = dataclasses.replace(base, sign=1 if args.sign == "plus" else -1)
     results = run_preset(args.name, kappa2_interpretation=kappa2,
                          amp_convention=amp, options=options,
-                         points=args.points, threads=_threads(args))
+                         points=args.points)
     out, fmt = _out_and_format(args, config)
     rows = {}
     for label, result in results.items():
@@ -199,6 +200,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        _check_flags(args)
         return _COMMANDS[args.command](args)
     except (ConfigError, ParameterError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -1,29 +1,29 @@
 """Parameter sweeps, fold location, and quasi-static hysteresis traces.
 
-Sweeps are embarrassingly parallel per sample and may fan out over a
-process pool.  Fold (branch-count change) locations are found on a coarse
-scan whose samples are solved as one batch (:func:`steady_q_grid`); each
-bracket where the count changes is then bisected on the axis with single
-solves.  Hysteresis traces follow the stable branch nearest in q_s to the
-previous selection and jump when that branch disappears at a fold, which
-is the quasi-static reading of a slow experimental ramp.
+Every sample of a sweep is solved and classified in one batch
+(:func:`solve_and_classify_grid`), with records equal to the pointwise
+:func:`solve_and_classify`.  Fold (branch-count change) locations are
+found on a coarse scan whose samples are solved as one batch
+(:func:`steady_q_grid`); each bracket where the count changes is then
+bisected on the axis with single solves.  Hysteresis traces follow the
+stable branch nearest in q_s to the previous selection and jump when that
+branch disappears at a fold, which is the quasi-static reading of a slow
+experimental ramp.
 """
 
 from __future__ import annotations
 
 import math
-import multiprocessing
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import (NoStableBranchError, ParameterError, PolynomialError,
-                     SolverError, SweepError)
+from .errors import (ClassificationError, NoStableBranchError, ParameterError,
+                     PolynomialError, SolverError, SweepError)
 from .params import AXES, DrivePoint, SystemParams
 from .steady import (SolverOptions, SteadyBranch, Verdict, steady_branches,
                      steady_q_grid)
-from .stability import solve_and_classify
+from .stability import solve_and_classify, solve_and_classify_grid
 
 _POWER_AXES = ("power_l", "power_r")
 # Grids over more than a decade of power are sampled uniformly in log.
@@ -31,8 +31,6 @@ _LOG_SPAN_RATIO = 10.0
 _FOLD_REL_TOL = 1e-6
 _FOLD_SCAN_SAMPLES = 1024
 _FOLD_SCAN_REL_TOL = 1e-9
-# Pools only pay off on long sweeps.
-_POOL_MIN_POINTS = 128
 
 
 @dataclass(frozen=True)
@@ -106,10 +104,6 @@ def _solve_classified(params, drive, axis, value, options):
     return value, branches, diags
 
 
-def _solve_task(args):
-    return _solve_classified(*args)
-
-
 def _branch_count(params, drive, axis, value, options) -> int:
     try:
         point = drive.with_value(params, axis, value)
@@ -137,19 +131,19 @@ def _refine_count_change(params, drive, axis, lo, hi, options,
     return 0.5 * (lo + hi)
 
 
-def _solve_grid(params, spec, options, threads):
-    values = axis_grid(spec)
-    tasks = [(params, spec.drive, spec.axis, float(v), options) for v in values]
-    if threads > 1 and len(tasks) >= _POOL_MIN_POINTS and hasattr(multiprocessing, "get_context"):
-        try:
-            ctx = multiprocessing.get_context("fork")
-        except ValueError:
-            ctx = None
-        if ctx is not None:
-            chunk = max(1, len(tasks) // (4 * threads))
-            with ProcessPoolExecutor(max_workers=threads, mp_context=ctx) as pool:
-                return list(pool.map(_solve_task, tasks, chunksize=chunk))
-    return [_solve_task(t) for t in tasks]
+def _solve_grid(params, spec, options):
+    values = axis_grid(spec).tolist()
+    try:
+        records = solve_and_classify_grid(params, spec.drive, spec.axis,
+                                          values, options)
+    except (ParameterError, PolynomialError, SolverError,
+            ClassificationError):
+        # Some sample fails.  The pointwise path raises at the first one,
+        # as a SweepError that names it.
+        return [_solve_classified(params, spec.drive, spec.axis, v, options)
+                for v in values]
+    return [(v, branches, diags)
+            for v, (branches, diags) in zip(values, records)]
 
 
 def _folds_from_counts(params, spec, options, solved, rel_tol):
@@ -162,10 +156,9 @@ def _folds_from_counts(params, spec, options, solved, rel_tol):
 
 
 def sweep_1d(params: SystemParams, spec: SweepSpec,
-             options: SolverOptions = SolverOptions(),
-             threads: int = 1) -> SweepResult:
+             options: SolverOptions = SolverOptions()) -> SweepResult:
     """Solve and classify every grid point; refine any fold in between."""
-    solved = _solve_grid(params, spec, options, threads)
+    solved = _solve_grid(params, spec, options)
     records = tuple((v, branches) for v, branches, _ in solved)
     diagnostics = tuple(d for _, _, diags in solved for d in diags)
     folds = _folds_from_counts(params, spec, options, solved, _FOLD_REL_TOL)
@@ -245,8 +238,7 @@ def _follow(values, solved_by_value, pick_start, params, spec, options):
 
 
 def hysteresis_sweep(params: SystemParams, spec: SweepSpec,
-                     options: SolverOptions = SolverOptions(),
-                     threads: int = 1) -> SweepResult:
+                     options: SolverOptions = SolverOptions()) -> SweepResult:
     """Up and down quasi-static ramps over the same grid.
 
     The up-trace starts on the stable branch continuously connected to the
@@ -256,7 +248,7 @@ def hysteresis_sweep(params: SystemParams, spec: SweepSpec,
     grid sample has no stable branch at all; see
     :func:`clamped_hysteresis_sweep` for the forgiving variant.
     """
-    solved = _solve_grid(params, spec, options, threads)
+    solved = _solve_grid(params, spec, options)
     records = tuple((v, branches) for v, branches, _ in solved)
     diagnostics = tuple(d for _, _, diags in solved for d in diags)
     folds = _folds_from_counts(params, spec, options, solved, _FOLD_REL_TOL)
@@ -270,8 +262,8 @@ def hysteresis_sweep(params: SystemParams, spec: SweepSpec,
 
 
 def clamped_hysteresis_sweep(params: SystemParams, spec: SweepSpec,
-                             options: SolverOptions = SolverOptions(),
-                             threads: int = 1) -> SweepResult:
+                             options: SolverOptions = SolverOptions()
+                             ) -> SweepResult:
     """Hysteresis ramp that backs away from the self-oscillation boundary.
 
     A quasi-static ramp cannot pass a sample where every branch is
@@ -288,7 +280,7 @@ def clamped_hysteresis_sweep(params: SystemParams, spec: SweepSpec,
             break
         trial = replace(spec, start=lo, stop=hi)
         try:
-            result = hysteresis_sweep(params, trial, options, threads=threads)
+            result = hysteresis_sweep(params, trial, options)
         except NoStableBranchError as exc:
             notes.append(f"ramp truncated: {exc}")
             if exc.axis_value is None or exc.axis_value <= lo:
@@ -299,8 +291,7 @@ def clamped_hysteresis_sweep(params: SystemParams, spec: SweepSpec,
             result = replace(result,
                              diagnostics=result.diagnostics + tuple(notes))
         return result
-    result = sweep_1d(params, replace(spec, direction="up"), options,
-                      threads=threads)
+    result = sweep_1d(params, replace(spec, direction="up"), options)
     notes.append("no quasi-static ramp fits inside the window: every "
                  "attempted top hit a sample with no stable branch")
     return replace(result, diagnostics=result.diagnostics + tuple(notes))

@@ -57,17 +57,17 @@ def power_window(params, drive, axis="power_l", options=SolverOptions(),
     return min(folds) / _WINDOW_PAD, max(folds) * _WINDOW_PAD
 
 
-def _detuning_sweep(params, drive, options, points, threads):
+def _detuning_sweep(params, drive, options, points):
     spec = SweepSpec(axis="delta1", start=0.0, stop=2.0 * params.omega_m,
                      drive=drive, points=points, direction="up")
-    return sweep_1d(params, spec, options, threads=threads)
+    return sweep_1d(params, spec, options)
 
 
-def _power_hysteresis(params, drive, options, points, threads):
+def _power_hysteresis(params, drive, options, points):
     lo, hi = power_window(params, drive, options=options)
     spec = SweepSpec(axis="power_l", start=lo, stop=hi, drive=drive,
                      points=points, direction="both")
-    return clamped_hysteresis_sweep(params, spec, options, threads=threads)
+    return clamped_hysteresis_sweep(params, spec, options)
 
 
 def _drive(params, amp_convention, *, delta2_sign=1.0, power_l=2e-6,
@@ -78,52 +78,49 @@ def _drive(params, amp_convention, *, delta2_sign=1.0, power_l=2e-6,
                             amp_convention=amp_convention)
 
 
-def _fig2a(params, amp, options, points, threads):
+def _fig2a(params, amp, options, points):
     out = {}
     for label, power in _PUMP_POWERS:
         drive = _drive(params, amp, power_l=power)
-        out[label] = _detuning_sweep(params, drive, options, points, threads)
+        out[label] = _detuning_sweep(params, drive, options, points)
     return out
 
 
-def _fig2b(params, amp, options, points, threads):
+def _fig2b(params, amp, options, points):
     drive = _drive(params, amp)
-    return {"ramp": _power_hysteresis(params, drive, options, points, threads)}
+    return {"ramp": _power_hysteresis(params, drive, options, points)}
 
 
-def _fig3(params, amp, options, points, threads):
+def _fig3(params, amp, options, points):
     red = _drive(params, amp)
     blue = _drive(params, amp, delta2_sign=-1.0)
     control_params = replace_params(params, g1=0.0)
     control = _drive(control_params, amp)
     return {
-        "red": _detuning_sweep(params, red, options, points, threads),
-        "blue": _detuning_sweep(params, blue, options, points, threads),
-        "control": _detuning_sweep(control_params, control, options, points,
-                                   threads),
+        "red": _detuning_sweep(params, red, options, points),
+        "blue": _detuning_sweep(params, blue, options, points),
+        "control": _detuning_sweep(control_params, control, options, points),
     }
 
 
-def _fig4(params, amp, options, points, threads, delta2_sign):
+def _fig4(params, amp, options, points, delta2_sign):
     drive = _drive(params, amp, delta2_sign=delta2_sign)
-    return {"ramp": _power_hysteresis(params, drive, options, points, threads)}
+    return {"ramp": _power_hysteresis(params, drive, options, points)}
 
 
-def _fig5a(params, amp, options, points, threads):
+def _fig5a(params, amp, options, points):
     drive = _drive(params, amp, power_r=_WEAK_READOUT_POWER)
-    return {"weak_readout": _detuning_sweep(params, drive, options, points,
-                                            threads)}
+    return {"weak_readout": _detuning_sweep(params, drive, options, points)}
 
 
-def _fig5b(params, amp, options, points, threads):
+def _fig5b(params, amp, options, points):
     drive = _drive(params, amp, power_r=_WEAK_READOUT_POWER)
-    return {"ramp": _power_hysteresis(params, drive, options, points, threads)}
+    return {"ramp": _power_hysteresis(params, drive, options, points)}
 
 
 def run_preset(name: str, *, kappa2_interpretation: str = "angular",
                amp_convention: str = "literal",
-               options: SolverOptions = None, points: int = 400,
-               threads: int = 1) -> dict:
+               options: SolverOptions = None, points: int = 400) -> dict:
     """Run one figure preset; returns {trace label: SweepResult}."""
     if name not in FIGURE_PRESETS:
         raise ParameterError(
@@ -140,4 +137,4 @@ def run_preset(name: str, *, kappa2_interpretation: str = "angular",
         "fig5a": _fig5a,
         "fig5b": _fig5b,
     }
-    return runners[name](params, amp_convention, options, points, threads)
+    return runners[name](params, amp_convention, options, points)

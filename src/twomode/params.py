@@ -3,8 +3,8 @@
 Everything inside the package works in angular units: frequencies,
 detunings, decay rates, and couplings are rad/s, drive powers are watts.
 Cyclic (Hz) values are converted once, at the boundary, by
-:func:`to_angular`.  Both parameter containers are frozen dataclasses and
-safe to share between threads and worker processes.
+:func:`to_angular`.  Both parameter containers are frozen dataclasses, so
+one instance can be shared by every caller.
 
 Drive amplitudes are derived quantities.  They depend on the pump power,
 the total cavity decay rate, and the pump (laser) frequency, so they are

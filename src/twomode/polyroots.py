@@ -85,8 +85,13 @@ class RealPolynomial:
 
     def __mul__(self, other):
         if isinstance(other, RealPolynomial):
-            prod = np.convolve(np.asarray(self.coeffs), np.asarray(other.coeffs))
-            return RealPolynomial.from_coeffs(prod.tolist())
+            # Summed in ascending order of self's index, as mul_rows sums;
+            # np.convolve orders the sums differently.
+            prod = [0.0] * (len(self.coeffs) + len(other.coeffs) - 1)
+            for i, a in enumerate(self.coeffs):
+                for j, b in enumerate(other.coeffs):
+                    prod[i + j] += a * b
+            return RealPolynomial.from_coeffs(prod)
         return RealPolynomial.from_coeffs([c * float(other) for c in self.coeffs])
 
     __rmul__ = __mul__
@@ -222,7 +227,7 @@ def trim_rows(coeffs: np.ndarray) -> np.ndarray:
 
 def mul_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Row-by-row product of two coefficient arrays, summed as
-    ``np.convolve`` sums the interior terms."""
+    :meth:`RealPolynomial.__mul__` sums."""
     out = np.zeros((a.shape[0], a.shape[1] + b.shape[1] - 1))
     for i in range(a.shape[1]):
         out[:, i:i + b.shape[1]] += a[:, i:i + 1] * b
@@ -275,16 +280,15 @@ def _newton_real_rows(coeffs, x):
     return out
 
 
-def real_roots_rows(coeffs: np.ndarray, imag_tol: float) -> tuple:
-    """:func:`real_roots` of many polynomials of one degree d at once.
+def all_roots_rows(coeffs: np.ndarray) -> tuple:
+    """:func:`all_roots` of many polynomials of one degree d at once.
 
-    ``coeffs`` is (n, d + 1), ascending, trimmed (nonzero last column), with
-    a nonzero constant term.  Returns ``(roots, ok)``: the real roots of each
-    row, ascending and NaN-padded to (n, d), and a mask of the rows whose
-    roots are exactly what :func:`real_roots` computes.  A row outside the
-    mask needs a path only the scalar form has: the complex-Newton rescue
-    of a root failing the residual audit, a chain of two or more collapsing
-    pairs, or a failed eigenvalue iteration.
+    ``coeffs`` is (n, d + 1), ascending, with a nonzero last column and a
+    nonzero constant term.  Returns ``(roots, ok)``: the (n, d) complex
+    companion eigenvalues of each row, unsorted, and a mask of the rows
+    whose roots all pass the residual audit, so that :func:`all_roots`
+    returns them unchanged.  A row outside the mask needs the scalar
+    form's complex-Newton rescue, or its eigenvalue iteration failed.
     """
     n, d = coeffs.shape[0], coeffs.shape[1] - 1
     desc = coeffs[:, ::-1]
@@ -297,9 +301,24 @@ def real_roots_rows(coeffs: np.ndarray, imag_tol: float) -> tuple:
     try:
         roots = np.linalg.eigvals(companion).astype(complex)
     except np.linalg.LinAlgError:
-        return np.full((n, d), np.nan), np.zeros(n, dtype=bool)
+        return np.full((n, d), np.nan + 0j), np.zeros(n, dtype=bool)
     limit = np.maximum(_ROOT_RESIDUAL_REL * _scale_rows(coeffs, roots), 1e-290)
     ok &= (np.abs(_horner_rows(coeffs, roots)) <= limit).all(axis=1)
+    return roots, ok
+
+
+def real_roots_rows(coeffs: np.ndarray, imag_tol: float) -> tuple:
+    """:func:`real_roots` of many polynomials of one degree d at once.
+
+    ``coeffs`` is (n, d + 1), ascending, trimmed (nonzero last column), with
+    a nonzero constant term.  Returns ``(roots, ok)``: the real roots of each
+    row, ascending and NaN-padded to (n, d), and a mask of the rows whose
+    roots are exactly what :func:`real_roots` computes.  A row outside the
+    mask needs a path only the scalar form has: the complex-Newton rescue
+    of a root failing the residual audit, a chain of two or more collapsing
+    pairs, or a failed eigenvalue iteration.
+    """
+    roots, ok = all_roots_rows(coeffs)
     real = np.abs(roots.imag) <= imag_tol * (1.0 + np.abs(roots.real))
     x = np.sort(_newton_real_rows(coeffs, np.where(real, roots.real, np.nan)),
                 axis=1)

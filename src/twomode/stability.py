@@ -3,7 +3,9 @@
 The classifier is fully algebraic: the analytic 6x6 Jacobian of the real
 first-order system is built in omega_m-scaled units, its characteristic
 polynomial is produced by the Faddeev-LeVerrier recurrence, and the
-eigenvalues come from the package's own polynomial root finder.  A branch
+eigenvalues come from the package's own polynomial root finder.
+:func:`solve_and_classify_grid` does the same for a whole sweep grid in
+stacked arrays, with results equal to the pointwise ones.  A branch
 is Stable when every eigenvalue real part sits below ``-eps``, Unstable
 when one exceeds ``+eps``, Marginal in between, with ``eps =
 marginal_band * omega_m``.
@@ -27,8 +29,10 @@ import numpy as np
 
 from .errors import ClassificationError, IntegrationError, ParameterError, PolynomialError
 from .params import DrivePoint, SystemParams
-from .polyroots import RealPolynomial, all_roots
-from .steady import SolverOptions, SteadyBranch, Verdict, steady_amplitudes, steady_branches
+from .polyroots import RealPolynomial, all_roots, all_roots_rows
+from .steady import (_GRID_BLOCK, SolverOptions, SteadyBranch, Verdict,
+                     photon_numbers_from_q, steady_amplitudes, steady_branches,
+                     steady_q_grid)
 
 _DEFAULT_MAX_STEPS = 50_000_000
 
@@ -93,37 +97,64 @@ def jacobian(state, params: SystemParams, drive: DrivePoint,
     return j
 
 
-def _scaled_jacobian(state, params: SystemParams, drive: DrivePoint,
-                     sign: int) -> np.ndarray:
-    # Same matrix in units of omega_m with P likewise scaled; similar to
-    # jacobian()/omega_m, so eigenvalues are exactly omega_m-scaled.
-    x1, y1, x2, y2, q, _ = (float(v) for v in state)
+def _scaled_jacobian_entries(x1, y1, x2, y2, q, delta1, delta2,
+                             params: SystemParams, sign: int) -> list:
+    """Rows of the Jacobian in units of omega_m, with P likewise scaled.
+
+    The matrix is similar to jacobian()/omega_m, so its eigenvalues are
+    exactly omega_m-scaled.  The state components and detunings are
+    floats or arrays of one shape; so is each entry.
+    """
     om = params.omega_m
     k1, k2 = params.kappa1 / om, params.kappa2 / om
     g1, g2 = params.g1 / om, params.g2 / om
-    d1e = drive.delta1 / om - g1 * q
-    d2e = drive.delta2 / om - g2 * q
-    j = np.zeros((6, 6))
-    j[0, 0] = -k1
-    j[0, 1] = d1e
-    j[0, 4] = -g1 * y1
-    j[1, 0] = -d1e
-    j[1, 1] = -k1
-    j[1, 4] = g1 * x1
-    j[2, 2] = -k2
-    j[2, 3] = d2e
-    j[2, 4] = -g2 * y2
-    j[3, 2] = -d2e
-    j[3, 3] = -k2
-    j[3, 4] = g2 * x2
-    j[4, 5] = 1.0
-    j[5, 0] = 4.0 * g1 * x1
-    j[5, 1] = 4.0 * g1 * y1
-    j[5, 2] = 4.0 * sign * g2 * x2
-    j[5, 3] = 4.0 * sign * g2 * y2
-    j[5, 4] = -1.0
-    j[5, 5] = -params.gamma_m / om
-    return j
+    d1e = delta1 / om - g1 * q
+    d2e = delta2 / om - g2 * q
+    return [
+        [-k1, d1e, 0.0, 0.0, -g1 * y1, 0.0],
+        [-d1e, -k1, 0.0, 0.0, g1 * x1, 0.0],
+        [0.0, 0.0, -k2, d2e, -g2 * y2, 0.0],
+        [0.0, 0.0, -d2e, -k2, g2 * x2, 0.0],
+        [0.0, 0.0, 0.0, 0.0, 0.0, 1.0],
+        [4.0 * g1 * x1, 4.0 * g1 * y1, 4.0 * sign * g2 * x2,
+         4.0 * sign * g2 * y2, -1.0, -params.gamma_m / om],
+    ]
+
+
+def _scaled_jacobians(states: np.ndarray, params: SystemParams, delta1,
+                      delta2, sign: int) -> np.ndarray:
+    """:func:`_scaled_jacobian` of each row of ``states`` (n, 6), as (n, 6, 6);
+    the detunings are floats or (n,) arrays."""
+    n = states.shape[0]
+    rows = _scaled_jacobian_entries(*states.T[:5], delta1, delta2, params, sign)
+    return np.stack([np.broadcast_to(e, (n,)) for row in rows for e in row],
+                    axis=1).reshape(n, 6, 6)
+
+
+def _scaled_jacobian(state, params: SystemParams, drive: DrivePoint,
+                     sign: int) -> np.ndarray:
+    x1, y1, x2, y2, q, _ = (float(v) for v in state)
+    return np.array(_scaled_jacobian_entries(x1, y1, x2, y2, q, drive.delta1,
+                                             drive.delta2, params, sign))
+
+
+def _characteristic_rows(m: np.ndarray) -> np.ndarray:
+    """Faddeev-LeVerrier over a stack (k, n, n): (k, n + 1) ascending
+    coefficients of each monic characteristic polynomial."""
+    k, n = m.shape[0], m.shape[1]
+    coeffs = np.zeros((n + 1, k))
+    coeffs[n] = 1.0
+    eye = np.eye(n)
+    acc = eye
+    for j in range(1, n + 1):
+        acc = m @ acc
+        # accumulate adds strictly left to right, whatever the stack's length
+        trace = np.add.accumulate(acc.reshape(k, n * n)[:, ::n + 1],
+                                  axis=1)[:, -1]
+        ck = trace / -j
+        coeffs[n - j] = ck
+        acc = acc + ck[:, None, None] * eye
+    return coeffs.T
 
 
 def characteristic_polynomial(matrix: np.ndarray) -> RealPolynomial:
@@ -131,18 +162,9 @@ def characteristic_polynomial(matrix: np.ndarray) -> RealPolynomial:
     m = np.asarray(matrix, dtype=float)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ParameterError(f"matrix must be square, got shape {m.shape}")
-    n = m.shape[0]
-    coeffs = np.zeros(n + 1)
-    coeffs[n] = 1.0
-    acc = np.eye(n)
-    for k in range(1, n + 1):
-        acc = m @ acc
-        ck = -np.trace(acc) / k
-        coeffs[n - k] = ck
-        acc = acc + ck * np.eye(n)
     # Direct construction: the monic lead must survive even when lower
     # coefficients are huge, so no relative trimming here.
-    return RealPolynomial(coeffs=tuple(coeffs))
+    return RealPolynomial(coeffs=tuple(_characteristic_rows(m[None])[0]))
 
 
 def branch_eigenvalues(branch: SteadyBranch, params: SystemParams,
@@ -163,14 +185,18 @@ def classify_stability(branch: SteadyBranch, params: SystemParams,
     """Return the branch with its eigenvalue verdict and max Re(eig) filled."""
     lam = branch_eigenvalues(branch, params, drive, options.sign)
     max_re = float(np.max(lam.real))
+    return replace(branch, verdict=_verdict(max_re, params, options),
+                   max_re_eig=max_re)
+
+
+def _verdict(max_re: float, params: SystemParams,
+             options: SolverOptions) -> Verdict:
     eps = options.marginal_band * params.omega_m
     if max_re < -eps:
-        verdict = Verdict.STABLE
-    elif max_re > eps:
-        verdict = Verdict.UNSTABLE
-    else:
-        verdict = Verdict.MARGINAL
-    return replace(branch, verdict=verdict, max_re_eig=max_re)
+        return Verdict.STABLE
+    if max_re > eps:
+        return Verdict.UNSTABLE
+    return Verdict.MARGINAL
 
 
 def ordering_rule(count: int) -> tuple:
@@ -188,17 +214,19 @@ def classify_branches(branches, params: SystemParams, drive: DrivePoint,
     """
     classified = tuple(classify_stability(b, params, drive, options)
                        for b in branches)
-    diagnostics = []
+    return classified, _ordering_diagnostics(classified, drive)
+
+
+def _ordering_diagnostics(classified, drive: DrivePoint) -> tuple:
     expected = ordering_rule(len(classified))
     actual = tuple(b.verdict for b in classified)
-    if actual != expected:
-        diagnostics.append(
-            "ordering-rule disagreement at drive "
+    if actual == expected:
+        return ()
+    return ("ordering-rule disagreement at drive "
             f"(delta1={drive.delta1!r}, delta2={drive.delta2!r}, "
             f"power_l={drive.power_l!r}, power_r={drive.power_r!r}): "
             f"eigenvalues say {tuple(v.name for v in actual)}, "
-            f"rule says {tuple(v.name for v in expected)}")
-    return classified, tuple(diagnostics)
+            f"rule says {tuple(v.name for v in expected)}",)
 
 
 def solve_and_classify(params: SystemParams, drive: DrivePoint,
@@ -206,6 +234,70 @@ def solve_and_classify(params: SystemParams, drive: DrivePoint,
     """Steady branches at one drive point, classified; plus diagnostics."""
     branches = steady_branches(params, drive, options)
     return classify_branches(branches, params, drive, options)
+
+
+def solve_and_classify_grid(params: SystemParams, drive: DrivePoint,
+                            axis: str, values,
+                            options: SolverOptions = SolverOptions()) -> list:
+    """:func:`solve_and_classify` at ``drive.with_value(params, axis, v)``
+    for every v, as a list of (branches, diagnostics).
+
+    Every record equals the pointwise one, field for field.  Samples are
+    done together, block by block: q_s of every branch from
+    :func:`steady_q_grid`, photon numbers and effective detunings for all
+    branches at once, then one stack of scaled Jacobians through the
+    Faddeev-LeVerrier recurrence and one stacked companion eigenvalue call
+    with the root audit.  A branch whose roots fail the audit, or whose
+    characteristic polynomial has a zero constant term, is classified by
+    :func:`classify_stability`, which rescues or raises as it always does.
+    """
+    values = np.asarray(values, dtype=float)
+    records = []
+    for start in range(0, len(values), _GRID_BLOCK):
+        records += _classify_block(params, drive, axis,
+                                   values[start:start + _GRID_BLOCK], options)
+    return records
+
+
+def _classify_block(params, drive, axis, values, options):
+    q = steady_q_grid(params, drive, axis, values, options)
+    columns, _ = drive.with_values(params, axis, values[:, None])
+    n1, n2, d1, d2 = photon_numbers_from_q(q, params, columns)
+    rows, cols = np.nonzero(~np.isnan(q))
+    fields = {name: np.broadcast_to(getattr(columns, name), q[:, :1].shape).ravel()
+              for name in ("delta1", "delta2", "power_l", "power_r", "amp_l",
+                           "amp_r")}
+    # Per sample, field for field the drive point with_value builds.
+    points = [DrivePoint(*f, amp_convention=drive.amp_convention)
+              for f in zip(*(column.tolist() for column in fields.values()))]
+    q_s = q[rows, cols].tolist()
+    # Scalar calls divide as Python divides complex numbers; numpy rounds
+    # complex quotients differently.
+    amps = np.array([steady_amplitudes(qv, params, points[r])
+                     for r, qv in zip(rows.tolist(), q_s)],
+                    dtype=complex).reshape(len(q_s), 2)
+    states = np.stack([amps[:, 0].real, amps[:, 0].imag, amps[:, 1].real,
+                       amps[:, 1].imag, q[rows, cols]], axis=1)
+    coeffs = _characteristic_rows(_scaled_jacobians(
+        states, params, fields["delta1"][rows], fields["delta2"][rows],
+        options.sign))
+    roots, ok = all_roots_rows(coeffs)
+    # all_roots strips a zero constant term into a smaller companion matrix
+    ok &= coeffs[:, 0] != 0.0
+    max_re = (roots.real * params.omega_m).max(axis=1).tolist()
+    unclassified = zip(q_s, amps[:, 0].tolist(), amps[:, 1].tolist(),
+                       *(a[rows, cols].tolist() for a in (n1, n2, d1, d2)))
+    by_sample = [[] for _ in points]
+    for r, good, m, branch_fields in zip(rows.tolist(), ok.tolist(), max_re,
+                                         unclassified):
+        if good:
+            branch = SteadyBranch(*branch_fields, _verdict(m, params, options), m)
+        else:
+            branch = classify_stability(SteadyBranch(*branch_fields), params,
+                                        points[r], options)
+        by_sample[r].append(branch)
+    return [(tuple(branches), _ordering_diagnostics(branches, point))
+            for branches, point in zip(by_sample, points)]
 
 
 @dataclass(frozen=True)

@@ -109,8 +109,10 @@ def effective_detunings(q, params: SystemParams, drive: DrivePoint):
 def photon_numbers_from_q(q, params: SystemParams, drive: DrivePoint):
     """Intracavity photon numbers and effective detunings at displacement q."""
     d1, d2 = effective_detunings(q, params, drive)
-    n1 = params.kappa_e1 * drive.amp_l**2 / (params.kappa1**2 + d1 * d1)
-    n2 = params.kappa_e2 * drive.amp_r**2 / (params.kappa2**2 + d2 * d2)
+    n1 = (params.kappa_e1 * (drive.amp_l * drive.amp_l)
+          / (params.kappa1**2 + d1 * d1))
+    n2 = (params.kappa_e2 * (drive.amp_r * drive.amp_r)
+          / (params.kappa2**2 + d2 * d2))
     return n1, n2, d1, d2
 
 
@@ -137,8 +139,8 @@ def residual_derivative(q, params: SystemParams, drive: DrivePoint, sign: int = 
     d1, d2 = effective_detunings(q, params, drive)
     den1 = params.kappa1**2 + d1 * d1
     den2 = params.kappa2**2 + d2 * d2
-    a_1 = params.kappa_e1 * drive.amp_l**2
-    a_2 = params.kappa_e2 * drive.amp_r**2
+    a_1 = params.kappa_e1 * (drive.amp_l * drive.amp_l)
+    a_2 = params.kappa_e2 * (drive.amp_r * drive.amp_r)
     dn1 = 2.0 * a_1 * params.g1 * d1 / (den1 * den1)
     dn2 = 2.0 * a_2 * params.g2 * d2 / (den2 * den2)
     return 1.0 - (2.0 / params.omega_m) * (params.g1 * dn1 + sign * params.g2 * dn2)
@@ -146,8 +148,8 @@ def residual_derivative(q, params: SystemParams, drive: DrivePoint, sign: int = 
 
 def q_upper_bound(params: SystemParams, drive: DrivePoint) -> float:
     """Bound on |q| over all steady states: each Lorentzian at its peak."""
-    a_1 = params.kappa_e1 * drive.amp_l**2
-    a_2 = params.kappa_e2 * drive.amp_r**2
+    a_1 = params.kappa_e1 * (drive.amp_l * drive.amp_l)
+    a_2 = params.kappa_e2 * (drive.amp_r * drive.amp_r)
     return (2.0 / params.omega_m) * (params.g1 * a_1 / params.kappa1**2
                                      + params.g2 * a_2 / params.kappa2**2)
 
@@ -290,8 +292,9 @@ def steady_branches(params: SystemParams, drive: DrivePoint,
 
 # Grid solver: steady_branches over many drives at once.  Every helper
 # below does its scalar namesake's arithmetic elementwise and in the same
-# order; where numpy's power and product kernels round differently from
-# Python's, results differ in the last bits only.
+# order, so each row is bit-identical to the scalar solve.  Squares of
+# drive fields are products in both forms: on a Python float ``x**2`` is
+# libm pow, on an array an exact square.
 
 def _tail_root_bound_rows(params: SystemParams, drive: DrivePoint):
     """:func:`_tail_root_bound` with array drive fields."""
@@ -304,7 +307,12 @@ def _tail_root_bound_rows(params: SystemParams, drive: DrivePoint):
             continue
         bound = np.maximum(bound, 2.0 * np.abs(delta) / g)
         tail_sum = tail_sum + kappa_e * amp * amp / g
-    return np.maximum(bound, (8.0 * tail_sum / params.omega_m) ** (1.0 / 3.0))
+    tail = 8.0 * tail_sum / params.omega_m
+    # Python's pow per entry: numpy's power kernel rounds cube roots
+    # differently.
+    cube = np.reshape([t ** (1.0 / 3.0) for t in np.ravel(tail).tolist()],
+                      np.shape(tail))
+    return np.maximum(bound, cube)
 
 
 def _assemble_rows(params: SystemParams, drive: DrivePoint, sign: int,

@@ -105,8 +105,8 @@ def _window_structure_ok(params, drive, folds, options):
 
 
 def fold_power_study(power_r: float = 1e-7, bracket=(1e-14, 1.0),
-                     points: int = 400, reference_w: float = 2.7e-5,
-                     threads: int = 1) -> FoldStudyReport:
+                     points: int = 400, reference_w: float = 2.7e-5
+                     ) -> FoldStudyReport:
     """Locate the pump-power fold window under all 8 convention choices."""
     rows = []
     for amp in _AMPS:
@@ -132,8 +132,8 @@ def fold_power_study(power_r: float = 1e-7, bracket=(1e-14, 1.0),
                                      drive=drive, points=points,
                                      direction="both")
                     try:
-                        result = clamped_hysteresis_sweep(
-                            params, spec, options, threads=threads)
+                        result = clamped_hysteresis_sweep(params, spec,
+                                                          options)
                     except SweepError as exc:
                         note = f"ramp failed: {exc}"
                     else:

@@ -150,6 +150,31 @@ def test_bad_threads_exits_2(tmp_path, capsys):
     assert "--threads" in capsys.readouterr().err
 
 
+def test_threads_changes_nothing(tmp_path):
+    text = LOOP_CONFIG.replace('sweep.direction = "both"',
+                               'sweep.direction = "up"')
+    cfg = _write(tmp_path, text)
+    one, three = tmp_path / "one.csv", tmp_path / "three.csv"
+    assert main(["sweep", "--config", cfg, "--out", str(one)]) == 0
+    assert main(["sweep", "--config", cfg, "--out", str(three),
+                 "--threads", "3"]) == 0
+    assert one.read_text() == three.read_text()
+
+
+@pytest.mark.parametrize("command,flag", [
+    (["folds", "--config", "{cfg}"], "--samples"),
+    (["preset", "fig5a"], "--points"),
+])
+def test_count_flag_below_two_exits_2_naming_it(tmp_path, capsys, command,
+                                                flag):
+    cfg = _write(tmp_path, LOOP_CONFIG)
+    argv = [a.format(cfg=cfg) for a in command] + [flag, "1"]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert flag in err
+
+
 def test_numerical_failure_exits_3(tmp_path, capsys):
     # strict quasi-static ramp on the high-Q preset device crosses into
     # the self-oscillating regime past the fold

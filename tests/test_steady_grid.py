@@ -1,4 +1,8 @@
-"""The batched grid solver against the scalar solver, row by row."""
+"""The batched grid solvers against the scalar ones, row by row.
+
+Rows must be equal, not close: the batched solve and classify do the
+scalar arithmetic elementwise, in the same order.
+"""
 
 import math
 import random
@@ -10,8 +14,11 @@ from hypothesis import strategies as st
 
 import sampling
 from twomode import steady
-from twomode.errors import PolynomialError, SolverError
+from twomode.continuation import SweepSpec, _solve_grid, axis_grid, sweep_1d
+from twomode.errors import (ClassificationError, PolynomialError, SolverError,
+                            SweepError)
 from twomode.params import DrivePoint, preset_hill_params, replace_params
+from twomode.stability import solve_and_classify
 from twomode.steady import (SolverOptions, q_upper_bound, steady_branches,
                             steady_q_grid)
 
@@ -19,6 +26,8 @@ from twomode.steady import (SolverOptions, q_upper_bound, steady_branches,
 # midpoint of its fold scan where the scalar solve breaches the
 # self-consistency ceiling.
 CEILING_BREACH_POWER_L = 9.181158464634483e-06
+
+REGIMES = ("full", "cubic", "decoupled", "three", "five", "quartic")
 
 
 def _scalar_rows(params, drive, axis, values, options):
@@ -44,10 +53,8 @@ def _assert_rows_match(params, drive, axis, values, options):
     assert grid.shape == (len(values), 5)
     for row, ref in zip(grid, refs):
         got = row[~np.isnan(row)]
-        assert len(got) == len(ref)
+        assert got.tolist() == ref
         assert np.all(np.isnan(row[len(got):]))
-        for a, b in zip(got, ref):
-            assert abs(a - b) <= 1e-12 * abs(b)
     return grid
 
 
@@ -67,6 +74,9 @@ def _case(regime, seed):
         drive = sampling.draw_drive(rng, params)
     elif regime == "cubic":
         params = replace_params(preset, g2=0.0)
+        drive = sampling.draw_drive(rng, params)
+    elif regime == "decoupled":     # the fig3 control: the pump cannot push
+        params = replace_params(preset, g1=0.0)
         drive = sampling.draw_drive(rng, params)
     elif regime == "three":
         options = SolverOptions()
@@ -89,7 +99,7 @@ def _case(regime, seed):
     return params, drive, axis, values, options
 
 
-@given(regime=st.sampled_from(("full", "cubic", "three", "five", "quartic")),
+@given(regime=st.sampled_from(REGIMES),
        seed=st.integers(min_value=0, max_value=2**32 - 1))
 def test_grid_rows_match_scalar_solver(regime, seed):
     params, drive, axis, values, options = _case(regime, seed)
@@ -135,3 +145,95 @@ def test_ceiling_breach_raises_like_the_scalar_solver():
     values = np.array([9e-6, CEILING_BREACH_POWER_L, 9.3e-6])
     assert _scalar_rows(params, drive, "power_l", values, options)[1] is SolverError
     _assert_rows_match(params, drive, "power_l", values, options)
+
+
+def _pointwise_records(params, spec, options):
+    """(value, branches, diagnostics) per sample from solve_and_classify,
+    up to the first sample that raises; then that value and exception."""
+    records = []
+    for v in axis_grid(spec).tolist():
+        try:
+            branches, diags = solve_and_classify(
+                params, spec.drive.with_value(params, spec.axis, v), options)
+        except (PolynomialError, SolverError, ClassificationError) as exc:
+            return records, (v, exc)
+        records.append((v, branches, diags))
+    return records, None
+
+
+def _assert_sweep_matches_pointwise(params, spec, options):
+    ref, failure = _pointwise_records(params, spec, options)
+    if failure is not None:
+        value, exc = failure
+        with pytest.raises(SweepError) as caught:
+            _solve_grid(params, spec, options)
+        assert caught.value.axis_value == value
+        assert str(caught.value) == f"solve failed at {spec.axis}={value!r}: {exc}"
+        return None
+    got = _solve_grid(params, spec, options)
+    # SteadyBranch equality compares all nine fields; diagnostics are text
+    assert got == ref
+    return got
+
+
+def _sweep_case(regime, seed):
+    params, drive, axis, values, options = _case(regime, seed)
+    spec = SweepSpec(axis=axis, start=float(values[0]), stop=float(values[-1]),
+                     drive=drive, points=len(values))
+    return params, spec, options
+
+
+@given(regime=st.sampled_from(REGIMES),
+       seed=st.integers(min_value=0, max_value=2**32 - 1))
+def test_sweep_records_equal_pointwise_records(regime, seed):
+    _assert_sweep_matches_pointwise(*_sweep_case(regime, seed))
+
+
+@pytest.mark.parametrize("regime,branches", [("three", 3), ("five", 5)])
+def test_sweep_records_cover_multi_root_rows(regime, branches):
+    got = _assert_sweep_matches_pointwise(*_sweep_case(regime, 7))
+    assert branches in [len(b) for _, b, _ in got]
+
+
+def test_sweep_records_carry_ordering_diagnostics():
+    # Blue-detuned readout driven hard enough to anti-damp the mechanics:
+    # the eigenvalue verdicts depart from the ordering rule.
+    params = preset_hill_params()
+    drive = DrivePoint.build(params, delta1=params.omega_m,
+                             delta2=-params.omega_m, power_l=2e-6,
+                             power_r=1e-7)
+    spec = SweepSpec(axis="delta1", start=0.0, stop=2.0 * params.omega_m,
+                     drive=drive, points=40)
+    got = _assert_sweep_matches_pointwise(params, spec, SolverOptions(sign=-1))
+    assert any(diags for _, _, diags in got)
+
+
+def test_sweep_records_where_pow_and_product_round_apart():
+    # On a Python float amp**2 is libm pow, on an array an exact square;
+    # they differ in the last bit for about one amplitude in a thousand.
+    # Each sweep starts on such an amplitude.
+    params = preset_hill_params()
+    drive = DrivePoint.build(params, delta1=params.omega_m,
+                             delta2=params.omega_m, power_l=1e-9, power_r=1e-9)
+    amp = {p: drive.with_value(params, "power_l", p).amp_l
+           for p in np.geomspace(1e-12, 1e-6, 5000).tolist()}
+    starts = [p for p, a in amp.items() if a**2 != a * a][:3]
+    assert starts
+    for p in starts:
+        spec = SweepSpec(axis="power_l", start=p, stop=1.5 * p, drive=drive,
+                         points=2)
+        _assert_sweep_matches_pointwise(params, spec, SolverOptions())
+
+
+def test_sweep_through_ceiling_breach_names_the_sample():
+    params = preset_hill_params("literal")
+    drive = DrivePoint.build(params, delta1=params.omega_m,
+                             delta2=params.omega_m, power_l=2e-6, power_r=1e-7)
+    spec = SweepSpec(axis="power_l", start=9e-6, stop=CEILING_BREACH_POWER_L,
+                     drive=drive, points=5)
+    assert axis_grid(spec)[-1] == CEILING_BREACH_POWER_L
+    with pytest.raises(SweepError) as caught:
+        sweep_1d(params, spec, SolverOptions(sign=-1))
+    assert caught.value.axis_value == CEILING_BREACH_POWER_L
+    assert str(caught.value).startswith(
+        f"solve failed at power_l={CEILING_BREACH_POWER_L!r}: ")
