@@ -16,7 +16,7 @@ import numpy as np
 
 try:
     from numba import njit
-except ImportError:  # pragma: no cover - numba is a declared dependency
+except ImportError:  # numba is optional: the `fast` extra
     def njit(*args, **kwargs):
         def wrap(fn):
             return fn

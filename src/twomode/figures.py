@@ -15,8 +15,10 @@ fig4b   same with the second drive blue-detuned, which mirrors the
 fig5a   pulled readout resonance with a very weak second drive
 fig5b   power hysteresis read out by the very weak second drive
 
-Power windows for hysteresis presets are found adaptively: a coarse fold
-scan brackets the bistable window, padded outward.  When the chosen
+Power windows for hysteresis presets are found adaptively: the exact pump
+power folds in [1e-14, 1] W (:func:`locate_folds` over 512 cells, each
+fold on its 1e-9 bisection lattice) bound the bistable window, which is
+padded outward by a factor of 5 on each side.  When the chosen
 conventions give no fold at any reachable power (which happens for the
 default sign and amplitude conventions) a fixed micro-watt window is used
 and the ramps simply show no jump.

@@ -4,8 +4,9 @@ Everything here is implemented directly from the model definition with
 plain numpy/math, deliberately avoiding the package's evaluation paths,
 so a library bug cannot hide by canceling against itself.  The only
 package objects consumed are the parameter containers, read as plain
-numbers; the one exception is :func:`scan_counts`, the reference for the
-batched fold scan, which is the per-sample scalar solve it replaced.
+numbers.  The exceptions are :func:`scan_counts` and
+:func:`bisect_count_change`, the references for the batched fold scan and
+the exact fold bisection: each is the scalar-solve route it replaced.
 """
 
 from __future__ import annotations
@@ -44,16 +45,25 @@ def force_bound(params, drive, sign=1):
     return 2.0 / params.omega_m * total
 
 
-def residual_grid(params, drive, sign=1, n=GRID_POINTS, pad=GRID_PAD):
-    """Vectorized residual over a uniform grid covering every real root.
+def residual_grid(params, drive, sign=1, n=GRID_POINTS, pad=GRID_PAD,
+                  log=False):
+    """Vectorized residual over a grid covering every real root.
 
     With the plus convention the force sum is non-negative, so roots live
     in [0, bound]; the minus convention admits negative roots and the
-    grid widens to [-bound, bound].
+    grid widens to [-bound, bound].  The grid is uniform, or with ``log``
+    geometric in |q| from 1e-9 * bound up (mirrored for negative q),
+    which resolves close root pairs lying decades below a loose bound.
     """
     top = max(pad * force_bound(params, drive, sign), 1e-300)
     lo = 0.0 if sign > 0 else -top
-    q = np.linspace(lo, top, n)
+    if not log:
+        q = np.linspace(lo, top, n)
+    elif sign > 0:
+        q = np.concatenate(([0.0], np.geomspace(1e-9 * top, top, n - 1)))
+    else:
+        half = np.geomspace(1e-9 * top, top, n // 2)
+        q = np.concatenate((-half[::-1], half))
     total = np.zeros_like(q)
     for g, a, delta, kappa in lorentzian_force_terms(params, drive, sign):
         total += g * a / (kappa**2 + (delta - g * q) ** 2)
@@ -92,9 +102,10 @@ def grid_zeros(params, drive, sign=1, n=GRID_POINTS, pad=GRID_PAD,
     return np.array(sorted(zeros))
 
 
-def sign_change_count(params, drive, sign=1, n=GRID_POINTS, pad=GRID_PAD):
+def sign_change_count(params, drive, sign=1, n=GRID_POINTS, pad=GRID_PAD,
+                      log=False):
     """Number of residual sign changes on the dense grid."""
-    _, f = residual_grid(params, drive, sign, n, pad)
+    _, f = residual_grid(params, drive, sign, n, pad, log)
     s = np.sign(f)
     s = s[s != 0]
     return int(np.count_nonzero(s[:-1] * s[1:] < 0))
@@ -105,6 +116,27 @@ def scan_counts(params, drive, axis, values, options):
     return [len(steady_branches(params, drive.with_value(params, axis, float(v)),
                                 options))
             for v in values]
+
+
+def bisect_count_change(params, drive, axis, lo, hi, options, rel_tol):
+    """Bisect the axis interval (lo, hi) down to the branch-count change,
+    counting branches with one scalar ``steady_branches`` solve per
+    midpoint."""
+    def count(value):
+        point = drive.with_value(params, axis, value)
+        return len(steady_branches(params, point, options))
+
+    count_lo = count(lo)
+    floor = 1e-12 * abs(hi - lo)
+    while (hi - lo) > max(rel_tol * max(abs(lo), abs(hi)), floor):
+        mid = 0.5 * (lo + hi)
+        if mid <= lo or mid >= hi:
+            break
+        if count(mid) == count_lo:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
 
 
 def cubic_discriminant(a, b, c, d):

@@ -4,6 +4,7 @@ import pytest
 
 from twomode.cli import main
 from twomode.io import CSV_HEADER
+from twomode.params import preset_hill_params
 
 BASE = 'system = "hill2012"\n'
 
@@ -188,6 +189,35 @@ def test_numerical_failure_exits_3(tmp_path, capsys):
     cfg = _write(tmp_path, text)
     assert main(["sweep", "--config", cfg, "--threads", "1"]) == 3
     assert "numerical failure" in capsys.readouterr().err
+
+
+def test_fig2b_minus_literal_reports_its_four_folds(tmp_path):
+    # a bisection midpoint used to hit the solver's self-consistency
+    # ceiling at power_l = 9.181158464634483e-06 W and exit 3
+    out = tmp_path / "fig2b.csv"
+    assert main(["preset", "fig2b", "--sign", "minus", "--kappa2", "literal",
+                 "--out", str(out)]) == 0
+    summary = (tmp_path / "fig2b.summary.txt").read_text()
+    line = next(l for l in summary.splitlines()
+                if "branch-count changes at:" in l)
+    folds = [float(v) for v in line.split(":", 1)[1].split(",")]
+    assert folds == pytest.approx([1.5096344394799489e-09,
+                                   7.334630443807926e-08,
+                                   2.6399137210427587e-07,
+                                   9.181158466972657e-06], rel=1e-6)
+    preset = preset_hill_params()
+    rows = 0
+    for path in tmp_path.glob("*.csv"):
+        lines = path.read_text().splitlines()
+        assert lines[0] == CSV_HEADER
+        for line in lines[1:]:
+            cells = dict(zip(CSV_HEADER.split(","), line.split(",")))
+            q, n1, n2 = (float(cells[k]) for k in ("q_s", "n_p1", "n_p2"))
+            defect = q - (2.0 / preset.omega_m) * (preset.g1 * n1
+                                                  - preset.g2 * n2)
+            assert abs(defect) <= 1e-6 * (1.0 + abs(q))
+            rows += 1
+    assert rows > 0
 
 
 def test_missing_config_exits_4(tmp_path, capsys):

@@ -1,17 +1,20 @@
 """Sweeps, fold location, and quasi-static hysteresis ramps."""
 
+import bisect
 import math
 
 import numpy as np
 import pytest
 
 import oracles
-from twomode import steady
-from twomode.continuation import (_FOLD_SCAN_REL_TOL, HysteresisResult,
-                                  SweepSpec, Trace, _refine_count_change,
-                                  axis_grid, clamped_hysteresis_sweep,
-                                  hysteresis_sweep, locate_folds, sweep_1d)
-from twomode.errors import NoStableBranchError, ParameterError
+from twomode import continuation, steady
+from twomode.continuation import (_FOLD_REL_TOL, _FOLD_SCAN_REL_TOL,
+                                  HysteresisResult, SweepSpec, Trace,
+                                  _refine_count_change, axis_grid,
+                                  clamped_hysteresis_sweep, hysteresis_sweep,
+                                  locate_folds, sweep_1d)
+from twomode.errors import NoStableBranchError, ParameterError, SweepError
+from twomode.figures import run_preset
 from twomode.params import DrivePoint, preset_hill_params, replace_params
 from twomode.stability import solve_and_classify
 from twomode.steady import SolverOptions, Verdict, steady_branches
@@ -135,47 +138,171 @@ def test_locate_folds_linear_system_is_empty(preset, options):
     assert folds == ()
 
 
-def _fold_drive(name):
-    """(params, drive, axis, lo, hi, options) of a fold-scan reference drive."""
+def _fold_drives():
+    """name -> (params, drive, axis, lo, hi, options, fold count).
+
+    The fold-scan reference drives: the AC5 loop, the AC6 single cavity,
+    ``delta1`` at q_m = 5, and the eight fold-study conventions at
+    power_r = 1e-7 W.
+    """
     preset = preset_hill_params()
     heavy = replace_params(preset, q_m=5.0)
-    if name == "ac5_loop":
-        return heavy, _loop_drive(heavy), "power_l", 1e-14, 1.0, SolverOptions()
-    if name == "ac6_single":
-        single = replace_params(preset, g2=0.0)
-        return (single, _loop_drive(single), "power_l", 1e-13, 1e-10,
-                SolverOptions())
-    if name == "delta1":
-        drive = _drive(heavy, delta1=heavy.omega_m, delta2=heavy.omega_m,
-                       power_l=2e-12)
-        return (heavy, drive, "delta1", 0.0, 2.0 * heavy.omega_m,
-                SolverOptions())
-    drive = DrivePoint.build(preset, delta1=preset.omega_m,
-                             delta2=preset.omega_m, power_r=1e-7,
-                             amp_convention="flux")
-    return preset, drive, "power_l", 1e-14, 1.0, SolverOptions(sign=-1)
+    single = replace_params(preset, g2=0.0)
+    default = SolverOptions()
+    drives = {
+        "ac5_loop": (heavy, _loop_drive(heavy), "power_l", 1e-14, 1.0,
+                     default, 2),
+        "ac6_single": (single, _loop_drive(single), "power_l", 1e-13, 1e-10,
+                       default, 2),
+        "delta1": (heavy, _drive(heavy, delta1=heavy.omega_m,
+                                 delta2=heavy.omega_m, power_l=2e-12),
+                   "delta1", 0.0, 2.0 * heavy.omega_m, default, 2),
+    }
+    for amp in ("literal", "flux"):
+        for kappa2 in ("angular", "literal"):
+            params = preset_hill_params(kappa2_interpretation=kappa2)
+            drive = DrivePoint.build(params, delta1=params.omega_m,
+                                     delta2=params.omega_m, power_r=1e-7,
+                                     amp_convention=amp)
+            for sign_name, sign in (("plus", 1), ("minus", -1)):
+                count = 2 if amp == "flux" else (4 if sign < 0 else 0)
+                drives[f"study_{amp}_{kappa2}_{sign_name}"] = (
+                    params, drive, "power_l", 1e-14, 1.0,
+                    SolverOptions(sign=sign), count)
+    return drives
 
 
-@pytest.mark.parametrize("name", ["ac5_loop", "ac6_single", "delta1",
-                                  "flux_study"])
+FOLD_DRIVES = _fold_drives()
+POWER_DRIVES = [name for name, spec in FOLD_DRIVES.items()
+                if spec[2] == "power_l"]
+
+
+@pytest.mark.parametrize("name", list(FOLD_DRIVES))
 def test_locate_folds_matches_scalar_scan_oracle(name, monkeypatch):
-    params, drive, axis, lo, hi, options = _fold_drive(name)
+    params, drive, axis, lo, hi, options, count = FOLD_DRIVES[name]
     values = axis_grid(SweepSpec(axis=axis, start=lo, stop=hi, drive=drive,
                                  points=1024))
     counts = oracles.scan_counts(params, drive, axis, values, options)
-    expected = tuple(
-        _refine_count_change(params, drive, axis, float(v0), float(v1),
-                             options, _FOLD_SCAN_REL_TOL)
+    expected = [
+        oracles.bisect_count_change(params, drive, axis, float(v0),
+                                    float(v1), options, _FOLD_SCAN_REL_TOL)
         for v0, v1, c0, c1 in zip(values, values[1:], counts, counts[1:])
-        if c0 != c1)
-    assert len(expected) == 2
-    # the batched scan solves every sample itself: no scalar fallback
+        if c0 != c1]
+    assert len(expected) == count
+    # no scan sample falls back to the scalar solve
     fallbacks = []
     scalar = steady.steady_branches
     monkeypatch.setattr(steady, "steady_branches",
                         lambda *a: fallbacks.append(a) or scalar(*a))
-    assert locate_folds(params, drive, axis, lo, hi, options) == expected
+    folds = locate_folds(params, drive, axis, lo, hi, options)
+    assert [repr(f) for f in folds] == [repr(f) for f in expected]
     assert fallbacks == []
+
+
+def _sweep_case(name):
+    """(params, options, SweepResult) of a sweep with folds."""
+    options = SolverOptions()
+    if name in ("ac5_loop", "blue_readout"):
+        heavy = replace_params(preset_hill_params(), q_m=5.0)
+        if name == "ac5_loop":
+            drive, window = _loop_drive(heavy), LOOP_FOLDS
+        else:
+            drive, window = _loop_drive(heavy, -1, 1e-13), BLUE_FOLDS
+        spec = SweepSpec(axis="power_l", start=window[0] / 2.0,
+                         stop=window[1] * 1.8, drive=drive, points=200,
+                         direction="both")
+        return heavy, options, hysteresis_sweep(heavy, spec, options)
+    options = SolverOptions(sign=-1)
+    if name == "fig2b_minus":
+        return (preset_hill_params(), options,
+                run_preset("fig2b", options=options)["ramp"])
+    # the pump detuning sweep at 3 uW folds under these conventions
+    return (preset_hill_params(kappa2_interpretation="literal"), options,
+            run_preset("fig2a", kappa2_interpretation="literal",
+                       options=options)["pump_3uw"])
+
+
+@pytest.mark.parametrize("name,folds,jumps", [
+    ("ac5_loop", 2, 2), ("blue_readout", 2, 2), ("fig2b_minus", 4, 0),
+    ("fig2a_3uw", 1, 0)])
+def test_sweep_folds_and_jumps_match_bisection_oracle(name, folds, jumps):
+    params, options, res = _sweep_case(name)
+    spec = res.spec
+    values = [v for v, _ in res.records]
+    counts = [len(branches) for _, branches in res.records]
+
+    def oracle(v0, v1):
+        return repr(oracles.bisect_count_change(
+            params, spec.drive, spec.axis, v0, v1, options, _FOLD_REL_TOL))
+
+    assert [repr(f) for f in res.folds] == [
+        oracle(v0, v1)
+        for v0, v1, c0, c1 in zip(values, values[1:], counts, counts[1:])
+        if c0 != c1]
+    assert len(res.folds) == folds
+    found = ()
+    if res.hysteresis is not None:
+        found = res.hysteresis.up.jumps + res.hysteresis.down.jumps
+    assert len(found) == jumps
+    for jump in found:
+        i = bisect.bisect_left(values, jump)
+        assert repr(jump) == oracle(values[i - 1], values[i])
+
+
+@pytest.mark.parametrize("name", POWER_DRIVES)
+def test_power_folds_move_the_grid_oracle_count(name):
+    # independent of the polynomial route: the dense-grid sign-change count
+    # gains or loses exactly the fold's pair across each closed-form fold.
+    # The grid is geometric: under the minus convention the readout's peak
+    # push puts the uniform grid's spacing above the pair's separation.
+    params, drive, axis, _, _, options, count = FOLD_DRIVES[name]
+    folds = continuation._power_folds(params, drive, axis, options)
+    assert len(folds) == count
+    for value, change in folds:
+        below, above = (
+            oracles.sign_change_count(
+                params, drive.with_value(params, axis, value * factor),
+                options.sign, log=True)
+            for factor in (1.0 - 1e-6, 1.0 + 1e-6))
+        assert above - below == change
+
+
+def test_power_axis_without_coupling_solves_nothing(preset, options,
+                                                    monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a steady state was solved")
+
+    monkeypatch.setattr(continuation, "steady_branches", refuse)
+    monkeypatch.setattr(continuation, "steady_q_grid", refuse)
+    p0 = replace_params(preset, g1=0.0)
+    d = _drive(p0, delta1=preset.omega_m, delta2=preset.omega_m,
+               power_l=1e-12, power_r=1e-7)
+    assert continuation._power_folds(p0, d, "power_l", options) == ()
+    assert locate_folds(p0, d, "power_l", 1e-14, 1.0, options) == ()
+
+
+def test_detuning_bisection_solves_only_its_ends(options, monkeypatch):
+    params, drive, axis, lo, hi, _, _ = FOLD_DRIVES["delta1"]
+    values = axis_grid(SweepSpec(axis=axis, start=lo, stop=hi, drive=drive,
+                                 points=1024))
+    counts = oracles.scan_counts(params, drive, axis, values, options)
+    i = next(i for i, (c0, c1) in enumerate(zip(counts, counts[1:]))
+             if c0 != c1)
+    solves = []
+    scalar = continuation.steady_branches
+    monkeypatch.setattr(continuation, "steady_branches",
+                        lambda *a: solves.append(a) or scalar(*a))
+    v0, v1 = float(values[i]), float(values[i + 1])
+    _refine_count_change(params, drive, axis, v0, v1, options,
+                         _FOLD_SCAN_REL_TOL)
+    assert len(solves) == 2
+    # a limit-point Newton that cannot converge is an error, not a cue to
+    # fall back on solving at the midpoints
+    monkeypatch.setattr(continuation, "_LP_MAX_ITER", 1)
+    with pytest.raises(SweepError, match="limit-point"):
+        _refine_count_change(params, drive, axis, v0, v1, options,
+                             _FOLD_SCAN_REL_TOL)
+    assert len(solves) == 4
 
 
 def test_locate_folds_frozen_loop_device(heavy, options):
