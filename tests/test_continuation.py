@@ -143,7 +143,7 @@ def _fold_drives():
 
     The fold-scan reference drives: the AC5 loop, the AC6 single cavity,
     ``delta1`` at q_m = 5, and the eight fold-study conventions at
-    power_r = 1e-7 W.
+    power_r = 1e-7 W (``flux_study`` is the flux, angular, minus one).
     """
     preset = preset_hill_params()
     heavy = replace_params(preset, q_m=5.0)
@@ -166,7 +166,10 @@ def _fold_drives():
                                      amp_convention=amp)
             for sign_name, sign in (("plus", 1), ("minus", -1)):
                 count = 2 if amp == "flux" else (4 if sign < 0 else 0)
-                drives[f"study_{amp}_{kappa2}_{sign_name}"] = (
+                name = f"study_{amp}_{kappa2}_{sign_name}"
+                if name == "study_flux_angular_minus":
+                    name = "flux_study"
+                drives[name] = (
                     params, drive, "power_l", 1e-14, 1.0,
                     SolverOptions(sign=sign), count)
     return drives
