@@ -2,9 +2,11 @@
 
 Classical RK4 with step-doubling control: every accepted step compares one
 full step against two half steps and uses their difference (divided by 15,
-the order-4 Richardson factor) as the local error estimate.  The kernel
-works in dimensionless time ``tau = omega_m * t`` with all rates scaled by
-``omega_m``; the wrapper in the stability module does the unit plumbing.
+the order-4 Richardson factor) as the local error estimate.  The
+right-hand side takes its rates in any one unit, ``w`` being the
+mechanical frequency in that unit; the integrator works in dimensionless
+time ``tau = omega_m * t``, where ``w = 1``.  The wrapper in the stability
+module does the unit plumbing.
 
 Compiled with numba when available; the same source runs as plain Python
 otherwise (slowly, but identically).
@@ -29,7 +31,7 @@ STATUS_STEP_BUDGET = 2
 
 @njit(cache=True)
 def _rhs(x1, y1, x2, y2, q, p,
-         k1, d1, g1, f1, k2, d2, g2, f2, gm, s):
+         k1, d1, g1, f1, k2, d2, g2, f2, gm, s, w):
     d1e = d1 - g1 * q
     d2e = d2 - g2 * q
     dx1 = -k1 * x1 + d1e * y1 + f1
@@ -37,26 +39,26 @@ def _rhs(x1, y1, x2, y2, q, p,
     dx2 = -k2 * x2 + d2e * y2 + f2
     dy2 = -d2e * x2 - k2 * y2
     dq = p
-    dp = -gm * p - q + 2.0 * (g1 * (x1 * x1 + y1 * y1)
-                              + s * g2 * (x2 * x2 + y2 * y2))
+    dp = -gm * p - w * w * q + 2.0 * w * (g1 * (x1 * x1 + y1 * y1)
+                                          + s * g2 * (x2 * x2 + y2 * y2))
     return dx1, dy1, dx2, dy2, dq, dp
 
 
 @njit(cache=True)
 def _rk4(x1, y1, x2, y2, q, p, h,
-         k1, d1, g1, f1, k2, d2, g2, f2, gm, s):
+         k1, d1, g1, f1, k2, d2, g2, f2, gm, s, w):
     a1, b1, c1, e1, u1, v1 = _rhs(x1, y1, x2, y2, q, p,
-                                  k1, d1, g1, f1, k2, d2, g2, f2, gm, s)
+                                  k1, d1, g1, f1, k2, d2, g2, f2, gm, s, w)
     hh = 0.5 * h
     a2, b2, c2, e2, u2, v2 = _rhs(x1 + hh * a1, y1 + hh * b1, x2 + hh * c1,
                                   y2 + hh * e1, q + hh * u1, p + hh * v1,
-                                  k1, d1, g1, f1, k2, d2, g2, f2, gm, s)
+                                  k1, d1, g1, f1, k2, d2, g2, f2, gm, s, w)
     a3, b3, c3, e3, u3, v3 = _rhs(x1 + hh * a2, y1 + hh * b2, x2 + hh * c2,
                                   y2 + hh * e2, q + hh * u2, p + hh * v2,
-                                  k1, d1, g1, f1, k2, d2, g2, f2, gm, s)
+                                  k1, d1, g1, f1, k2, d2, g2, f2, gm, s, w)
     a4, b4, c4, e4, u4, v4 = _rhs(x1 + h * a3, y1 + h * b3, x2 + h * c3,
                                   y2 + h * e3, q + h * u3, p + h * v3,
-                                  k1, d1, g1, f1, k2, d2, g2, f2, gm, s)
+                                  k1, d1, g1, f1, k2, d2, g2, f2, gm, s, w)
     sixth = h / 6.0
     return (x1 + sixth * (a1 + 2.0 * a2 + 2.0 * a3 + a4),
             y1 + sixth * (b1 + 2.0 * b2 + 2.0 * b3 + b4),
@@ -74,7 +76,7 @@ def integrate(y0, taus, rtol, pv, sc, max_steps):
     """
     k1, d1, g1, f1 = pv[0], pv[1], pv[2], pv[3]
     k2, d2, g2, f2 = pv[4], pv[5], pv[6], pv[7]
-    gm, s = pv[8], pv[9]
+    gm, s, w = pv[8], pv[9], pv[10]
     x1, y1, x2, y2, q, p = y0[0], y0[1], y0[2], y0[3], y0[4], y0[5]
     n = taus.shape[0]
     out = np.empty((n, 6))
@@ -94,13 +96,13 @@ def integrate(y0, taus, rtol, pv, sc, max_steps):
             h_try = h if t + h <= target else target - t
             fx1, fy1, fx2, fy2, fq, fp = _rk4(
                 x1, y1, x2, y2, q, p, h_try,
-                k1, d1, g1, f1, k2, d2, g2, f2, gm, s)
+                k1, d1, g1, f1, k2, d2, g2, f2, gm, s, w)
             hh = 0.5 * h_try
             m = _rk4(x1, y1, x2, y2, q, p, hh,
-                     k1, d1, g1, f1, k2, d2, g2, f2, gm, s)
+                     k1, d1, g1, f1, k2, d2, g2, f2, gm, s, w)
             hx1, hy1, hx2, hy2, hq, hp = _rk4(
                 m[0], m[1], m[2], m[3], m[4], m[5], hh,
-                k1, d1, g1, f1, k2, d2, g2, f2, gm, s)
+                k1, d1, g1, f1, k2, d2, g2, f2, gm, s, w)
             err = 0.0
             full = (fx1, fy1, fx2, fy2, fq, fp)
             half = (hx1, hy1, hx2, hy2, hq, hp)

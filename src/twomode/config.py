@@ -352,7 +352,7 @@ def _build_sweep(ent: _Entries, params: SystemParams,
 
 def _build_options(ent: _Entries, sign: int) -> SolverOptions:
     kwargs = {"sign": sign}
-    for name in ("imag_tol", "marginal_band", "ode_rel_tol"):
+    for name in ("imag_tol", "marginal_band"):
         key = f"tol.{name}"
         if ent.has(key):
             value, line = ent.take(key)
@@ -442,7 +442,6 @@ def serialize_config(config: RunConfig) -> str:
     lines.append(f'flags.amp_convention = "{config.amp_convention}"')
     lines.append(f"tol.imag_tol = {config.options.imag_tol!r}")
     lines.append(f"tol.marginal_band = {config.options.marginal_band!r}")
-    lines.append(f"tol.ode_rel_tol = {config.options.ode_rel_tol!r}")
     if config.out_path is not None:
         lines.append(f'output.path = "{config.out_path}"')
     lines.append(f'output.format = "{config.out_format}"')

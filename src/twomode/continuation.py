@@ -312,15 +312,19 @@ def _folds_from_counts(params, spec, options, solved, rel_tol):
     return tuple(folds)
 
 
+def _result(params, spec, options, solved, hysteresis=None, notes=()):
+    """The SweepResult of one solved grid: records, diagnostics, folds."""
+    return SweepResult(
+        spec=spec, records=tuple((v, branches) for v, branches, _ in solved),
+        folds=_folds_from_counts(params, spec, options, solved, _FOLD_REL_TOL),
+        diagnostics=tuple(d for _, _, diags in solved for d in diags) + notes,
+        hysteresis=hysteresis)
+
+
 def sweep_1d(params: SystemParams, spec: SweepSpec,
              options: SolverOptions = SolverOptions()) -> SweepResult:
     """Solve and classify every grid point; refine any fold in between."""
-    solved = _solve_grid(params, spec, options)
-    records = tuple((v, branches) for v, branches, _ in solved)
-    diagnostics = tuple(d for _, _, diags in solved for d in diags)
-    folds = _folds_from_counts(params, spec, options, solved, _FOLD_REL_TOL)
-    return SweepResult(spec=spec, records=records, folds=folds,
-                       diagnostics=diagnostics, hysteresis=None)
+    return _result(params, spec, options, _solve_grid(params, spec, options))
 
 
 def locate_folds(params: SystemParams, drive: DrivePoint, axis: str,
@@ -365,14 +369,27 @@ def _stable(branches):
     return [b for b in branches if b.verdict == Verdict.STABLE]
 
 
+def _no_stable_branch(axis, value) -> str:
+    return f"no stable branch at {axis}={value!r}; self-oscillating regime"
+
+
+def _truncation(axis, value) -> str:
+    return f"ramp truncated: {_no_stable_branch(axis, value)}"
+
+
+def _first_without_stable(solved):
+    """Index of the first solved sample with no stable branch, or None."""
+    return next((i for i, (_, branches, _) in enumerate(solved)
+                 if not _stable(branches)), None)
+
+
 def _follow(values, solved_by_value, pick_start, params, spec, options):
     """Quasi-static ramp along `values`, switching branches only at folds."""
     v0 = values[0]
     stable0 = _stable(solved_by_value[v0])
     if not stable0:
-        raise NoStableBranchError(
-            f"no stable branch at {spec.axis}={v0!r}; self-oscillating regime",
-            axis_value=v0)
+        raise NoStableBranchError(_no_stable_branch(spec.axis, v0),
+                                  axis_value=v0)
     current = pick_start(stable0, key=lambda b: b.q_s)
     points = [(v0, current)]
     jumps = []
@@ -384,9 +401,8 @@ def _follow(values, solved_by_value, pick_start, params, spec, options):
         branches = solved_by_value[v]
         stable = _stable(branches)
         if not stable:
-            raise NoStableBranchError(
-                f"no stable branch at {spec.axis}={v!r}; self-oscillating regime",
-                axis_value=v)
+            raise NoStableBranchError(_no_stable_branch(spec.axis, v),
+                                      axis_value=v)
         cand = min(stable, key=lambda b: abs(b.q_s - prev_q))
         if prev_dq is None:
             predicted = prev_q
@@ -409,6 +425,14 @@ def _follow(values, solved_by_value, pick_start, params, spec, options):
     return Trace(points=tuple(points), jumps=tuple(jumps))
 
 
+def _ramps(params, spec, options, solved) -> HysteresisResult:
+    by_value = {v: branches for v, branches, _ in solved}
+    values = [v for v, _, _ in solved]
+    return HysteresisResult(
+        up=_follow(values, by_value, min, params, spec, options),
+        down=_follow(values[::-1], by_value, max, params, spec, options))
+
+
 def hysteresis_sweep(params: SystemParams, spec: SweepSpec,
                      options: SolverOptions = SolverOptions()) -> SweepResult:
     """Up and down quasi-static ramps over the same grid.
@@ -421,49 +445,42 @@ def hysteresis_sweep(params: SystemParams, spec: SweepSpec,
     :func:`clamped_hysteresis_sweep` for the forgiving variant.
     """
     solved = _solve_grid(params, spec, options)
-    records = tuple((v, branches) for v, branches, _ in solved)
-    diagnostics = tuple(d for _, _, diags in solved for d in diags)
-    folds = _folds_from_counts(params, spec, options, solved, _FOLD_REL_TOL)
-    by_value = {v: branches for v, branches, _ in solved}
-    values = [v for v, _, _ in solved]
-    up = _follow(values, by_value, min, params, spec, options)
-    down = _follow(values[::-1], by_value, max, params, spec, options)
-    return SweepResult(spec=spec, records=records, folds=folds,
-                       diagnostics=diagnostics,
-                       hysteresis=HysteresisResult(up=up, down=down))
+    return _result(params, spec, options, solved,
+                   _ramps(params, spec, options, solved))
 
 
 def clamped_hysteresis_sweep(params: SystemParams, spec: SweepSpec,
                              options: SolverOptions = SolverOptions()
                              ) -> SweepResult:
-    """Hysteresis ramp that backs away from the self-oscillation boundary.
+    """Hysteresis ramp that stops short of the self-oscillation boundary.
 
     A quasi-static ramp cannot pass a sample where every branch is
-    unstable (the system leaves the steady-state manifold there), so when
-    one is hit the window top is pulled just below the offending value and
-    the ramp retried.  Each truncation is recorded as a diagnostic.  When
-    no ramp fits at all, the plain multi-branch sweep over the original
-    window is returned instead, again with a diagnostic.
+    unstable (the system leaves the steady-state manifold there).  When
+    every sample of the grid has a stable branch this is
+    :func:`hysteresis_sweep`.  Otherwise the window top moves to the last
+    sample before the first one with none, that window is solved once
+    more at the same ``points`` and ramped, and a ``ramp truncated``
+    diagnostic names the sample.  When fewer than two leading samples
+    have a stable branch, or the truncated grid still has a sample with
+    none, the first grid is returned as the plain ``direction="up"``
+    sweep, with a ``ramp truncated`` note per attempt and a final ``no
+    quasi-static ramp fits`` note.  At most two grids are solved.
     """
-    lo, hi = spec.start, spec.stop
-    notes = []
-    for _ in range(8):
-        if hi <= lo or (hi - lo) < 1e-12 * max(abs(hi), abs(lo)):
-            break
-        trial = replace(spec, start=lo, stop=hi)
-        try:
-            result = hysteresis_sweep(params, trial, options)
-        except NoStableBranchError as exc:
-            notes.append(f"ramp truncated: {exc}")
-            if exc.axis_value is None or exc.axis_value <= lo:
-                break
-            hi = 0.95 * exc.axis_value
-            continue
-        if notes:
-            result = replace(result,
-                             diagnostics=result.diagnostics + tuple(notes))
-        return result
-    result = sweep_1d(params, replace(spec, direction="up"), options)
-    notes.append("no quasi-static ramp fits inside the window: every "
-                 "attempted top hit a sample with no stable branch")
-    return replace(result, diagnostics=result.diagnostics + tuple(notes))
+    solved = _solve_grid(params, spec, options)
+    first = _first_without_stable(solved)
+    if first is None:
+        return _result(params, spec, options, solved,
+                       _ramps(params, spec, options, solved))
+    notes = (_truncation(spec.axis, solved[first][0]),)
+    if first >= 2:
+        trial = replace(spec, stop=solved[first - 1][0])
+        retry = _solve_grid(params, trial, options)
+        unstable = _first_without_stable(retry)
+        if unstable is None:
+            return _result(params, trial, options, retry,
+                           _ramps(params, trial, options, retry), notes=notes)
+        notes += (_truncation(spec.axis, retry[unstable][0]),)
+    notes += ("no quasi-static ramp fits inside the window: every "
+              "attempted top hit a sample with no stable branch",)
+    return _result(params, replace(spec, direction="up"), options, solved,
+                   notes=notes)

@@ -44,57 +44,40 @@ def branch_state(branch: SteadyBranch) -> np.ndarray:
                      branch.q_s, 0.0])
 
 
+def _rhs_params(params: SystemParams, drive: DrivePoint, sign: int,
+                unit: float = 1.0) -> tuple:
+    """Rates and pumps in units of ``unit`` [rad/s], in the order the
+    integrator kernel's right-hand side takes them after the state."""
+    rates = (params.kappa1, drive.delta1, params.g1,
+             math.sqrt(params.kappa_e1) * drive.amp_l,
+             params.kappa2, drive.delta2, params.g2,
+             math.sqrt(params.kappa_e2) * drive.amp_r, params.gamma_m)
+    return (*(r / unit for r in rates), float(sign), params.omega_m / unit)
+
+
 def vector_field(state, params: SystemParams, drive: DrivePoint,
                  sign: int = 1) -> np.ndarray:
     """Time derivative of the real first-order system, SI rates [1/s].
 
-    State layout matches :func:`branch_state`; P is dQ/dt.
+    State layout matches :func:`branch_state`; P is dQ/dt.  This is the
+    integrator kernel's right-hand side, evaluated in SI units.
     """
-    x1, y1, x2, y2, q, p = (float(v) for v in state)
-    d1e = drive.delta1 - params.g1 * q
-    d2e = drive.delta2 - params.g2 * q
-    f1 = math.sqrt(params.kappa_e1) * drive.amp_l
-    f2 = math.sqrt(params.kappa_e2) * drive.amp_r
-    return np.array([
-        -params.kappa1 * x1 + d1e * y1 + f1,
-        -d1e * x1 - params.kappa1 * y1,
-        -params.kappa2 * x2 + d2e * y2 + f2,
-        -d2e * x2 - params.kappa2 * y2,
-        p,
-        -params.gamma_m * p - params.omega_m**2 * q
-        + 2.0 * params.omega_m * (params.g1 * (x1 * x1 + y1 * y1)
-                                  + sign * params.g2 * (x2 * x2 + y2 * y2)),
-    ])
+    from ._odekernel import _rhs
+
+    return np.array(_rhs(*(float(v) for v in state),
+                         *_rhs_params(params, drive, sign)))
 
 
 def jacobian(state, params: SystemParams, drive: DrivePoint,
              sign: int = 1) -> np.ndarray:
-    """Analytic Jacobian of :func:`vector_field` at ``state`` [rad/s]."""
-    x1, y1, x2, y2, q, _ = (float(v) for v in state)
-    d1e = drive.delta1 - params.g1 * q
-    d2e = drive.delta2 - params.g2 * q
+    """Analytic Jacobian of :func:`vector_field` at ``state`` [rad/s].
+
+    It is omega_m D J D^-1, with J the omega_m-scaled Jacobian and
+    D = diag(1, 1, 1, 1, 1, omega_m) the scale of P.
+    """
     om = params.omega_m
-    j = np.zeros((6, 6))
-    j[0, 0] = -params.kappa1
-    j[0, 1] = d1e
-    j[0, 4] = -params.g1 * y1
-    j[1, 0] = -d1e
-    j[1, 1] = -params.kappa1
-    j[1, 4] = params.g1 * x1
-    j[2, 2] = -params.kappa2
-    j[2, 3] = d2e
-    j[2, 4] = -params.g2 * y2
-    j[3, 2] = -d2e
-    j[3, 3] = -params.kappa2
-    j[3, 4] = params.g2 * x2
-    j[4, 5] = 1.0
-    j[5, 0] = 4.0 * om * params.g1 * x1
-    j[5, 1] = 4.0 * om * params.g1 * y1
-    j[5, 2] = 4.0 * sign * om * params.g2 * x2
-    j[5, 3] = 4.0 * sign * om * params.g2 * y2
-    j[5, 4] = -om * om
-    j[5, 5] = -params.gamma_m
-    return j
+    d = np.array([1.0, 1.0, 1.0, 1.0, 1.0, om])
+    return om * d[:, None] * _scaled_jacobian(state, params, drive, sign) / d
 
 
 def _scaled_jacobian_entries(x1, y1, x2, y2, q, delta1, delta2,
@@ -313,7 +296,7 @@ class Trajectory:
 
 
 def integrate_dynamics(initial, params: SystemParams, drive: DrivePoint,
-                       t_end: float, rel_tol: float | None = None,
+                       t_end: float, rel_tol: float = 1e-8,
                        sign: int = 1, n_samples: int = 129,
                        max_steps: int = _DEFAULT_MAX_STEPS) -> Trajectory:
     """Adaptive explicit integration of :func:`vector_field`.
@@ -326,8 +309,6 @@ def integrate_dynamics(initial, params: SystemParams, drive: DrivePoint,
     """
     from . import _odekernel
 
-    if rel_tol is None:
-        rel_tol = SolverOptions().ode_rel_tol
     if not 1e-12 <= rel_tol <= 1e-3:
         raise ParameterError(f"rel_tol out of range [1e-12, 1e-3]: {rel_tol!r}")
     if not (math.isfinite(t_end) and t_end > 0.0):
@@ -339,11 +320,7 @@ def integrate_dynamics(initial, params: SystemParams, drive: DrivePoint,
     if y0.shape != (6,):
         raise ParameterError(f"initial state must have 6 components, got {y0.shape}")
     y0[5] /= om
-    pv = np.array([params.kappa1 / om, drive.delta1 / om, params.g1 / om,
-                   math.sqrt(params.kappa_e1) * drive.amp_l / om,
-                   params.kappa2 / om, drive.delta2 / om, params.g2 / om,
-                   math.sqrt(params.kappa_e2) * drive.amp_r / om,
-                   params.gamma_m / om, float(sign)])
+    pv = np.array(_rhs_params(params, drive, sign, om))
     # Error-control floors: the drive's own steady scale where available,
     # so decay-to-zero segments are not held to a purely relative target.
     a1, a2 = steady_amplitudes(0.0, params, drive)

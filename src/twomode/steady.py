@@ -45,6 +45,8 @@ _RESIDUAL_CEILING = 1e-6
 # Rows per block of steady_q_grid; keeps its temporaries near 0.3 MB.
 _GRID_BLOCK = 256
 _MAX_BRANCHES = 5
+# Roots closer than this, relative to 1 + |q|, are one branch.
+_DEDUP_REL = 1e-8
 
 
 class Verdict(enum.IntEnum):
@@ -61,9 +63,7 @@ class SolverOptions:
 
     sign: int = 1
     imag_tol: float = 1e-7
-    dedup_rel: float = 1e-8
     marginal_band: float = 1e-9   # fraction of omega_m
-    ode_rel_tol: float = 1e-8
 
     def __post_init__(self):
         if self.sign not in (1, -1):
@@ -73,9 +73,6 @@ class SolverOptions:
         if not 0.0 < self.marginal_band <= 1e-3:
             raise ParameterError(
                 f"marginal_band out of range (0, 1e-3]: {self.marginal_band!r}")
-        if not 1e-12 <= self.ode_rel_tol <= 1e-3:
-            raise ParameterError(
-                f"ode_rel_tol out of range [1e-12, 1e-3]: {self.ode_rel_tol!r}")
 
 
 @dataclass(frozen=True)
@@ -274,7 +271,7 @@ def steady_branches(params: SystemParams, drive: DrivePoint,
                       for x in roots_x)
     qs: list[float] = []
     for q in polished:
-        if qs and abs(q - qs[-1]) <= options.dedup_rel * (1.0 + abs(q)):
+        if qs and abs(q - qs[-1]) <= _DEDUP_REL * (1.0 + abs(q)):
             continue
         qs.append(q)
     branches = []
@@ -411,7 +408,7 @@ def _solve_rows(params, drive, axis, values, options, out) -> np.ndarray:
         q = np.sort(_polish_rows(x * q_scale, lo, 1.05 * qb, params, columns,
                                  sign), axis=1)
         close = (np.abs(q[:, 1:] - q[:, :-1])
-                 <= options.dedup_rel * (1.0 + np.abs(q[:, 1:])))
+                 <= _DEDUP_REL * (1.0 + np.abs(q[:, 1:])))
         ok &= close.sum(axis=1) <= 1
         q[:, 1:][close] = np.nan
         q.sort(axis=1)

@@ -2,6 +2,7 @@
 
 import bisect
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -422,20 +423,90 @@ def test_uncoupled_control_shows_no_loop(preset, options):
         assert up[v].q_s == down[v].q_s
 
 
-def test_high_q_device_cannot_ramp_past_fold(preset, options):
+def _high_q_drive(preset):
+    return _drive(preset, delta1=preset.omega_m, delta2=preset.omega_m,
+                  power_l=1e-12, power_r=1e-12)
+
+
+def _count_grid_solves(monkeypatch) -> list:
+    calls = []
+    solve = continuation.solve_and_classify_grid
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(continuation, "solve_and_classify_grid", counted)
+    return calls
+
+
+def _has_stable(branches):
+    return any(b.verdict == Verdict.STABLE for b in branches)
+
+
+def _truncation_note(value):
+    return (f"ramp truncated: no stable branch at power_l={value!r}; "
+            "self-oscillating regime")
+
+
+def test_high_q_device_cannot_ramp_past_fold(preset, options, monkeypatch):
     # on the preset device the surviving branch past the upper fold is
     # anti-damped, so the strict quasi-static ramp must refuse
-    d = _drive(preset, delta1=preset.omega_m, delta2=preset.omega_m,
-               power_l=1e-12, power_r=1e-12)
     spec = SweepSpec(axis="power_l", start=1.28e-12, stop=3.886e-11,
-                     drive=d, points=60, direction="both")
+                     drive=_high_q_drive(preset), points=60,
+                     direction="both")
     with pytest.raises(NoStableBranchError):
         hysteresis_sweep(preset, spec, options)
+    records = sweep_1d(preset, spec, options).records
+    first = next(i for i, (_, branches) in enumerate(records)
+                 if not _has_stable(branches))
+    assert first >= 2
+    solves = _count_grid_solves(monkeypatch)
     res = clamped_hysteresis_sweep(preset, spec, options)
+    assert len(solves) == 2
+    # the top is the last sample of the first grid before the first one
+    # with no stable branch, and the ramp keeps its points
+    assert res.spec.stop == axis_grid(spec)[first - 1] == records[first - 1][0]
     assert res.hysteresis is not None
+    assert len(res.records) == len(res.hysteresis.up.points) == spec.points
+    assert res.hysteresis.up.points[-1][0] == res.spec.stop
+    assert all(_has_stable(branches) for _, branches in res.records)
     notes = [n for n in res.diagnostics if n.startswith("ramp truncated")]
-    assert notes
-    assert res.hysteresis.up.points[-1][0] < spec.stop
+    assert notes == [_truncation_note(records[first][0])]
+    assert res.diagnostics[-1] == notes[0]
+
+
+def test_clamped_ramp_that_fits_is_the_strict_sweep(heavy, options,
+                                                    monkeypatch):
+    spec = SweepSpec(axis="power_l", start=LOOP_FOLDS[0] / 2.0,
+                     stop=LOOP_FOLDS[1] * 1.8, drive=_loop_drive(heavy),
+                     points=200, direction="both")
+    want = hysteresis_sweep(heavy, spec, options)
+    solves = _count_grid_solves(monkeypatch)
+    assert clamped_hysteresis_sweep(heavy, spec, options) == want
+    assert len(solves) == 1
+
+
+@pytest.mark.parametrize("start, stop, points, first", [
+    (2.5e-11, 3.886e-11, 60, 0),     # past the self-oscillation onset
+    (2.155e-11, 2.175e-11, 3, 1),    # one stable sample below it
+])
+def test_clamped_ramp_without_two_stable_samples_is_the_plain_sweep(
+        preset, options, monkeypatch, start, stop, points, first):
+    spec = SweepSpec(axis="power_l", start=start, stop=stop,
+                     drive=_high_q_drive(preset), points=points,
+                     direction="both")
+    want = sweep_1d(preset, replace(spec, direction="up"), options)
+    assert [_has_stable(b) for _, b in want.records[:first + 1]] == (
+        [True] * first + [False])
+    solves = _count_grid_solves(monkeypatch)
+    res = clamped_hysteresis_sweep(preset, spec, options)
+    assert len(solves) == 1
+    assert res.spec.direction == "up"
+    assert res == replace(want, diagnostics=want.diagnostics + (
+        _truncation_note(want.records[first][0]),
+        "no quasi-static ramp fits inside the window: every attempted top "
+        "hit a sample with no stable branch"))
 
 
 def test_low_power_displacement_tracks_readout_push(preset, options):

@@ -41,8 +41,6 @@ def test_options_validation():
         SolverOptions(imag_tol=0.0)
     with pytest.raises(ParameterError):
         SolverOptions(marginal_band=2e-3)
-    with pytest.raises(ParameterError):
-        SolverOptions(ode_rel_tol=1e-2)
     assert SolverOptions(sign=-1).sign == -1
 
 
