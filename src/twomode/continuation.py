@@ -3,24 +3,30 @@
 Every sample of a sweep is solved and classified in one batch
 (:func:`solve_and_classify_grid`), with records equal to the pointwise
 :func:`solve_and_classify`.  Folds (branch-count changes) are located
-exactly, with no steady solve between the ends of a bracket.  On a power
-axis the fixed-point polynomial is affine in the power, so the folds are
-roots of one polynomial in q and nothing is solved at all.  On a detuning
-axis each fold is found by Newton's method on the limit-point system
-f = df/dq = 0, seeded by single solves at the two ends of its bracket.  A
-fold is reported on the lattice of a bisection that takes its counts from
-those exact folds: 1e-9 relative in :func:`locate_folds` and 1e-6 in
-sweeps, the values a bisection that solved at every midpoint reports.  A
-bracket (a scan cell, or two neighbouring sweep samples) whose ends have
-the same count reports nothing, even when a pair of opposite folds lies
-inside it.  Hysteresis traces follow the stable branch nearest in q_s to
-the previous selection and jump when that branch disappears at a fold,
-which is the quasi-static reading of a slow experimental ramp.
+exactly, and no steady state is solved to find them.  Each call builds
+one fold list, ((axis value, +-2), ...), at most once: :func:`locate_folds`
+takes its scan counts from it, and sweeps build it only when two
+neighbouring samples' counts differ.  On a power axis the fixed-point
+polynomial is affine in the power, so the folds are roots of one
+polynomial in q.  On a detuning axis the branch curve gives the axis
+mode's photon number explicitly in q; with the pump frozen at the
+window's middle the folds are near the roots of one polynomial of degree
+<= 12 in q, and each root seeds Newton's method on the limit-point system
+f = df/dq = 0 with the exact pump.  A fold is reported on the lattice of
+a bisection that takes its counts from the fold list: 1e-9 relative in
+:func:`locate_folds` and 1e-6 in sweeps, the values a bisection that
+solved at every midpoint reports.  A bracket (a scan cell, or two
+neighbouring sweep samples) whose ends have the same count reports
+nothing, even when a pair of opposite folds lies inside it; a sweep
+bracket whose folds do not add up to its count difference raises
+SweepError.  Hysteresis traces follow the stable branch nearest in q_s
+to the previous selection and jump when that branch disappears at a
+fold, which is the quasi-static reading of a slow experimental ramp.
 """
 
 from __future__ import annotations
 
-import itertools
+import functools
 import math
 from dataclasses import dataclass, replace
 
@@ -30,9 +36,9 @@ from .errors import (ClassificationError, NoStableBranchError, ParameterError,
                      PolynomialError, SolverError, SweepError)
 from .params import AXES, DrivePoint, SystemParams
 from .polyroots import RealPolynomial, real_roots
-from .steady import (SolverOptions, SteadyBranch, Verdict, _assemble,
+from .steady import (SolverOptions, Verdict, _assemble,
                      photon_numbers_from_q, residual_derivative,
-                     steady_branches, steady_q_grid, steady_residual)
+                     steady_residual)
 from .stability import solve_and_classify, solve_and_classify_grid
 
 _POWER_AXES = ("power_l", "power_r")
@@ -44,6 +50,8 @@ _FOLD_SCAN_REL_TOL = 1e-9
 # Limit-point Newton: iteration cap and relative step that ends it.
 _LP_MAX_ITER = 50
 _LP_STEP_REL = 1e-12
+# Two limit points closer than this (relative) are one fold.
+_LP_SAME_REL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -115,17 +123,6 @@ def _solve_classified(params, drive, axis, value, options):
         raise SweepError(f"solve failed at {axis}={value!r}: {exc}",
                          axis_value=value) from exc
     return value, branches, diags
-
-
-def _branch_qs(params, drive, axis, value, options) -> list:
-    try:
-        point = drive.with_value(params, axis, value)
-        return [b.q_s for b in steady_branches(params, point, options)]
-    except ParameterError:
-        raise
-    except Exception as exc:
-        raise SweepError(f"solve failed at {axis}={value!r}: {exc}",
-                         axis_value=value) from exc
 
 
 def _lorentz_scale(params, drive) -> float:
@@ -209,79 +206,145 @@ def _limit_point_system(q, params, point, axis, sign):
             c * f_qv)
 
 
-def _limit_point(params, drive, axis, lo, hi, q, v, options) -> float:
-    """Newton on f = df/dq = 0 in (q, axis value), kept inside [lo, hi]."""
+def _limit_point(params, drive, axis, lo, hi, q, v, sign):
+    """Newton on f = df/dq = 0 in (q, axis value), kept inside [lo, hi].
+
+    Returns (q, axis value, change) of the fold it converges to, where
+    change is the branch count's change going up the axis: +2 when
+    -f_v / f_qq > 0, else -2.  Returns None when Newton does not converge
+    to a point strictly inside (lo, hi).
+    """
     for _ in range(_LP_MAX_ITER):
         point = drive.with_value(params, axis, v)
         f, f_q, f_v, f_qq, f_qv = _limit_point_system(q, params, point, axis,
-                                                      options.sign)
+                                                      sign)
         det = f_q * f_qv - f_v * f_qq
         if det == 0.0 or not math.isfinite(det):
-            break
+            return None
         dq = (f_v * f_q - f * f_qv) / det
         dv = (f * f_qq - f_q * f_q) / det
         q += dq
         v = min(max(v + dv, lo), hi)
         if (abs(dv) <= _LP_STEP_REL * (abs(v) + (hi - lo))
                 and abs(dq) <= _LP_STEP_REL * abs(q)):
-            if lo < v < hi:
-                return v
-            break
-    raise SweepError(f"limit-point Newton found no fold on {axis} inside "
-                     f"[{lo!r}, {hi!r}]")
-
-
-def _vanishing_pairs(many, few) -> tuple:
-    """Left indices of the adjacent pairs of ``many`` that ``few`` lacks.
-
-    The pairs chosen leave the roots closest to ``few`` behind.
-    """
-    def mismatch(pairs):
-        kept = [q for i, q in enumerate(many)
-                if not any(i - p in (0, 1) for p in pairs)]
-        return sum(abs(x - y) for x, y in zip(kept, few))
-
-    choices = [c for c in itertools.combinations(range(len(many) - 1),
-                                                 (len(many) - len(few)) // 2)
-               if all(j - i > 1 for i, j in zip(c, c[1:]))]
-    return min(choices, key=mismatch)
+            if lo < v < hi and f_v * f_qq != 0.0:
+                return q, v, 2 if f_v * f_qq < 0.0 else -2
+            return None
+    return None
 
 
 def _detuning_folds(params, drive, axis, lo, hi, options) -> tuple:
-    """((detuning, change), ...) of the folds between lo and hi.
+    """((detuning, change), ...) of every fold inside (lo, hi), ascending.
 
-    Each pair of roots present at one end and gone at the other seeds a
-    limit-point Newton at its midpoint, from the end where it exists.
+    Sweeping mode k's detuning, the branch curve has an explicit photon
+    number n_k = R(q) = (omega_m q / 2 - s_j g_j n_j(q)) / (s_k g_k), and
+    the effective detuning u = delta_k - g_k q obeys u^2 = A / R - kappa_k^2
+    with A = kappa_e_k |E_k|^2.  With A frozen at the middle of the window
+    (it moves by about (hi - lo) / omega_k across it), d delta_k / dq = 0
+    gives u = A R' / (2 g_k R^2), so folds sit at the real roots of
+    4 g_k^2 kappa_k^2 R^4 - 4 g_k^2 A R^3 + A^2 R'^2: a polynomial of
+    degree <= 12 in q once multiplied by L_j^4, mode j's Lorentzian
+    denominator.  Every real or nearly real root (|Im| <= 0.1 (1 + |Re|)
+    in x = q / q_scale) with R > 0 seeds the limit-point Newton at three
+    detunings, g_k q + u for u = A R' / (2 g_k R^2) and u = +-sqrt(A / R -
+    kappa_k^2): near a double root the expanded polynomial is at rounding
+    level, and one of them still lands on the fold.  Seeds more than one
+    window width outside it are dropped.  The Newton keeps the exact
+    pump, so the frozen A only places the seeds.  No steady state is
+    solved.
     """
-    ends = sorted(((_branch_qs(params, drive, axis, v, options), v)
-                   for v in (lo, hi)), key=lambda end: len(end[0]))
-    (few, _), (many, v) = ends
-    change = 2 if v == hi else -2
-    return tuple(
-        (_limit_point(params, drive, axis, lo, hi,
-                      0.5 * (many[i] + many[i + 1]), v, options), change)
-        for i in _vanishing_pairs(many, few))
+    om = params.omega_m
+    left = axis == "delta1"
+    modes = ((params.g1, params.kappa1, params.kappa_e1, 1),
+             (params.g2, params.kappa2, params.kappa_e2, options.sign))
+    (g, kappa, kappa_e, s), (gj, kappa_j, kappa_ej, sj) = (
+        modes if left else modes[::-1])
+    mid = drive.with_value(params, axis, 0.5 * (lo + hi))
+    amp, amp_j, dj = ((mid.amp_l, mid.amp_r, mid.delta2) if left
+                      else (mid.amp_r, mid.amp_l, mid.delta1))
+    a = kappa_e * (amp * amp)
+    if g == 0.0 or a == 0.0:
+        return ()                   # the count does not depend on delta_k
+    q_scale = max((max(abs(lo), abs(hi)) + kappa) / g,
+                  (abs(dj) + kappa_j) / gj if gj > 0.0 else 0.0)
+    # rates in units of omega_m, q = q_scale x; polynomials descending in x
+    gt, kt, at = g / om, kappa / om, a / om**2
+    gjt = gj * q_scale / om
+    lorentz = np.array([gjt * gjt, -2.0 * (dj / om) * gjt,
+                        (kappa_j / om)**2 + (dj / om)**2])
+    # N = R L_j, and R' L_j^2 q_scale = N' L_j - N L_j'
+    n = np.polymul([0.5 * q_scale, 0.0], lorentz)
+    n[-1] -= sj * (gj / om) * kappa_ej * (amp_j * amp_j) / om**2
+    n /= s * gt
+    slope = np.polysub(np.polymul(np.polyder(n), lorentz),
+                       np.polymul(n, np.polyder(lorentz)))
+    n3 = np.polymul(np.polymul(n, n), n)
+    fold = np.polyadd(
+        np.polysub(4.0 * gt * gt * kt * kt * np.polymul(n3, n),
+                   4.0 * gt * gt * at * np.polymul(n3, lorentz)),
+        at * at * np.polymul(slope, slope) / q_scale**2)
+    roots = np.roots(fold)
+    near = roots.real[np.abs(roots.imag) <= 0.1 * (1.0 + np.abs(roots.real))]
+    found = []
+    for x in near.tolist():
+        lx = float(np.polyval(lorentz, x))
+        r = float(np.polyval(n, x)) / lx
+        if not r > 0.0:
+            continue
+        q = x * q_scale
+        r_q = float(np.polyval(slope, x)) / (lx * lx * q_scale)
+        us = [a * r_q / (2.0 * g * r * r)]
+        w = a / r - kappa * kappa
+        if w >= 0.0:
+            us += [math.sqrt(w), -math.sqrt(w)]
+        for u in us:
+            v = g * q + u
+            if lo - (hi - lo) <= v <= hi + (hi - lo):
+                fold_at = _limit_point(params, drive, axis, lo, hi, q,
+                                       min(max(v, lo), hi), options.sign)
+                if fold_at is not None:
+                    found.append(fold_at)
+    folds = []
+    for q, v, change in sorted(found, key=lambda lp: lp[1]):
+        # several seeds reach the same fold
+        if not (folds and folds[-1][2] == change
+                and abs(folds[-1][1] - v) <= _LP_SAME_REL * (abs(v) + hi - lo)
+                and abs(folds[-1][0] - q) <= _LP_SAME_REL * (abs(q) + q_scale)):
+            folds.append((q, v, change))
+    return tuple((v, change) for _, v, change in folds)
 
 
-def _refine_count_change(params, drive, axis, lo, hi, options,
-                         rel_tol) -> float:
-    """Bisect the axis interval (lo, hi) down to the branch-count change.
+def _folds(params, drive, axis, lo, hi, options) -> tuple:
+    """((axis value, change), ...) of the exact folds, ascending.
 
-    The count at a midpoint is the count at lo plus the changes of the
-    exact folds up to it, so no steady state is solved in the loop.
+    On a power axis every fold at P > 0; on a detuning axis those inside
+    (lo, hi).
     """
     if axis in _POWER_AXES:
-        folds = [(v, change)
-                 for v, change in _power_folds(params, drive, axis, options)
-                 if lo < v <= hi]
-    else:
-        folds = _detuning_folds(params, drive, axis, lo, hi, options)
+        return _power_folds(params, drive, axis, options)
+    return _detuning_folds(params, drive, axis, lo, hi, options)
+
+
+def _refine_count_change(axis, folds, lo, hi, change, rel_tol) -> float:
+    """Bisect the axis interval (lo, hi) down to its branch-count change.
+
+    ``folds`` is the exact fold list and ``change`` the count at hi minus
+    the count at lo.  The count at a midpoint is the count at lo plus the
+    changes of the folds up to it, so nothing is solved.  Folds whose
+    changes do not add up to ``change`` raise SweepError.
+    """
+    inside = [(v, step) for v, step in folds if lo < v <= hi]
+    found = sum(step for _, step in inside)
+    if found != change:
+        raise SweepError(
+            f"the folds found on {axis} in ({lo!r}, {hi!r}] change the branch "
+            f"count by {found:+d}, but its ends differ by {change:+d}")
     floor = 1e-12 * abs(hi - lo)
     while (hi - lo) > max(rel_tol * max(abs(lo), abs(hi)), floor):
         mid = 0.5 * (lo + hi)
         if mid <= lo or mid >= hi:
             break
-        if sum(change for v, change in folds if v <= mid) == 0:
+        if sum(step for v, step in inside if v <= mid) == 0:
             lo = mid
         else:
             hi = mid
@@ -303,20 +366,25 @@ def _solve_grid(params, spec, options):
             for v, (branches, diags) in zip(values, records)]
 
 
-def _folds_from_counts(params, spec, options, solved, rel_tol):
-    folds = []
-    for (v0, b0, _), (v1, b1, _) in zip(solved, solved[1:]):
-        if len(b0) != len(b1):
-            folds.append(_refine_count_change(params, spec.drive, spec.axis,
-                                              v0, v1, options, rel_tol))
-    return tuple(folds)
+def _folds_from_counts(spec, solved, folds, rel_tol):
+    return tuple(
+        _refine_count_change(spec.axis, folds(), v0, v1, len(b1) - len(b0),
+                             rel_tol)
+        for (v0, b0, _), (v1, b1, _) in zip(solved, solved[1:])
+        if len(b0) != len(b1))
 
 
-def _result(params, spec, options, solved, hysteresis=None, notes=()):
-    """The SweepResult of one solved grid: records, diagnostics, folds."""
+def _result(params, spec, options, solved, ramp=False, notes=()):
+    """The SweepResult of one solved grid: records, diagnostics, folds and,
+    with ``ramp``, both hysteresis traces.  The exact fold list is built
+    at most once, and only when some neighbouring samples' counts differ.
+    """
+    folds = functools.cache(lambda: _folds(params, spec.drive, spec.axis,
+                                           spec.start, spec.stop, options))
+    hysteresis = _ramps(spec, solved, folds) if ramp else None
     return SweepResult(
         spec=spec, records=tuple((v, branches) for v, branches, _ in solved),
-        folds=_folds_from_counts(params, spec, options, solved, _FOLD_REL_TOL),
+        folds=_folds_from_counts(spec, solved, folds, _FOLD_REL_TOL),
         diagnostics=tuple(d for _, _, diags in solved for d in diags) + notes,
         hysteresis=hysteresis)
 
@@ -335,32 +403,25 @@ def locate_folds(params: SystemParams, drive: DrivePoint, axis: str,
 
     The ``samples`` points of :func:`axis_grid` cut [lo, hi] into cells,
     and each cell whose end counts differ reports one value: the point of
-    its 1e-9 relative bisection lattice next to the count change.  On a
-    power axis the counts come from the exact folds and nothing is
-    solved; on a detuning axis the grid is solved in one batch
-    (:func:`steady_q_grid`) and each fold is found by limit-point Newton.
-    A cell holding two opposite folds has equal end counts and reports
-    nothing.
+    its 1e-9 relative bisection lattice next to the count change.  The
+    counts come from one exact fold list, the cumulative sum of the folds'
+    +-2 changes, on either axis kind: the roots of one polynomial on a
+    power axis, limit-point Newton from the roots of another on a detuning
+    axis.  No steady state is solved.  A cell holding two opposite folds
+    has equal end counts and reports nothing.
 
     Returns an empty tuple when the count never changes; that is a valid,
     converged answer, not a failure.
     """
     scan = SweepSpec(axis=axis, start=lo, stop=hi, drive=drive, points=samples)
     values = axis_grid(scan)
-    if axis in _POWER_AXES:
-        folds = _power_folds(params, drive, axis, options)
-        at = np.array([v for v, _ in folds], dtype=float)
-        steps = np.cumsum([0] + [change for _, change in folds])
-        counts = steps[np.searchsorted(at, values, side="right")]
-    else:
-        try:
-            q_s = steady_q_grid(params, drive, axis, values, options)
-        except (PolynomialError, SolverError) as exc:
-            raise SweepError(f"fold scan failed on {axis} in [{lo!r}, "
-                             f"{hi!r}]: {exc}") from exc
-        counts = np.count_nonzero(~np.isnan(q_s), axis=1)
-    return tuple(_refine_count_change(params, drive, axis, float(values[i]),
-                                      float(values[i + 1]), options,
+    folds = _folds(params, drive, axis, lo, hi, options)
+    at = np.array([v for v, _ in folds], dtype=float)
+    steps = np.cumsum([0] + [change for _, change in folds])
+    counts = steps[np.searchsorted(at, values, side="right")]
+    return tuple(_refine_count_change(axis, folds, float(values[i]),
+                                      float(values[i + 1]),
+                                      int(counts[i + 1] - counts[i]),
                                       _FOLD_SCAN_REL_TOL)
                  for i in np.flatnonzero(counts[1:] != counts[:-1]))
 
@@ -383,7 +444,7 @@ def _first_without_stable(solved):
                  if not _stable(branches)), None)
 
 
-def _follow(values, solved_by_value, pick_start, params, spec, options):
+def _follow(values, solved_by_value, pick_start, spec, folds):
     """Quasi-static ramp along `values`, switching branches only at folds."""
     v0 = values[0]
     stable0 = _stable(solved_by_value[v0])
@@ -412,9 +473,10 @@ def _follow(values, solved_by_value, pick_start, params, spec, options):
             guard = 10.0 * abs(prev_dq) + 1e-3 * (1.0 + abs(prev_q))
         if len(branches) != prev_count and abs(cand.q_s - predicted) > guard:
             # The followed branch died at a fold inside (prev_v, v).
-            jumps.append(_refine_count_change(params, spec.drive, spec.axis,
-                                              min(prev_v, v), max(prev_v, v),
-                                              options, _FOLD_REL_TOL))
+            change = len(branches) - prev_count
+            jumps.append(_refine_count_change(
+                spec.axis, folds(), min(prev_v, v), max(prev_v, v),
+                change if v > prev_v else -change, _FOLD_REL_TOL))
             prev_dq = None
         else:
             prev_dq = cand.q_s - prev_q
@@ -425,12 +487,12 @@ def _follow(values, solved_by_value, pick_start, params, spec, options):
     return Trace(points=tuple(points), jumps=tuple(jumps))
 
 
-def _ramps(params, spec, options, solved) -> HysteresisResult:
+def _ramps(spec, solved, folds) -> HysteresisResult:
     by_value = {v: branches for v, branches, _ in solved}
     values = [v for v, _, _ in solved]
     return HysteresisResult(
-        up=_follow(values, by_value, min, params, spec, options),
-        down=_follow(values[::-1], by_value, max, params, spec, options))
+        up=_follow(values, by_value, min, spec, folds),
+        down=_follow(values[::-1], by_value, max, spec, folds))
 
 
 def hysteresis_sweep(params: SystemParams, spec: SweepSpec,
@@ -444,9 +506,8 @@ def hysteresis_sweep(params: SystemParams, spec: SweepSpec,
     grid sample has no stable branch at all; see
     :func:`clamped_hysteresis_sweep` for the forgiving variant.
     """
-    solved = _solve_grid(params, spec, options)
-    return _result(params, spec, options, solved,
-                   _ramps(params, spec, options, solved))
+    return _result(params, spec, options, _solve_grid(params, spec, options),
+                   ramp=True)
 
 
 def clamped_hysteresis_sweep(params: SystemParams, spec: SweepSpec,
@@ -469,16 +530,15 @@ def clamped_hysteresis_sweep(params: SystemParams, spec: SweepSpec,
     solved = _solve_grid(params, spec, options)
     first = _first_without_stable(solved)
     if first is None:
-        return _result(params, spec, options, solved,
-                       _ramps(params, spec, options, solved))
+        return _result(params, spec, options, solved, ramp=True)
     notes = (_truncation(spec.axis, solved[first][0]),)
     if first >= 2:
         trial = replace(spec, stop=solved[first - 1][0])
         retry = _solve_grid(params, trial, options)
         unstable = _first_without_stable(retry)
         if unstable is None:
-            return _result(params, trial, options, retry,
-                           _ramps(params, trial, options, retry), notes=notes)
+            return _result(params, trial, options, retry, ramp=True,
+                           notes=notes)
         notes += (_truncation(spec.axis, retry[unstable][0]),)
     notes += ("no quasi-static ramp fits inside the window: every "
               "attempted top hit a sample with no stable branch",)

@@ -26,7 +26,7 @@ import math
 from twomode.continuation import locate_folds
 from twomode.params import HBAR, DrivePoint, preset_hill_params, replace_params
 from twomode.stability import solve_and_classify
-from twomode.steady import steady_branches
+from twomode.steady import SolverOptions, steady_branches
 
 from oracles import GRID_PAD, GRID_POINTS, force_bound
 
@@ -150,3 +150,50 @@ def draw_five_root_point(rng, options, max_attempts=200):
         if len(steady_branches(params, drive, options)) == 5:
             return params, drive
     raise AssertionError("no five-root point found; sampler domain broken")
+
+
+def draw_detuning_window(rng):
+    """A random detuning sweep likely to fold: (params, drive, axis, lo, hi,
+    options).
+
+    The axis mode is pumped so its force Lorentzian would peak at 0.5 to 20
+    times its own position at a detuning d0 of 0.2 to 2 omega_m, and the
+    window runs from within d0 / 2 of zero to 1.2 to 3 times d0 (capped at
+    half the mode's frequency).  The other mode gets a random detuning and
+    a power from 1e-15 to 1e-3 W; convention, sign and kappa2 reading are
+    drawn too.  Many draws fold, some do not; none is redrawn.
+    """
+    params = preset_hill_params(
+        kappa2_interpretation=rng.choice(("angular", "literal")))
+    wm = params.omega_m
+    mode = rng.choice((1, 2))
+    amp = rng.choice(("literal", "flux"))
+    d0 = rng.uniform(0.2, 2.0) * wm
+    power = _peak_power(params, mode, d0, log_uniform(rng, 0.5, 20.0))
+    if amp == "flux":
+        # the flux form lacks the literal form's factor 2 kappa
+        power *= 2.0 * (params.kappa1 if mode == 1 else params.kappa2)
+    other = (rng.uniform(-2.0, 2.0) * wm, log_uniform(rng, 1e-15, 1e-3))
+    mine = (d0, power)
+    (delta1, power_l), (delta2, power_r) = ((mine, other) if mode == 1
+                                            else (other, mine))
+    drive = DrivePoint.build(params, delta1=delta1, delta2=delta2,
+                             power_l=power_l, power_r=power_r,
+                             amp_convention=amp)
+    omega = params.omega1 if mode == 1 else params.omega2
+    lo = rng.uniform(-0.5, 0.5) * d0
+    hi = min(rng.uniform(1.2, 3.0) * d0, 0.5 * omega)
+    return (params, drive, f"delta{mode}", lo, hi,
+            SolverOptions(sign=rng.choice((1, -1))))
+
+
+def draw_five_root_window(rng):
+    """A detuning sweep centred on a five-branch drive: (params, drive,
+    axis, lo, hi, options), with a half-width of 5% to 100% of the axis
+    detuning."""
+    options = SolverOptions()
+    params, drive = draw_five_root_point(rng, options)
+    axis = rng.choice(("delta1", "delta2"))
+    centre = getattr(drive, axis)
+    half = rng.uniform(0.05, 1.0) * abs(centre)
+    return params, drive, axis, centre - half, centre + half, options

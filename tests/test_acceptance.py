@@ -27,6 +27,7 @@ from twomode.studies import fold_power_study, subunity_search
 from test_continuation import LOOP_FOLDS
 
 N_ORACLE_SAMPLES = 200
+N_FIVE_ROOT_SAMPLES = 40
 N_ODE_SAMPLES = 30
 
 
@@ -83,6 +84,32 @@ def test_ac1_static_solver_matches_grid_oracle(oracle_batch):
     print(f"AC1 PASS: {len(batch)} samples match the million-point grid "
           f"oracle 1:1 (worst rel dev {worst:.1e}, {skipped} unresolvable "
           f"draws redrawn, {elapsed:.1f}s)")
+
+
+def test_ac1_five_root_set_matches_grid_oracle(options):
+    # the random batch above draws no five-root point, so the regime where
+    # both modes are bistable gets its own seeded set
+    rng = random.Random(0xAC15)
+    worst = 0.0
+    skipped = 0
+    checked = 0
+    while checked < N_FIVE_ROOT_SAMPLES:
+        params, drive = sampling.draw_five_root_point(rng, options)
+        roots = [b.q_s for b in steady_branches(params, drive, options)]
+        zeros = oracles.grid_zeros(params, drive)
+        cell = sampling.grid_cell(params, drive)
+        if not (sampling.cells_resolved(roots, cell)
+                and sampling.cells_resolved(zeros, cell)):
+            skipped += 1
+            continue
+        checked += 1
+        assert len(roots) == len(zeros) == 5, (drive, roots, zeros)
+        for z, q in zip(zeros, roots):
+            worst = max(worst, abs(z - q) / (1.0 + abs(q)))
+    assert worst < 1e-6
+    print(f"AC1 PASS: {checked} five-root samples match the grid oracle 1:1 "
+          f"(worst rel dev {worst:.1e}, {skipped} unresolvable draws "
+          f"redrawn)")
 
 
 def test_ac2_branch_structure_and_ode_verdicts(oracle_batch, options):

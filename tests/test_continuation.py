@@ -2,23 +2,26 @@
 
 import bisect
 import math
+import random
+import re
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
 import oracles
-from twomode import continuation, steady
+import sampling
+from twomode import continuation, stability, steady
 from twomode.continuation import (_FOLD_REL_TOL, _FOLD_SCAN_REL_TOL,
-                                  HysteresisResult, SweepSpec, Trace,
-                                  _refine_count_change, axis_grid,
-                                  clamped_hysteresis_sweep, hysteresis_sweep,
-                                  locate_folds, sweep_1d)
+                                  HysteresisResult, SweepSpec, Trace, _folds,
+                                  axis_grid, clamped_hysteresis_sweep,
+                                  hysteresis_sweep, locate_folds, sweep_1d)
 from twomode.errors import NoStableBranchError, ParameterError, SweepError
 from twomode.figures import run_preset
 from twomode.params import DrivePoint, preset_hill_params, replace_params
 from twomode.stability import solve_and_classify
-from twomode.steady import SolverOptions, Verdict, steady_branches
+from twomode.steady import (SolverOptions, Verdict, steady_branches,
+                            steady_q_grid)
 
 from test_steady import _drive
 
@@ -145,6 +148,11 @@ def _fold_drives():
     The fold-scan reference drives: the AC5 loop, the AC6 single cavity,
     ``delta1`` at q_m = 5, and the eight fold-study conventions at
     power_r = 1e-7 W (``flux_study`` is the flux, angular, minus one).
+    The detuning axes also get the readout's own ``delta2`` at q_m = 5,
+    ``delta1`` under the minus sign with the readout on, ``delta1`` under
+    the flux amplitude convention, a ``delta1`` window with a fold at a
+    rounding-level root of the fold polynomial, and ``delta2`` around a
+    five-branch drive of :func:`sampling.draw_five_root_point`.
     """
     preset = preset_hill_params()
     heavy = replace_params(preset, q_m=5.0)
@@ -158,7 +166,32 @@ def _fold_drives():
         "delta1": (heavy, _drive(heavy, delta1=heavy.omega_m,
                                  delta2=heavy.omega_m, power_l=2e-12),
                    "delta1", 0.0, 2.0 * heavy.omega_m, default, 2),
+        "delta2": (heavy, _drive(heavy, delta1=heavy.omega_m,
+                                 delta2=heavy.omega_m, power_r=2e-11),
+                   "delta2", 0.0, 4.0 * heavy.omega_m, default, 2),
+        "delta1_minus": (heavy, _drive(heavy, delta1=heavy.omega_m,
+                                       delta2=heavy.omega_m, power_l=2e-12,
+                                       power_r=1e-12),
+                         "delta1", 0.0, 2.0 * heavy.omega_m,
+                         SolverOptions(sign=-1), 2),
+        "delta1_flux": (heavy, DrivePoint.build(
+            heavy, delta1=heavy.omega_m, delta2=heavy.omega_m, power_l=1e-2,
+            amp_convention="flux"), "delta1", 0.0, 2.0 * heavy.omega_m,
+            default, 2),
     }
+    # the fold near 4.4e10 rad/s is a root where the expanded fold
+    # polynomial is at rounding level: only a +-sqrt(A / R - kappa^2) seed
+    # of a nearly real root reaches it
+    literal = preset_hill_params(kappa2_interpretation="literal")
+    drives["delta1_rounding_level"] = (
+        literal, DrivePoint.build(literal, delta1=38681609529.01302,
+                                  delta2=32922257377.022305,
+                                  power_l=4.364712476108987e-11,
+                                  power_r=8.133974592890049e-12),
+        "delta1", -11754187689.916437, 91278709602.79256, default, 4)
+    five, drive = sampling.draw_five_root_point(random.Random(1), default)
+    drives["delta2_five_branch"] = (five, drive, "delta2", 0.5 * drive.delta2,
+                                    1.5 * drive.delta2, default, 2)
     for amp in ("literal", "flux"):
         for kappa2 in ("angular", "literal"):
             params = preset_hill_params(kappa2_interpretation=kappa2)
@@ -179,6 +212,7 @@ def _fold_drives():
 FOLD_DRIVES = _fold_drives()
 POWER_DRIVES = [name for name, spec in FOLD_DRIVES.items()
                 if spec[2] == "power_l"]
+DETUNING_DRIVES = [name for name in FOLD_DRIVES if name not in POWER_DRIVES]
 
 
 @pytest.mark.parametrize("name", list(FOLD_DRIVES))
@@ -271,13 +305,20 @@ def test_power_folds_move_the_grid_oracle_count(name):
         assert above - below == change
 
 
-def test_power_axis_without_coupling_solves_nothing(preset, options,
-                                                    monkeypatch):
+def _refuse_solves(monkeypatch):
+    """Make every steady solve an error, wherever the package calls it."""
     def refuse(*args):
         raise AssertionError("a steady state was solved")
 
-    monkeypatch.setattr(continuation, "steady_branches", refuse)
-    monkeypatch.setattr(continuation, "steady_q_grid", refuse)
+    for module in (steady, stability, continuation):
+        for name in ("steady_branches", "steady_q_grid"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, refuse)
+
+
+def test_power_axis_without_coupling_solves_nothing(preset, options,
+                                                    monkeypatch):
+    _refuse_solves(monkeypatch)
     p0 = replace_params(preset, g1=0.0)
     d = _drive(p0, delta1=preset.omega_m, delta2=preset.omega_m,
                power_l=1e-12, power_r=1e-7)
@@ -285,28 +326,94 @@ def test_power_axis_without_coupling_solves_nothing(preset, options,
     assert locate_folds(p0, d, "power_l", 1e-14, 1.0, options) == ()
 
 
-def test_detuning_bisection_solves_only_its_ends(options, monkeypatch):
-    params, drive, axis, lo, hi, _, _ = FOLD_DRIVES["delta1"]
-    values = axis_grid(SweepSpec(axis=axis, start=lo, stop=hi, drive=drive,
-                                 points=1024))
-    counts = oracles.scan_counts(params, drive, axis, values, options)
-    i = next(i for i, (c0, c1) in enumerate(zip(counts, counts[1:]))
-             if c0 != c1)
-    solves = []
-    scalar = continuation.steady_branches
-    monkeypatch.setattr(continuation, "steady_branches",
-                        lambda *a: solves.append(a) or scalar(*a))
-    v0, v1 = float(values[i]), float(values[i + 1])
-    _refine_count_change(params, drive, axis, v0, v1, options,
-                         _FOLD_SCAN_REL_TOL)
-    assert len(solves) == 2
-    # a limit-point Newton that cannot converge is an error, not a cue to
-    # fall back on solving at the midpoints
+@pytest.mark.parametrize("name", DETUNING_DRIVES)
+def test_detuning_folds_solve_nothing(name, monkeypatch):
+    params, drive, axis, lo, hi, options, count = FOLD_DRIVES[name]
+    _refuse_solves(monkeypatch)
+    assert len(locate_folds(params, drive, axis, lo, hi, options)) == count
+
+
+def test_bracket_whose_folds_miss_its_count_change_raises(monkeypatch):
+    # a limit-point Newton that cannot converge finds no fold; a sweep
+    # bracket whose end counts differ must then fail and name itself,
+    # not fall back on solving at its midpoints
+    params, drive, axis, lo, hi, options, _ = FOLD_DRIVES["delta1"]
+    spec = SweepSpec(axis=axis, start=lo, stop=hi, drive=drive, points=64)
+    records = sweep_1d(params, spec, options).records
+    v0, v1 = next((r0[0], r1[0]) for r0, r1 in zip(records, records[1:])
+                  if len(r0[1]) != len(r1[1]))
     monkeypatch.setattr(continuation, "_LP_MAX_ITER", 1)
-    with pytest.raises(SweepError, match="limit-point"):
-        _refine_count_change(params, drive, axis, v0, v1, options,
-                             _FOLD_SCAN_REL_TOL)
-    assert len(solves) == 4
+    assert continuation._detuning_folds(params, drive, axis, lo, hi,
+                                        options) == ()
+    with pytest.raises(SweepError,
+                       match=re.escape(f"on {axis} in ({v0!r}, {v1!r}]")):
+        sweep_1d(params, spec, options)
+
+
+def _count_fold_lists(monkeypatch) -> list:
+    calls = []
+    for name in ("_power_folds", "_detuning_folds"):
+        build = getattr(continuation, name)
+        monkeypatch.setattr(continuation, name,
+                            lambda *a, build=build: calls.append(a) or build(*a))
+    return calls
+
+
+def test_each_call_builds_one_fold_list(heavy, options, monkeypatch):
+    calls = _count_fold_lists(monkeypatch)
+    params, drive, axis, lo, hi, study, count = FOLD_DRIVES[
+        "study_literal_angular_minus"]
+    assert len(locate_folds(params, drive, axis, lo, hi, study)) == count == 4
+    assert len(calls) == 1
+    # two folds and two jumps refined from one list
+    spec = SweepSpec(axis="power_l", start=LOOP_FOLDS[0] / 2.0,
+                     stop=LOOP_FOLDS[1] * 1.8, drive=_loop_drive(heavy),
+                     points=200, direction="both")
+    for sweep in (hysteresis_sweep, clamped_hysteresis_sweep):
+        calls.clear()
+        res = sweep(heavy, spec, options)
+        assert len(res.folds) == 2 and len(res.hysteresis.up.jumps) == 1
+        assert len(calls) == 1
+    params, drive, axis, lo, hi, options, _ = FOLD_DRIVES["delta1"]
+    calls.clear()
+    res = sweep_1d(params, SweepSpec(axis=axis, start=lo, stop=hi,
+                                     drive=drive, points=64), options)
+    assert len(res.folds) == 2 and len(calls) == 1
+    # a sweep whose counts never change builds none
+    calls.clear()
+    assert sweep_1d(params, SweepSpec(axis=axis, start=lo, stop=0.15 * hi,
+                                      drive=drive, points=8),
+                    options).folds == ()
+    assert calls == []
+
+
+N_AUDIT_RICH = 200
+N_AUDIT_FIVE = 100
+
+
+def test_detuning_fold_lists_match_the_grid_counts():
+    # seeded audit: on every drawn window the branch counts the exact fold
+    # list implies equal the batched solver's at all 1024 samples
+    rng = random.Random(0xF01D)
+    windows = ([sampling.draw_detuning_window(rng)
+                for _ in range(N_AUDIT_RICH)]
+               + [sampling.draw_five_root_window(rng)
+                  for _ in range(N_AUDIT_FIVE)])
+    folding = 0
+    for params, drive, axis, lo, hi, options in windows:
+        values = axis_grid(SweepSpec(axis=axis, start=lo, stop=hi,
+                                     drive=drive, points=1024))
+        q_s = steady_q_grid(params, drive, axis, values, options)
+        counts = np.count_nonzero(~np.isnan(q_s), axis=1)
+        folds = _folds(params, drive, axis, lo, hi, options)
+        at = np.array([v for v, _ in folds], dtype=float)
+        steps = np.cumsum([0] + [change for _, change in folds])
+        implied = counts[0] + steps[np.searchsorted(at, values, side="right")]
+        assert implied.tolist() == counts.tolist(), (axis, lo, hi, drive,
+                                                     options, folds)
+        folding += bool(np.any(counts != counts[0]))
+    # the audit must be rich in folds to mean anything
+    assert folding >= 150
 
 
 def test_locate_folds_frozen_loop_device(heavy, options):
