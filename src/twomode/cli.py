@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import sys
+from pathlib import Path
 
 from .config import parse_config
 from .continuation import hysteresis_sweep, locate_folds, sweep_1d
@@ -182,6 +183,7 @@ def _cmd_folds(args) -> int:
     if out is None:
         sys.stdout.write(text)
     else:
+        Path(out).parent.mkdir(parents=True, exist_ok=True)
         with open(out, "w", newline="") as fh:
             fh.write(text)
         print(f"wrote fold list to {out}")

@@ -273,16 +273,16 @@ def _detuning_folds(params, drive, axis, lo, hi, options) -> tuple:
     lorentz = np.array([gjt * gjt, -2.0 * (dj / om) * gjt,
                         (kappa_j / om)**2 + (dj / om)**2])
     # N = R L_j, and R' L_j^2 q_scale = N' L_j - N L_j'
-    n = np.polymul([0.5 * q_scale, 0.0], lorentz)
+    n = np.convolve([0.5 * q_scale, 0.0], lorentz)
     n[-1] -= sj * (gj / om) * kappa_ej * (amp_j * amp_j) / om**2
     n /= s * gt
-    slope = np.polysub(np.polymul(np.polyder(n), lorentz),
-                       np.polymul(n, np.polyder(lorentz)))
-    n3 = np.polymul(np.polymul(n, n), n)
-    fold = np.polyadd(
-        np.polysub(4.0 * gt * gt * kt * kt * np.polymul(n3, n),
-                   4.0 * gt * gt * at * np.polymul(n3, lorentz)),
-        at * at * np.polymul(slope, slope) / q_scale**2)
+    slope = (np.convolve(np.polyder(n), lorentz)
+             - np.convolve(n, np.polyder(lorentz)))
+    n3 = np.convolve(np.convolve(n, n), n)
+    # degrees 12, 11 and 8, summed with the shorter ones' leads zero-padded
+    fold = 4.0 * gt * gt * kt * kt * np.convolve(n3, n)
+    fold[1:] -= 4.0 * gt * gt * at * np.convolve(n3, lorentz)
+    fold[4:] += at * at * np.convolve(slope, slope) / q_scale**2
     roots = np.roots(fold)
     near = roots.real[np.abs(roots.imag) <= 0.1 * (1.0 + np.abs(roots.real))]
     found = []

@@ -238,19 +238,24 @@ def _horner_rows(coeffs, x):
     """``RealPolynomial.__call__`` of each row at the entries of x (n, m)."""
     acc = x * 0.0 + coeffs[:, -1:]
     for i in range(coeffs.shape[1] - 2, -1, -1):
-        acc = acc * x + coeffs[:, i:i + 1]
+        acc *= x
+        acc += coeffs[:, i:i + 1]
     return acc
 
 
 def _scale_rows(coeffs, x):
-    """``RealPolynomial.residual_scale`` of each row at the entries of x."""
+    """``RealPolynomial.residual_scale`` of each row at the entries of x.
+
+    The powers of |x| are the scalar form's running product, one slab of
+    a (k, n, m) stack per step, so the stack is scaled and reduced once.
+    """
+    power = np.empty((coeffs.shape[1],) + x.shape)
+    power[0] = 1.0
     m = np.abs(x)
-    best = np.zeros(x.shape)
-    power = np.ones(x.shape)
-    for i in range(coeffs.shape[1]):
-        best = np.maximum(best, np.abs(coeffs[:, i:i + 1]) * power)
-        power = power * m
-    return best
+    for i in range(1, coeffs.shape[1]):
+        np.multiply(power[i - 1], m, out=power[i])
+    power *= np.abs(coeffs).T[:, :, None]
+    return power.max(axis=0)
 
 
 def _newton_real_rows(coeffs, x):
@@ -299,7 +304,7 @@ def all_roots_rows(coeffs: np.ndarray) -> tuple:
     ok = np.isfinite(companion[:, 0, :]).all(axis=1)
     companion[~ok] = 0.0
     try:
-        roots = np.linalg.eigvals(companion).astype(complex)
+        roots = np.linalg.eigvals(companion).astype(complex, copy=False)
     except np.linalg.LinAlgError:
         return np.full((n, d), np.nan + 0j), np.zeros(n, dtype=bool)
     limit = np.maximum(_ROOT_RESIDUAL_REL * _scale_rows(coeffs, roots), 1e-290)

@@ -3,12 +3,14 @@
 The classifier is fully algebraic: the analytic 6x6 Jacobian of the real
 first-order system is built in omega_m-scaled units, its characteristic
 polynomial is produced by the Faddeev-LeVerrier recurrence, and the
-eigenvalues come from the package's own polynomial root finder.
-:func:`solve_and_classify_grid` does the same for a whole sweep grid in
-stacked arrays, with results equal to the pointwise ones.  A branch
-is Stable when every eigenvalue real part sits below ``-eps``, Unstable
-when one exceeds ``+eps``, Marginal in between, with ``eps =
-marginal_band * omega_m``.
+eigenvalues come from the package's own polynomial root finder.  One
+stacked kernel does this for many branches at once: every branch of a
+point in :func:`classify_branches`, every branch of a sweep grid in
+:func:`solve_and_classify_grid`, with results equal to the per-branch
+:func:`classify_stability`, which classifies a branch the kernel's root
+audit rejects.  A branch is Stable when every eigenvalue real part sits
+below ``-eps``, Unstable when one exceeds ``+eps``, Marginal in between,
+with ``eps = marginal_band * omega_m``.
 
 The folk rule for these systems ("outermost branches stable, middle ones
 unstable", alternating) is computed alongside and compared; when it
@@ -35,6 +37,14 @@ from .steady import (_GRID_BLOCK, SolverOptions, SteadyBranch, Verdict,
                      steady_q_grid)
 
 _DEFAULT_MAX_STEPS = 50_000_000
+# Scaled-Jacobian entries that are constant rates, and those that are a
+# rate times one field quadrature (the Q column and the force row), with
+# the state column each takes.
+_RATE_ROWS = np.array((0, 1, 2, 3, 4, 5, 5))
+_RATE_COLS = np.array((0, 1, 2, 3, 5, 4, 5))
+_FIELD_ROWS = np.array((0, 1, 2, 3, 5, 5, 5, 5))
+_FIELD_COLS = np.array((4, 4, 4, 4, 0, 1, 2, 3))
+_FIELD_OF = np.array((1, 0, 3, 2, 0, 1, 2, 3))
 
 
 def branch_state(branch: SteadyBranch) -> np.ndarray:
@@ -80,45 +90,37 @@ def jacobian(state, params: SystemParams, drive: DrivePoint,
     return om * d[:, None] * _scaled_jacobian(state, params, drive, sign) / d
 
 
-def _scaled_jacobian_entries(x1, y1, x2, y2, q, delta1, delta2,
-                             params: SystemParams, sign: int) -> list:
-    """Rows of the Jacobian in units of omega_m, with P likewise scaled.
+def _scaled_jacobians(states: np.ndarray, params: SystemParams, delta1,
+                      delta2, sign: int) -> np.ndarray:
+    """Jacobian in units of omega_m, with P likewise scaled, at each row of
+    ``states`` (n, 5 or 6), as (n, 6, 6); the detunings are floats or (n,)
+    arrays.
 
     The matrix is similar to jacobian()/omega_m, so its eigenvalues are
-    exactly omega_m-scaled.  The state components and detunings are
-    floats or arrays of one shape; so is each entry.
+    exactly omega_m-scaled.
     """
     om = params.omega_m
     k1, k2 = params.kappa1 / om, params.kappa2 / om
     g1, g2 = params.g1 / om, params.g2 / om
+    q = states[:, 4]
     d1e = delta1 / om - g1 * q
     d2e = delta2 / om - g2 * q
-    return [
-        [-k1, d1e, 0.0, 0.0, -g1 * y1, 0.0],
-        [-d1e, -k1, 0.0, 0.0, g1 * x1, 0.0],
-        [0.0, 0.0, -k2, d2e, -g2 * y2, 0.0],
-        [0.0, 0.0, -d2e, -k2, g2 * x2, 0.0],
-        [0.0, 0.0, 0.0, 0.0, 0.0, 1.0],
-        [4.0 * g1 * x1, 4.0 * g1 * y1, 4.0 * sign * g2 * x2,
-         4.0 * sign * g2 * y2, -1.0, -params.gamma_m / om],
-    ]
-
-
-def _scaled_jacobians(states: np.ndarray, params: SystemParams, delta1,
-                      delta2, sign: int) -> np.ndarray:
-    """:func:`_scaled_jacobian` of each row of ``states`` (n, 6), as (n, 6, 6);
-    the detunings are floats or (n,) arrays."""
-    n = states.shape[0]
-    rows = _scaled_jacobian_entries(*states.T[:5], delta1, delta2, params, sign)
-    return np.stack([np.broadcast_to(e, (n,)) for row in rows for e in row],
-                    axis=1).reshape(n, 6, 6)
+    jac = np.zeros((states.shape[0], 6, 6))
+    jac[:, _RATE_ROWS, _RATE_COLS] = (-k1, -k1, -k2, -k2, 1.0, -1.0,
+                                      -params.gamma_m / om)
+    jac[:, 0, 1], jac[:, 1, 0] = d1e, -d1e
+    jac[:, 2, 3], jac[:, 3, 2] = d2e, -d2e
+    jac[:, _FIELD_ROWS, _FIELD_COLS] = states[:, _FIELD_OF] * np.array(
+        (-g1, g1, -g2, g2, 4.0 * g1, 4.0 * g1, 4.0 * sign * g2,
+         4.0 * sign * g2))
+    return jac
 
 
 def _scaled_jacobian(state, params: SystemParams, drive: DrivePoint,
                      sign: int) -> np.ndarray:
-    x1, y1, x2, y2, q, _ = (float(v) for v in state)
-    return np.array(_scaled_jacobian_entries(x1, y1, x2, y2, q, drive.delta1,
-                                             drive.delta2, params, sign))
+    states = np.asarray(state, dtype=float)[None]
+    return _scaled_jacobians(states, params, drive.delta1, drive.delta2,
+                             sign)[0]
 
 
 def _characteristic_rows(m: np.ndarray) -> np.ndarray:
@@ -193,11 +195,39 @@ def classify_branches(branches, params: SystemParams, drive: DrivePoint,
     """Classify every branch; also cross-check against the ordering rule.
 
     Returns (classified branches ascending in q_s, diagnostic strings).
-    Ordering-rule disagreement is reported, never raised.
+    Ordering-rule disagreement is reported, never raised.  All branches
+    go through one stacked :func:`_max_re_rows`, the kernel
+    :func:`solve_and_classify_grid` uses; each record equals
+    :func:`classify_stability`'s, which classifies any branch the kernel
+    leaves to it.
     """
-    classified = tuple(classify_stability(b, params, drive, options)
-                       for b in branches)
+    branches = tuple(branches)
+    states = np.array([branch_state(b) for b in branches]).reshape(-1, 6)
+    max_re, ok = _max_re_rows(states, params, drive.delta1, drive.delta2,
+                              options.sign)
+    classified = tuple(
+        replace(b, verdict=_verdict(m, params, options), max_re_eig=m) if good
+        else classify_stability(b, params, drive, options)
+        for b, m, good in zip(branches, max_re, ok))
     return classified, _ordering_diagnostics(classified, drive)
+
+
+def _max_re_rows(states, params: SystemParams, delta1, delta2,
+                 sign: int) -> tuple:
+    """max Re(eig) [rad/s] at each row of ``states`` (n, 5 or 6), and a
+    mask of the rows where it equals :func:`classify_stability`'s, as lists.
+
+    One stack of scaled Jacobians goes through the Faddeev-LeVerrier
+    recurrence and one stacked companion eigenvalue call with the root
+    audit.  A row outside the mask failed the audit or has a zero constant
+    term; :func:`classify_stability` rescues or raises for it.
+    """
+    coeffs = _characteristic_rows(_scaled_jacobians(states, params, delta1,
+                                                    delta2, sign))
+    roots, ok = all_roots_rows(coeffs)
+    # all_roots strips a zero constant term into a smaller companion matrix
+    ok &= coeffs[:, 0] != 0.0
+    return (roots.real * params.omega_m).max(axis=1).tolist(), ok.tolist()
 
 
 def _ordering_diagnostics(classified, drive: DrivePoint) -> tuple:
@@ -228,11 +258,8 @@ def solve_and_classify_grid(params: SystemParams, drive: DrivePoint,
     Every record equals the pointwise one, field for field.  Samples are
     done together, block by block: q_s of every branch from
     :func:`steady_q_grid`, photon numbers and effective detunings for all
-    branches at once, then one stack of scaled Jacobians through the
-    Faddeev-LeVerrier recurrence and one stacked companion eigenvalue call
-    with the root audit.  A branch whose roots fail the audit, or whose
-    characteristic polynomial has a zero constant term, is classified by
-    :func:`classify_stability`, which rescues or raises as it always does.
+    branches at once, then every branch of the block through the stacked
+    kernel :func:`classify_branches` uses, :func:`_max_re_rows`.
     """
     values = np.asarray(values, dtype=float)
     records = []
@@ -261,17 +288,12 @@ def _classify_block(params, drive, axis, values, options):
                     dtype=complex).reshape(len(q_s), 2)
     states = np.stack([amps[:, 0].real, amps[:, 0].imag, amps[:, 1].real,
                        amps[:, 1].imag, q[rows, cols]], axis=1)
-    coeffs = _characteristic_rows(_scaled_jacobians(
-        states, params, fields["delta1"][rows], fields["delta2"][rows],
-        options.sign))
-    roots, ok = all_roots_rows(coeffs)
-    # all_roots strips a zero constant term into a smaller companion matrix
-    ok &= coeffs[:, 0] != 0.0
-    max_re = (roots.real * params.omega_m).max(axis=1).tolist()
+    max_re, ok = _max_re_rows(states, params, fields["delta1"][rows],
+                              fields["delta2"][rows], options.sign)
     unclassified = zip(q_s, amps[:, 0].tolist(), amps[:, 1].tolist(),
                        *(a[rows, cols].tolist() for a in (n1, n2, d1, d2)))
     by_sample = [[] for _ in points]
-    for r, good, m, branch_fields in zip(rows.tolist(), ok.tolist(), max_re,
+    for r, good, m, branch_fields in zip(rows.tolist(), ok, max_re,
                                          unclassified):
         if good:
             branch = SteadyBranch(*branch_fields, _verdict(m, params, options), m)

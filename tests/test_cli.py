@@ -99,6 +99,18 @@ def test_folds_command(tmp_path, capsys):
     assert values[1] == pytest.approx(2.835530696694626e-12, rel=1e-6)
 
 
+def test_folds_out_creates_parent_directory(tmp_path):
+    text = (BASE
+            + 'sweep.axis = "power_l"\n'
+            + 'sweep.start_w = 1e-16\n'
+            + 'sweep.stop_w = 1e-15\n')
+    cfg = _write(tmp_path, text)
+    out = tmp_path / "new" / "dir" / "folds.txt"
+    assert main(["folds", "--config", cfg, "--samples", "32",
+                 "--out", str(out)]) == 0
+    assert out.read_text().startswith("no folds on power_l")
+
+
 def test_folds_none_found(tmp_path, capsys):
     text = (BASE
             + 'sweep.axis = "power_l"\n'

@@ -1,15 +1,19 @@
 """Linearization, eigenvalue verdicts, and the time-domain oracle."""
 
 import math
+import random
 
 import numpy as np
 import pytest
 
 import oracles
 import sampling
+from twomode import stability
 from twomode.errors import ParameterError
 from twomode.params import DrivePoint, preset_hill_params, replace_params
-from twomode.stability import (Trajectory, branch_eigenvalues, branch_state,
+from twomode.polyroots import all_roots_rows
+from twomode.stability import (Trajectory, _ordering_diagnostics,
+                               branch_eigenvalues, branch_state,
                                characteristic_polynomial, classify_branches,
                                classify_stability, integrate_dynamics,
                                jacobian, ordering_rule, solve_and_classify,
@@ -197,6 +201,91 @@ def test_classify_preserves_branch_fields(preset, options):
         assert after.amp2 == before.amp2
         assert after.verdict is not None
         assert math.isfinite(after.max_re_eig)
+
+
+def _scalar_classified(branches, params, drive, options):
+    """classify_branches through the scalar route, branch by branch."""
+    classified = tuple(classify_stability(b, params, drive, options)
+                       for b in branches)
+    return classified, _ordering_diagnostics(classified, drive)
+
+
+def _classify_cases():
+    """(params, drive) at seeded 1-, 3- and 5-branch points, and at points
+    with one coupling switched off; the 3-branch ones sit inside a fold
+    window under the plus sign."""
+    rng = random.Random(20140217)
+    options = SolverOptions()
+    preset = preset_hill_params()
+    cases = [(preset, sampling.draw_drive(rng, preset)) for _ in range(6)]
+    cases += [sampling.draw_three_root_point(rng, options)[:2]
+              for _ in range(2)]
+    cases += [sampling.draw_five_root_point(rng, options) for _ in range(3)]
+    no_g2 = replace_params(preset, g2=0.0)
+    no_g1 = replace_params(preset, g1=0.0)
+    wide = 2.0 * math.sqrt(3.0)
+    cases += [
+        (no_g2, DrivePoint.build(no_g2, delta1=wide * no_g2.kappa1,
+                                 delta2=no_g2.omega_m, power_l=2e-12,
+                                 power_r=1e-12)),
+        (no_g1, DrivePoint.build(no_g1, delta1=no_g1.omega_m,
+                                 delta2=wide * no_g1.kappa2, power_l=1e-12,
+                                 power_r=1e-11)),
+    ]
+    cases += [(p, sampling.draw_drive(rng, p)) for p in (no_g1, no_g2)
+              for _ in range(2)]
+    return cases
+
+
+def test_classify_branches_equals_scalar_route():
+    counts = set()
+    for params, drive in _classify_cases():
+        for sign in (1, -1):
+            options = SolverOptions(sign=sign)
+            raw = steady_branches(params, drive, options)
+            counts.add((len(raw), params.g1 == 0.0, params.g2 == 0.0))
+            assert classify_branches(raw, params, drive, options) \
+                == _scalar_classified(raw, params, drive, options)
+    assert {(1, False, False), (3, False, False), (5, False, False),
+            (3, False, True), (3, True, False)} <= counts
+
+
+def test_classify_branches_rescues_through_scalar_route(monkeypatch):
+    # a stacked row the audit rejects goes to classify_stability
+    params, drive = sampling.draw_five_root_point(random.Random(3),
+                                                  SolverOptions())
+    options = SolverOptions()
+    raw = steady_branches(params, drive, options)
+    want = _scalar_classified(raw, params, drive, options)
+
+    def rejected(coeffs):
+        roots, ok = all_roots_rows(coeffs)
+        return roots, np.zeros_like(ok)
+
+    rescued = []
+    scalar = stability.classify_stability
+    monkeypatch.setattr(stability, "all_roots_rows", rejected)
+    monkeypatch.setattr(stability, "classify_stability",
+                        lambda *a: rescued.append(a) or scalar(*a))
+    assert classify_branches(raw, params, drive, options) == want
+    assert len(rescued) == len(raw) == 5
+
+
+def test_classify_branches_of_nothing(preset):
+    d = _drive(preset, delta1=0.0, delta2=0.0, power_l=0.0, power_r=0.0)
+    assert classify_branches((), preset, d) == ((), ())
+
+
+def test_five_branch_point_is_classified_in_one_stack(preset, options,
+                                                      monkeypatch):
+    calls = []
+    rows = stability._characteristic_rows
+    monkeypatch.setattr(stability, "_characteristic_rows",
+                        lambda m: calls.append(m.shape) or rows(m))
+    d = _drive(preset, **FIVE_ROOT_DRIVE)
+    classified, _ = solve_and_classify(preset, d, options)
+    assert len(classified) == 5
+    assert calls == [(5, 6, 6)]
 
 
 def test_integrator_validation(preset):
