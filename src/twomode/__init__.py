@@ -18,10 +18,11 @@ from .figures import FIGURE_PRESETS, power_window, run_preset
 from .params import (HBAR, DrivePoint, SystemParams, drive_amplitude,
                      preset_hill_params, replace_params, to_angular)
 from .polyroots import RealPolynomial, all_roots, real_roots
-from .stability import (Trajectory, branch_eigenvalues, branch_state,
-                        characteristic_polynomial, classify_branches,
-                        classify_stability, integrate_dynamics, jacobian,
-                        ordering_rule, solve_and_classify, vector_field)
+from .stability import (Diagnostic, Trajectory, branch_eigenvalues,
+                        branch_state, characteristic_polynomial,
+                        classify_branches, classify_stability,
+                        integrate_dynamics, jacobian, ordering_rule,
+                        solve_and_classify, vector_field)
 from .steady import (ScaledPolynomial, SolverOptions, SteadyBranch, Verdict,
                      assemble_fixed_point_polynomial, effective_detunings,
                      photon_numbers_from_q, q_upper_bound, steady_amplitudes,
@@ -46,7 +47,7 @@ __all__ = [
     "q_upper_bound",
     "branch_state", "vector_field", "jacobian", "characteristic_polynomial",
     "branch_eigenvalues", "classify_stability", "classify_branches",
-    "ordering_rule", "solve_and_classify", "Trajectory",
+    "ordering_rule", "solve_and_classify", "Diagnostic", "Trajectory",
     "integrate_dynamics",
     "SweepSpec", "Trace", "HysteresisResult", "SweepResult", "axis_grid",
     "sweep_1d", "hysteresis_sweep", "clamped_hysteresis_sweep",

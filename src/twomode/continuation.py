@@ -39,7 +39,8 @@ from .polyroots import RealPolynomial, real_roots
 from .steady import (SolverOptions, Verdict, _assemble,
                      photon_numbers_from_q, residual_derivative,
                      steady_residual)
-from .stability import solve_and_classify, solve_and_classify_grid
+from .stability import (Diagnostic, no_stable_branch, solve_and_classify,
+                        solve_and_classify_grid)
 
 _POWER_AXES = ("power_l", "power_r")
 # Grids over more than a decade of power are sampled uniformly in log.
@@ -101,7 +102,8 @@ class SweepResult:
     spec: SweepSpec
     records: tuple         # ((axis_value, (SteadyBranch, ...)), ...) grid order
     folds: tuple           # refined axis values of branch-count changes
-    diagnostics: tuple     # ordering-rule disagreements and similar notes
+    diagnostics: tuple     # stability.Diagnostic records: ordering-rule
+                           # disagreements and ramp notes
     hysteresis: HysteresisResult | None = None
 
 
@@ -330,8 +332,9 @@ def _refine_count_change(axis, folds, lo, hi, change, rel_tol) -> float:
 
     ``folds`` is the exact fold list and ``change`` the count at hi minus
     the count at lo.  The count at a midpoint is the count at lo plus the
-    changes of the folds up to it, so nothing is solved.  Folds whose
-    changes do not add up to ``change`` raise SweepError.
+    changes of the folds up to it, so nothing is solved; with one fold
+    inside, that count is the count at lo exactly below the fold.  Folds
+    whose changes do not add up to ``change`` raise SweepError.
     """
     inside = [(v, step) for v, step in folds if lo < v <= hi]
     found = sum(step for _, step in inside)
@@ -340,11 +343,13 @@ def _refine_count_change(axis, folds, lo, hi, change, rel_tol) -> float:
             f"the folds found on {axis} in ({lo!r}, {hi!r}] change the branch "
             f"count by {found:+d}, but its ends differ by {change:+d}")
     floor = 1e-12 * abs(hi - lo)
+    only = inside[0][0] if len(inside) == 1 else None
     while (hi - lo) > max(rel_tol * max(abs(lo), abs(hi)), floor):
         mid = 0.5 * (lo + hi)
         if mid <= lo or mid >= hi:
             break
-        if sum(step for v, step in inside if v <= mid) == 0:
+        if (mid < only if only is not None
+                else sum(step for v, step in inside if v <= mid) == 0):
             lo = mid
         else:
             hi = mid
@@ -430,14 +435,6 @@ def _stable(branches):
     return [b for b in branches if b.verdict == Verdict.STABLE]
 
 
-def _no_stable_branch(axis, value) -> str:
-    return f"no stable branch at {axis}={value!r}; self-oscillating regime"
-
-
-def _truncation(axis, value) -> str:
-    return f"ramp truncated: {_no_stable_branch(axis, value)}"
-
-
 def _first_without_stable(solved):
     """Index of the first solved sample with no stable branch, or None."""
     return next((i for i, (_, branches, _) in enumerate(solved)
@@ -449,7 +446,7 @@ def _follow(values, solved_by_value, pick_start, spec, folds):
     v0 = values[0]
     stable0 = _stable(solved_by_value[v0])
     if not stable0:
-        raise NoStableBranchError(_no_stable_branch(spec.axis, v0),
+        raise NoStableBranchError(no_stable_branch(spec.axis, v0),
                                   axis_value=v0)
     current = pick_start(stable0, key=lambda b: b.q_s)
     points = [(v0, current)]
@@ -462,7 +459,7 @@ def _follow(values, solved_by_value, pick_start, spec, folds):
         branches = solved_by_value[v]
         stable = _stable(branches)
         if not stable:
-            raise NoStableBranchError(_no_stable_branch(spec.axis, v),
+            raise NoStableBranchError(no_stable_branch(spec.axis, v),
                                       axis_value=v)
         cand = min(stable, key=lambda b: abs(b.q_s - prev_q))
         if prev_dq is None:
@@ -520,18 +517,18 @@ def clamped_hysteresis_sweep(params: SystemParams, spec: SweepSpec,
     every sample of the grid has a stable branch this is
     :func:`hysteresis_sweep`.  Otherwise the window top moves to the last
     sample before the first one with none, that window is solved once
-    more at the same ``points`` and ramped, and a ``ramp truncated``
-    diagnostic names the sample.  When fewer than two leading samples
+    more at the same ``points`` and ramped, and a ``"ramp_truncated"``
+    Diagnostic names the sample.  When fewer than two leading samples
     have a stable branch, or the truncated grid still has a sample with
     none, the first grid is returned as the plain ``direction="up"``
-    sweep, with a ``ramp truncated`` note per attempt and a final ``no
-    quasi-static ramp fits`` note.  At most two grids are solved.
+    sweep, with a ``"ramp_truncated"`` note per attempt and a final
+    ``"no_ramp_fits"`` note.  At most two grids are solved.
     """
     solved = _solve_grid(params, spec, options)
     first = _first_without_stable(solved)
     if first is None:
         return _result(params, spec, options, solved, ramp=True)
-    notes = (_truncation(spec.axis, solved[first][0]),)
+    notes = (Diagnostic("ramp_truncated", (spec.axis, solved[first][0])),)
     if first >= 2:
         trial = replace(spec, stop=solved[first - 1][0])
         retry = _solve_grid(params, trial, options)
@@ -539,8 +536,8 @@ def clamped_hysteresis_sweep(params: SystemParams, spec: SweepSpec,
         if unstable is None:
             return _result(params, trial, options, retry, ramp=True,
                            notes=notes)
-        notes += (_truncation(spec.axis, retry[unstable][0]),)
-    notes += ("no quasi-static ramp fits inside the window: every "
-              "attempted top hit a sample with no stable branch",)
+        notes += (Diagnostic("ramp_truncated",
+                             (spec.axis, retry[unstable][0])),)
+    notes += (Diagnostic("no_ramp_fits"),)
     return _result(params, replace(spec, direction="up"), options, solved,
                    notes=notes)

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import sys
+from operator import itemgetter
 from os import fspath
 from pathlib import Path
 
@@ -18,6 +19,9 @@ from .errors import ParameterError
 from .steady import Verdict
 
 CSV_HEADER = "axis,branch,q_s,n_p1,n_p2,delta1_eff,delta2_eff,stable,max_re_eig"
+# One CSV line of a branch_row: ints as str, floats as repr.
+_CSV_LINE = "%r,%d,%r,%r,%r,%r,%r,%d,%r"
+_CSV_CELLS = itemgetter(*CSV_HEADER.split(","))
 FORMATS = ("csv", "jsonlines")
 
 
@@ -50,17 +54,10 @@ def trace_rows(trace) -> list:
     return [branch_row(value, 0, branch) for value, branch in trace.points]
 
 
-def _csv_cell(value) -> str:
-    if isinstance(value, int):
-        return str(value)
-    return repr(value)
-
-
 def render_csv(rows: list) -> str:
-    keys = CSV_HEADER.split(",")
+    """CSV text of :func:`branch_row` rows, under :data:`CSV_HEADER`."""
     lines = [CSV_HEADER]
-    for row in rows:
-        lines.append(",".join(_csv_cell(row[k]) for k in keys))
+    lines += [_CSV_LINE % _CSV_CELLS(row) for row in rows]
     return "\n".join(lines) + "\n"
 
 

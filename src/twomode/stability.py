@@ -16,7 +16,10 @@ The folk rule for these systems ("outermost branches stable, middle ones
 unstable", alternating) is computed alongside and compared; when it
 disagrees with the eigenvalue verdicts the point is flagged as a
 diagnostic, not an error, since the rule genuinely fails in anti-damped
-(blue-detuned, strongly driven) regimes.
+(blue-detuned, strongly driven) regimes.  Diagnostics are typed
+:class:`Diagnostic` records that keep the raw values of their note, so
+code filters them by ``kind``; the text is built only when ``str()`` is
+called.
 
 An adaptive explicit time integrator is included as an independent
 verification oracle for the classifier; it shares no algebra with it.
@@ -24,6 +27,7 @@ verification oracle for the classifier; it shares no algebra with it.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, replace
 
@@ -45,6 +49,10 @@ _RATE_COLS = np.array((0, 1, 2, 3, 5, 4, 5))
 _FIELD_ROWS = np.array((0, 1, 2, 3, 5, 5, 5, 5))
 _FIELD_COLS = np.array((4, 4, 4, 4, 0, 1, 2, 3))
 _FIELD_OF = np.array((1, 0, 3, 2, 0, 1, 2, 3))
+# DrivePoint fields, in its field order, that _classify_block reads.
+_DRIVE_FIELDS = ("delta1", "delta2", "power_l", "power_r", "amp_l", "amp_r")
+# Verdicts by their integer value.
+_VERDICTS = tuple(sorted(Verdict))
 
 
 def branch_state(branch: SteadyBranch) -> np.ndarray:
@@ -184,6 +192,16 @@ def _verdict(max_re: float, params: SystemParams,
     return Verdict.MARGINAL
 
 
+def _verdicts(max_re: np.ndarray, params: SystemParams,
+              options: SolverOptions) -> list:
+    """:func:`_verdict` of every entry of ``max_re``, as a list."""
+    eps = options.marginal_band * params.omega_m
+    codes = np.select([max_re < -eps, max_re > eps],
+                      [Verdict.STABLE, Verdict.UNSTABLE], Verdict.MARGINAL)
+    return [_VERDICTS[c] for c in codes.tolist()]
+
+
+@functools.cache
 def ordering_rule(count: int) -> tuple:
     """Folk verdicts by branch position: stable at the ends, alternating."""
     return tuple(Verdict.STABLE if i % 2 == 0 else Verdict.UNSTABLE
@@ -208,14 +226,16 @@ def classify_branches(branches, params: SystemParams, drive: DrivePoint,
     classified = tuple(
         replace(b, verdict=_verdict(m, params, options), max_re_eig=m) if good
         else classify_stability(b, params, drive, options)
-        for b, m, good in zip(branches, max_re, ok))
-    return classified, _ordering_diagnostics(classified, drive)
+        for b, m, good in zip(branches, max_re.tolist(), ok.tolist()))
+    return classified, _ordering_diagnostics(
+        tuple(b.verdict for b in classified), drive.delta1, drive.delta2,
+        drive.power_l, drive.power_r)
 
 
 def _max_re_rows(states, params: SystemParams, delta1, delta2,
                  sign: int) -> tuple:
     """max Re(eig) [rad/s] at each row of ``states`` (n, 5 or 6), and a
-    mask of the rows where it equals :func:`classify_stability`'s, as lists.
+    mask of the rows where it equals :func:`classify_stability`'s.
 
     One stack of scaled Jacobians goes through the Faddeev-LeVerrier
     recurrence and one stacked companion eigenvalue call with the root
@@ -227,19 +247,55 @@ def _max_re_rows(states, params: SystemParams, delta1, delta2,
     roots, ok = all_roots_rows(coeffs)
     # all_roots strips a zero constant term into a smaller companion matrix
     ok &= coeffs[:, 0] != 0.0
-    return (roots.real * params.omega_m).max(axis=1).tolist(), ok.tolist()
+    return (roots.real * params.omega_m).max(axis=1), ok
 
 
-def _ordering_diagnostics(classified, drive: DrivePoint) -> tuple:
-    expected = ordering_rule(len(classified))
-    actual = tuple(b.verdict for b in classified)
-    if actual == expected:
+@dataclass(frozen=True)
+class Diagnostic:
+    """A note a solve or a sweep attaches to its result.
+
+    It keeps the raw values its text needs and builds the text only when
+    ``str()`` is called.  ``kind`` is one of:
+
+    - ``"ordering_rule"``: the eigenvalue verdicts of a drive point's
+      branches differ from :func:`ordering_rule`; ``values`` is
+      (delta1, delta2, power_l, power_r, verdicts);
+    - ``"ramp_truncated"``: a hysteresis ramp stopped short of a sample
+      with no stable branch; ``values`` is (axis, axis value);
+    - ``"no_ramp_fits"``: no quasi-static ramp fits inside the window;
+      ``values`` is ().
+    """
+
+    kind: str
+    values: tuple = ()
+
+    def __str__(self) -> str:
+        if self.kind == "ordering_rule":
+            delta1, delta2, power_l, power_r, verdicts = self.values
+            rule = ordering_rule(len(verdicts))
+            return ("ordering-rule disagreement at drive "
+                    f"(delta1={delta1!r}, delta2={delta2!r}, "
+                    f"power_l={power_l!r}, power_r={power_r!r}): "
+                    f"eigenvalues say {tuple(v.name for v in verdicts)}, "
+                    f"rule says {tuple(v.name for v in rule)}")
+        if self.kind == "ramp_truncated":
+            return f"ramp truncated: {no_stable_branch(*self.values)}"
+        return ("no quasi-static ramp fits inside the window: every "
+                "attempted top hit a sample with no stable branch")
+
+
+def no_stable_branch(axis: str, value: float) -> str:
+    """Why a quasi-static ramp cannot pass the sample at ``value``."""
+    return f"no stable branch at {axis}={value!r}; self-oscillating regime"
+
+
+def _ordering_diagnostics(verdicts: tuple, delta1: float, delta2: float,
+                          power_l: float, power_r: float) -> tuple:
+    """() when ``verdicts`` follow the ordering rule, else its Diagnostic."""
+    if verdicts == ordering_rule(len(verdicts)):
         return ()
-    return ("ordering-rule disagreement at drive "
-            f"(delta1={drive.delta1!r}, delta2={drive.delta2!r}, "
-            f"power_l={drive.power_l!r}, power_r={drive.power_r!r}): "
-            f"eigenvalues say {tuple(v.name for v in actual)}, "
-            f"rule says {tuple(v.name for v in expected)}",)
+    return (Diagnostic("ordering_rule",
+                       (delta1, delta2, power_l, power_r, verdicts)),)
 
 
 def solve_and_classify(params: SystemParams, drive: DrivePoint,
@@ -259,7 +315,9 @@ def solve_and_classify_grid(params: SystemParams, drive: DrivePoint,
     done together, block by block: q_s of every branch from
     :func:`steady_q_grid`, photon numbers and effective detunings for all
     branches at once, then every branch of the block through the stacked
-    kernel :func:`classify_branches` uses, :func:`_max_re_rows`.
+    kernel :func:`classify_branches` uses, :func:`_max_re_rows`, and its
+    verdicts from one vector comparison.  A DrivePoint is built only for
+    a branch the kernel leaves to :func:`classify_stability`.
     """
     values = np.asarray(values, dtype=float)
     records = []
@@ -274,35 +332,40 @@ def _classify_block(params, drive, axis, values, options):
     columns, _ = drive.with_values(params, axis, values[:, None])
     n1, n2, d1, d2 = photon_numbers_from_q(q, params, columns)
     rows, cols = np.nonzero(~np.isnan(q))
-    fields = {name: np.broadcast_to(getattr(columns, name), q[:, :1].shape).ravel()
-              for name in ("delta1", "delta2", "power_l", "power_r", "amp_l",
-                           "amp_r")}
-    # Per sample, field for field the drive point with_value builds.
-    points = [DrivePoint(*f, amp_convention=drive.amp_convention)
-              for f in zip(*(column.tolist() for column in fields.values()))]
+    fields = [np.broadcast_to(getattr(columns, name), q[:, :1].shape).ravel()
+              for name in _DRIVE_FIELDS]
+    delta1, delta2, _, _, amp_l, amp_r = (f[rows] for f in fields)
     q_s = q[rows, cols].tolist()
-    # Scalar calls divide as Python divides complex numbers; numpy rounds
-    # complex quotients differently.
-    amps = np.array([steady_amplitudes(qv, params, points[r])
-                     for r, qv in zip(rows.tolist(), q_s)],
-                    dtype=complex).reshape(len(q_s), 2)
-    states = np.stack([amps[:, 0].real, amps[:, 0].imag, amps[:, 1].real,
-                       amps[:, 1].imag, q[rows, cols]], axis=1)
-    max_re, ok = _max_re_rows(states, params, fields["delta1"][rows],
-                              fields["delta2"][rows], options.sign)
-    unclassified = zip(q_s, amps[:, 0].tolist(), amps[:, 1].tolist(),
+    # steady_amplitudes per branch, from floats: Python divides complex
+    # numbers as the scalar call does, numpy rounds quotients differently.
+    root1, root2 = math.sqrt(params.kappa_e1), math.sqrt(params.kappa_e2)
+    amp1 = [root1 * a / (params.kappa1 + 1j * (d - params.g1 * qv))
+            for qv, d, a in zip(q_s, delta1.tolist(), amp_l.tolist())]
+    amp2 = [root2 * a / (params.kappa2 + 1j * (d - params.g2 * qv))
+            for qv, d, a in zip(q_s, delta2.tolist(), amp_r.tolist())]
+    a1, a2 = np.array(amp1, dtype=complex), np.array(amp2, dtype=complex)
+    states = np.stack([a1.real, a1.imag, a2.real, a2.imag, q[rows, cols]],
+                      axis=1)
+    max_re, ok = _max_re_rows(states, params, delta1, delta2, options.sign)
+    unclassified = zip(q_s, amp1, amp2,
                        *(a[rows, cols].tolist() for a in (n1, n2, d1, d2)))
-    by_sample = [[] for _ in points]
-    for r, good, m, branch_fields in zip(rows.tolist(), ok, max_re,
-                                         unclassified):
+    by_sample = [[] for _ in range(len(values))]
+    for r, good, verdict, m, branch_fields in zip(
+            rows.tolist(), ok.tolist(), _verdicts(max_re, params, options),
+            max_re.tolist(), unclassified):
         if good:
-            branch = SteadyBranch(*branch_fields, _verdict(m, params, options), m)
+            branch = SteadyBranch(*branch_fields, verdict, m)
         else:
+            # field for field the drive point with_value builds
+            point = DrivePoint(*(f[r].item() for f in fields),
+                               amp_convention=drive.amp_convention)
             branch = classify_stability(SteadyBranch(*branch_fields), params,
-                                        points[r], options)
+                                        point, options)
         by_sample[r].append(branch)
-    return [(tuple(branches), _ordering_diagnostics(branches, point))
-            for branches, point in zip(by_sample, points)]
+    drives = zip(*(f.tolist() for f in fields[:4]))
+    return [(tuple(branches),
+             _ordering_diagnostics(tuple(b.verdict for b in branches), *d))
+            for branches, d in zip(by_sample, drives)]
 
 
 @dataclass(frozen=True)

@@ -42,8 +42,9 @@ from .polyroots import (RealPolynomial, mul_rows, real_roots, real_roots_rows,
 _POLISH_MAX_ITER = 12
 # Solver-level sanity ceiling on the steady-state self-consistency defect.
 _RESIDUAL_CEILING = 1e-6
-# Rows per block of steady_q_grid; keeps its temporaries near 0.3 MB.
-_GRID_BLOCK = 256
+# Rows per block of steady_q_grid and solve_and_classify_grid: a default
+# 400-point sweep is one block, and its temporaries stay near 0.6 MB.
+_GRID_BLOCK = 512
 _MAX_BRANCHES = 5
 # Roots closer than this, relative to 1 + |q|, are one branch.
 _DEDUP_REL = 1e-8
@@ -221,10 +222,15 @@ def assemble_fixed_point_polynomial(params: SystemParams, drive: DrivePoint,
 
 
 def _polish_root(q: float, lo: float, hi: float, params, drive, sign) -> float:
-    """Safeguarded Newton on the residual around a polynomial root."""
+    """Safeguarded Newton on the residual around a polynomial root.
+
+    The step depends on x alone, so once an iterate equals the one before
+    last the iterates repeat and ``best`` cannot change: the loop stops
+    there with what running to ``_POLISH_MAX_ITER`` returns.
+    """
     best = q
     best_res = abs(steady_residual(q, params, drive, sign))
-    x = q
+    x, last = q, math.nan
     for _ in range(_POLISH_MAX_ITER):
         fx = steady_residual(x, params, drive, sign)
         if fx == 0.0:
@@ -233,11 +239,12 @@ def _polish_root(q: float, lo: float, hi: float, params, drive, sign) -> float:
         if dfx == 0.0 or not math.isfinite(dfx):
             break
         step = fx / dfx
+        before, last = last, x
         x = min(max(x - step, lo), hi)
         res = abs(steady_residual(x, params, drive, sign))
         if res < best_res:
             best, best_res = x, res
-        if abs(step) <= 1e-16 * (1.0 + abs(x)):
+        if abs(step) <= 1e-16 * (1.0 + abs(x)) or x == before:
             break
     return best
 
@@ -352,7 +359,7 @@ def _assemble_rows(params: SystemParams, drive: DrivePoint, sign: int,
 def _polish_rows(q, lo, hi, params, drive, sign):
     """:func:`_polish_root` at every non-NaN entry of q (n, m)."""
     out = np.full(q.shape, np.nan)
-    x = q
+    x, last = q, np.full(q.shape, np.nan)
     fx = steady_residual(x, params, drive, sign)
     best, best_res = x, np.abs(fx)
     active = ~np.isnan(q)
@@ -367,15 +374,17 @@ def _polish_rows(q, lo, hi, params, drive, sign):
         if not active.any():
             return out
         step = fx / dfx
+        before, last = last, x
         x = np.where(active, np.minimum(np.maximum(x - step, lo), hi), x)
         fx = steady_residual(x, params, drive, sign)
         res = np.abs(fx)
         better = active & (res < best_res)
         best = np.where(better, x, best)
         best_res = np.where(better, res, best_res)
-        small = active & (np.abs(step) <= 1e-16 * (1.0 + np.abs(x)))
-        out[small] = best[small]
-        active &= ~small
+        done = active & ((np.abs(step) <= 1e-16 * (1.0 + np.abs(x)))
+                         | (x == before))
+        out[done] = best[done]
+        active &= ~done
     out[active] = best[active]
     return out
 

@@ -141,10 +141,10 @@ def fold_power_study(power_r: float = 1e-7, bracket=(1e-14, 1.0),
                             up_jumps = result.hysteresis.up.jumps
                             down_jumps = result.hysteresis.down.jumps
                         truncations = [d for d in result.diagnostics
-                                       if d.startswith("ramp truncated")
-                                       or d.startswith("no quasi-static")]
+                                       if d.kind in ("ramp_truncated",
+                                                     "no_ramp_fits")]
                         if truncations:
-                            note = truncations[-1]
+                            note = str(truncations[-1])
                 elif len(folds) == 1:
                     note = "single fold inside the bracket"
                 else:

@@ -6,7 +6,9 @@ so a library bug cannot hide by canceling against itself.  The only
 package objects consumed are the parameter containers, read as plain
 numbers.  The exceptions are :func:`scan_counts` and
 :func:`bisect_count_change`, the references for the batched fold scan and
-the exact fold bisection: each is the scalar-solve route it replaced.
+the exact fold bisection: each is the scalar-solve route it replaced; and
+:func:`polish_root_full`, the reference for the Newton polish's stop on a
+2-cycle, which runs the same loop to its iteration cap.
 """
 
 from __future__ import annotations
@@ -15,7 +17,8 @@ import math
 
 import numpy as np
 
-from twomode.steady import steady_branches
+from twomode.steady import (_POLISH_MAX_ITER, residual_derivative,
+                            steady_branches, steady_residual)
 
 GRID_POINTS = 1_000_000
 GRID_PAD = 1.02
@@ -137,6 +140,33 @@ def bisect_count_change(params, drive, axis, lo, hi, options, rel_tol):
         else:
             hi = mid
     return 0.5 * (lo + hi)
+
+
+def polish_root_full(q, lo, hi, params, drive, sign, trail=None):
+    """``steady._polish_root`` without its stop on a 2-cycle: Newton runs
+    for ``_POLISH_MAX_ITER`` steps unless the residual vanishes, the
+    derivative is zero or not finite, or the step is negligible.  Every
+    iterate after q is appended to ``trail`` when one is given."""
+    best = q
+    best_res = abs(steady_residual(q, params, drive, sign))
+    x = q
+    for _ in range(_POLISH_MAX_ITER):
+        fx = steady_residual(x, params, drive, sign)
+        if fx == 0.0:
+            return x
+        dfx = residual_derivative(x, params, drive, sign)
+        if dfx == 0.0 or not math.isfinite(dfx):
+            break
+        step = fx / dfx
+        x = min(max(x - step, lo), hi)
+        if trail is not None:
+            trail.append(x)
+        res = abs(steady_residual(x, params, drive, sign))
+        if res < best_res:
+            best, best_res = x, res
+        if abs(step) <= 1e-16 * (1.0 + abs(x)):
+            break
+    return best
 
 
 def cubic_discriminant(a, b, c, d):

@@ -19,7 +19,7 @@ from twomode.continuation import (_FOLD_REL_TOL, _FOLD_SCAN_REL_TOL,
 from twomode.errors import NoStableBranchError, ParameterError, SweepError
 from twomode.figures import run_preset
 from twomode.params import DrivePoint, preset_hill_params, replace_params
-from twomode.stability import solve_and_classify
+from twomode.stability import Diagnostic, solve_and_classify
 from twomode.steady import (SolverOptions, Verdict, steady_branches,
                             steady_q_grid)
 
@@ -578,8 +578,10 @@ def test_high_q_device_cannot_ramp_past_fold(preset, options, monkeypatch):
     assert len(res.records) == len(res.hysteresis.up.points) == spec.points
     assert res.hysteresis.up.points[-1][0] == res.spec.stop
     assert all(_has_stable(branches) for _, branches in res.records)
-    notes = [n for n in res.diagnostics if n.startswith("ramp truncated")]
-    assert notes == [_truncation_note(records[first][0])]
+    notes = [n for n in res.diagnostics if n.kind == "ramp_truncated"]
+    assert notes == [Diagnostic("ramp_truncated",
+                                ("power_l", records[first][0]))]
+    assert str(notes[0]) == _truncation_note(records[first][0])
     assert res.diagnostics[-1] == notes[0]
 
 
@@ -611,9 +613,12 @@ def test_clamped_ramp_without_two_stable_samples_is_the_plain_sweep(
     assert len(solves) == 1
     assert res.spec.direction == "up"
     assert res == replace(want, diagnostics=want.diagnostics + (
+        Diagnostic("ramp_truncated", ("power_l", want.records[first][0])),
+        Diagnostic("no_ramp_fits")))
+    assert [str(n) for n in res.diagnostics[-2:]] == [
         _truncation_note(want.records[first][0]),
         "no quasi-static ramp fits inside the window: every attempted top "
-        "hit a sample with no stable branch"))
+        "hit a sample with no stable branch"]
 
 
 def test_low_power_displacement_tracks_readout_push(preset, options):

@@ -145,7 +145,14 @@ def test_self_oscillation_flagged_against_ordering_rule(preset, options):
     assert classified[0].verdict is Verdict.UNSTABLE
     assert classified[0].max_re_eig > 0.0
     assert len(diags) == 1
-    assert "ordering-rule disagreement" in diags[0]
+    assert diags[0].kind == "ordering_rule"
+    assert diags[0].values == (d.delta1, d.delta2, d.power_l, d.power_r,
+                               (Verdict.UNSTABLE,))
+    assert str(diags[0]) == (
+        "ordering-rule disagreement at drive "
+        f"(delta1={d.delta1!r}, delta2={d.delta2!r}, power_l=1e-09, "
+        "power_r=1e-09): eigenvalues say ('UNSTABLE',), rule says "
+        "('STABLE',)")
 
 
 def test_ordering_rule_shape():
@@ -207,7 +214,9 @@ def _scalar_classified(branches, params, drive, options):
     """classify_branches through the scalar route, branch by branch."""
     classified = tuple(classify_stability(b, params, drive, options)
                        for b in branches)
-    return classified, _ordering_diagnostics(classified, drive)
+    return classified, _ordering_diagnostics(
+        tuple(b.verdict for b in classified), drive.delta1, drive.delta2,
+        drive.power_l, drive.power_r)
 
 
 def _classify_cases():
@@ -269,6 +278,37 @@ def test_classify_branches_rescues_through_scalar_route(monkeypatch):
                         lambda *a: rescued.append(a) or scalar(*a))
     assert classify_branches(raw, params, drive, options) == want
     assert len(rescued) == len(raw) == 5
+
+
+@pytest.mark.parametrize("route", ["point", "grid"])
+def test_zero_constant_term_goes_to_scalar_route(preset, options,
+                                                 monkeypatch, route):
+    # all_roots strips a zero constant term into a smaller companion
+    # matrix, which the stacked kernel does not: such a row must be
+    # classified by classify_stability, at the drive point it came from
+    d = _drive(preset, **FIVE_ROOT_DRIVE)
+    raw = steady_branches(preset, d, options)
+    want = _scalar_classified(raw, preset, d, options)
+    rows = stability._characteristic_rows
+
+    def zero_root_in_stack(m):
+        coeffs = rows(m)
+        if len(m) > 1:          # the stacked call, not a scalar rescue
+            coeffs[2, 0] = 0.0
+        return coeffs
+
+    rescued = []
+    scalar = stability.classify_stability
+    monkeypatch.setattr(stability, "_characteristic_rows", zero_root_in_stack)
+    monkeypatch.setattr(stability, "classify_stability",
+                        lambda *a: rescued.append(a) or scalar(*a))
+    if route == "point":
+        got = classify_branches(raw, preset, d, options)
+    else:
+        (got,) = stability.solve_and_classify_grid(preset, d, "power_l",
+                                                   [d.power_l], options)
+    assert got == want
+    assert rescued == [(raw[2], preset, d, options)]
 
 
 def test_classify_branches_of_nothing(preset):

@@ -1,5 +1,6 @@
 """Steady-state residual, polynomial assembly, and branch solving."""
 
+import contextlib
 import math
 
 import numpy as np
@@ -9,13 +10,17 @@ from hypothesis import strategies as st
 
 import oracles
 import sampling
-from twomode.errors import ParameterError, SolverError
+from twomode import steady
+from twomode.errors import ParameterError, PolynomialError, SolverError
 from twomode.params import DrivePoint, preset_hill_params, replace_params
-from twomode.steady import (SolverOptions, assemble_fixed_point_polynomial,
+from twomode.steady import (_POLISH_MAX_ITER, SolverOptions,
+                            assemble_fixed_point_polynomial,
                             effective_detunings, photon_numbers_from_q,
                             q_upper_bound, residual_derivative,
                             steady_amplitudes, steady_branches,
-                            steady_residual)
+                            steady_q_grid, steady_residual)
+
+from test_steady_grid import REGIMES, _case
 
 # Frozen 5-root drive on the preset device: both pumps red of cavity with
 # powers inside the overlap window of the two bistable responses.
@@ -262,3 +267,112 @@ def test_low_power_linear_response(power):
     n1, n2, _, _ = photon_numbers_from_q(0.0, params, d)
     push = 2.0 * (params.g1 * n1 + params.g2 * n2) / params.omega_m
     assert branches[0].q_s == pytest.approx(push, rel=1e-3)
+
+
+# The Newton polish stops once an iterate equals the one before last; it
+# must return exactly what oracles.polish_root_full, the loop run to its
+# cap, returns.
+
+_POLISH_ROOT = steady._polish_root
+_POLISH_ROWS = steady._polish_rows
+
+
+def _fig3_red():
+    """The fig3 red trace: delta1 over [0, 2 omega_m] in 400 samples."""
+    params = preset_hill_params()
+    drive = _drive(params, delta1=params.omega_m, delta2=params.omega_m,
+                   power_l=2e-6, power_r=1e-7)
+    return params, drive, np.linspace(0.0, 2.0 * params.omega_m, 400)
+
+
+def _spy_polish(mp):
+    """Record the arguments of every _polish_root and _polish_rows call."""
+    calls = {"_polish_root": [], "_polish_rows": []}
+    for name, real in (("_polish_root", _POLISH_ROOT),
+                       ("_polish_rows", _POLISH_ROWS)):
+        mp.setattr(steady, name,
+                   lambda *a, real=real, log=calls[name]: log.append(a)
+                   or real(*a))
+    return calls
+
+
+def _solve_everywhere(params, drive, axis, values, options):
+    """The grid solve, then a scalar solve at every value; a solve that
+    raises is skipped."""
+    with contextlib.suppress(PolynomialError, SolverError):
+        steady_q_grid(params, drive, axis, values, options)
+    for v in values.tolist():
+        with contextlib.suppress(PolynomialError, SolverError):
+            steady_branches(params, drive.with_value(params, axis, v), options)
+
+
+def _two_cycles(q, trail) -> bool:
+    seq = [q] + trail
+    return any(a == b for a, b in zip(seq, seq[2:]))
+
+
+def _check_polish_root(calls) -> int:
+    """Assert each call equals the full loop; count calls that cycle."""
+    cycles = 0
+    for args in calls:
+        trail = []
+        want = oracles.polish_root_full(*args, trail=trail)
+        assert repr(_POLISH_ROOT(*args)) == repr(want)
+        cycles += _two_cycles(args[0], trail)
+    return cycles
+
+
+def _check_polish_rows(calls) -> int:
+    """Assert each call equals the full loop entry by entry, bit for bit;
+    count entries that cycle."""
+    cycles = 0
+    for q, lo, hi, params, columns, sign in calls:
+        want = np.full(q.shape, np.nan)
+        column = {name: np.broadcast_to(getattr(columns, name), (len(q), 1))
+                  for name in ("delta1", "delta2", "power_l", "power_r",
+                               "amp_l", "amp_r")}
+        bounds = [np.broadcast_to(b, (len(q), 1)) for b in (lo, hi)]
+        for i, j in zip(*np.nonzero(~np.isnan(q))):
+            drive = DrivePoint(**{k: c[i, 0].item() for k, c in column.items()},
+                               amp_convention=columns.amp_convention)
+            trail = []
+            want[i, j] = oracles.polish_root_full(
+                q[i, j].item(), bounds[0][i, 0].item(), bounds[1][i, 0].item(),
+                params, drive, sign, trail=trail)
+            cycles += _two_cycles(q[i, j].item(), trail)
+        assert _POLISH_ROWS(q, lo, hi, params, columns, sign).tobytes() \
+            == want.tobytes()
+    return cycles
+
+
+def test_polish_stops_on_two_cycles_with_the_full_loop_result():
+    params, drive, values = _fig3_red()
+    with pytest.MonkeyPatch.context() as mp:
+        calls = _spy_polish(mp)
+        _solve_everywhere(params, drive, "delta1", values, SolverOptions())
+    assert len(calls["_polish_root"]) == 400
+    assert _check_polish_root(calls["_polish_root"]) >= 20
+    assert _check_polish_rows(calls["_polish_rows"]) >= 20
+
+
+def test_polish_rows_stop_before_the_iteration_cap(monkeypatch):
+    # the fig3 red grid has entries in an exact 2-cycle, which the full
+    # loop would iterate to the cap
+    params, drive, values = _fig3_red()
+    derivatives = []
+    real = steady.residual_derivative
+    monkeypatch.setattr(steady, "residual_derivative",
+                        lambda *a: derivatives.append(1) or real(*a))
+    steady_q_grid(params, drive, "delta1", values, SolverOptions())
+    assert len(derivatives) < _POLISH_MAX_ITER
+
+
+@given(regime=st.sampled_from(REGIMES),
+       seed=st.integers(min_value=0, max_value=2**32 - 1))
+def test_polish_equals_full_loop_on_grid_cases(regime, seed):
+    params, drive, axis, values, options = _case(regime, seed)
+    with pytest.MonkeyPatch.context() as mp:
+        calls = _spy_polish(mp)
+        _solve_everywhere(params, drive, axis, values, options)
+    _check_polish_root(calls["_polish_root"])
+    _check_polish_rows(calls["_polish_rows"])
