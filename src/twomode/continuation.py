@@ -39,7 +39,7 @@ from .polyroots import RealPolynomial, real_roots
 from .steady import (SolverOptions, Verdict, _assemble,
                      photon_numbers_from_q, residual_derivative,
                      steady_residual)
-from .stability import (Diagnostic, no_stable_branch, solve_and_classify,
+from .stability import (Diagnostic, _no_stable_branch, solve_and_classify,
                         solve_and_classify_grid)
 
 _POWER_AXES = ("power_l", "power_r")
@@ -446,7 +446,7 @@ def _follow(values, solved_by_value, pick_start, spec, folds):
     v0 = values[0]
     stable0 = _stable(solved_by_value[v0])
     if not stable0:
-        raise NoStableBranchError(no_stable_branch(spec.axis, v0),
+        raise NoStableBranchError(_no_stable_branch(spec.axis, v0),
                                   axis_value=v0)
     current = pick_start(stable0, key=lambda b: b.q_s)
     points = [(v0, current)]
@@ -459,7 +459,7 @@ def _follow(values, solved_by_value, pick_start, spec, folds):
         branches = solved_by_value[v]
         stable = _stable(branches)
         if not stable:
-            raise NoStableBranchError(no_stable_branch(spec.axis, v),
+            raise NoStableBranchError(_no_stable_branch(spec.axis, v),
                                       axis_value=v)
         cand = min(stable, key=lambda b: abs(b.q_s - prev_q))
         if prev_dq is None:

@@ -279,12 +279,12 @@ class Diagnostic:
                     f"eigenvalues say {tuple(v.name for v in verdicts)}, "
                     f"rule says {tuple(v.name for v in rule)}")
         if self.kind == "ramp_truncated":
-            return f"ramp truncated: {no_stable_branch(*self.values)}"
+            return f"ramp truncated: {_no_stable_branch(*self.values)}"
         return ("no quasi-static ramp fits inside the window: every "
                 "attempted top hit a sample with no stable branch")
 
 
-def no_stable_branch(axis: str, value: float) -> str:
+def _no_stable_branch(axis: str, value: float) -> str:
     """Why a quasi-static ramp cannot pass the sample at ``value``."""
     return f"no stable branch at {axis}={value!r}; self-oscillating regime"
 

@@ -333,8 +333,8 @@ def _check_polish_rows(calls) -> int:
                                "amp_l", "amp_r")}
         bounds = [np.broadcast_to(b, (len(q), 1)) for b in (lo, hi)]
         for i, j in zip(*np.nonzero(~np.isnan(q))):
-            drive = DrivePoint(**{k: c[i, 0].item() for k, c in column.items()},
-                               amp_convention=columns.amp_convention)
+            fields = {k: c[i, 0].item() for k, c in column.items()}
+            drive = DrivePoint(**fields, amp_convention=columns.amp_convention)
             trail = []
             want[i, j] = oracles.polish_root_full(
                 q[i, j].item(), bounds[0][i, 0].item(), bounds[1][i, 0].item(),
