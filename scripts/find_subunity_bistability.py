@@ -13,19 +13,21 @@ trial log and the first qualifying configuration.
 import argparse
 import sys
 
+from twomode.params import (AMP_CONVENTIONS, KAPPA2_INTERPRETATIONS,
+                            SIGN_CONVENTIONS)
 from twomode.studies import subunity_search
 
 
 def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--sign", choices=("plus", "minus"), default="plus",
+    ap.add_argument("--sign", choices=tuple(SIGN_CONVENTIONS), default="plus",
                     help="sign of the readout force term")
-    ap.add_argument("--amp", choices=("literal", "flux"), default="literal")
-    ap.add_argument("--kappa2", choices=("angular", "literal"),
+    ap.add_argument("--amp", choices=AMP_CONVENTIONS, default="literal")
+    ap.add_argument("--kappa2", choices=KAPPA2_INTERPRETATIONS,
                     default="angular")
     args = ap.parse_args(argv)
 
-    report = subunity_search(sign=1 if args.sign == "plus" else -1,
+    report = subunity_search(sign=SIGN_CONVENTIONS[args.sign],
                              amp_convention=args.amp,
                              kappa2_interpretation=args.kappa2)
     print(report.render())

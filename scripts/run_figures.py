@@ -15,7 +15,8 @@ import pathlib
 import sys
 
 from twomode.figures import FIGURE_PRESETS, run_preset
-from twomode.io import labeled_rows, write_rows, write_summary
+from twomode.io import FORMATS, preset_rows, write_rows, write_summary
+from twomode.params import AMP_CONVENTIONS, KAPPA2_INTERPRETATIONS
 
 
 def main(argv=None):
@@ -24,9 +25,10 @@ def main(argv=None):
                     help=f"presets to run (default: all of {', '.join(FIGURE_PRESETS)})")
     ap.add_argument("--out", default="out/figures", help="output directory")
     ap.add_argument("--points", type=int, default=400)
-    ap.add_argument("--format", choices=("csv", "jsonlines"), default="csv")
-    ap.add_argument("--kappa2", choices=("angular", "literal"), default="angular")
-    ap.add_argument("--amp", choices=("literal", "flux"), default="literal")
+    ap.add_argument("--format", choices=FORMATS, default="csv")
+    ap.add_argument("--kappa2", choices=KAPPA2_INTERPRETATIONS,
+                    default="angular")
+    ap.add_argument("--amp", choices=AMP_CONVENTIONS, default="literal")
     args = ap.parse_args(argv)
 
     names = args.names or list(FIGURE_PRESETS)
@@ -35,11 +37,7 @@ def main(argv=None):
     for name in names:
         results = run_preset(name, kappa2_interpretation=args.kappa2,
                              amp_convention=args.amp, points=args.points)
-        rows = {}
-        for label, result in results.items():
-            for inner, inner_rows in labeled_rows(result).items():
-                key = label if inner == "grid" else f"{label}_{inner}"
-                rows[key] = inner_rows
+        rows = preset_rows(results)
         ext = "csv" if args.format == "csv" else "jsonl"
         written = write_rows(rows, args.format, outdir / f"{name}.{ext}")
         summary = write_summary(results, outdir / f"{name}.{ext}")

@@ -19,8 +19,7 @@ from .params import (HBAR, DrivePoint, SystemParams, drive_amplitude,
                      preset_hill_params, replace_params, to_angular)
 from .polyroots import RealPolynomial, all_roots, real_roots
 from .stability import (Diagnostic, Trajectory, branch_eigenvalues,
-                        branch_state, characteristic_polynomial,
-                        classify_branches, classify_stability,
+                        branch_state, classify_branches, classify_stability,
                         integrate_dynamics, jacobian, ordering_rule,
                         solve_and_classify, vector_field)
 from .steady import (ScaledPolynomial, SolverOptions, SteadyBranch, Verdict,
@@ -45,7 +44,7 @@ __all__ = [
     "steady_residual",
     "steady_amplitudes", "photon_numbers_from_q", "effective_detunings",
     "q_upper_bound",
-    "branch_state", "vector_field", "jacobian", "characteristic_polynomial",
+    "branch_state", "vector_field", "jacobian",
     "branch_eigenvalues", "classify_stability", "classify_branches",
     "ordering_rule", "solve_and_classify", "Diagnostic", "Trajectory",
     "integrate_dynamics",

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import sys
 from pathlib import Path
 
@@ -23,7 +24,9 @@ from .continuation import hysteresis_sweep, locate_folds, sweep_1d
 from .errors import (ClassificationError, ConfigError, IntegrationError,
                      ParameterError, PolynomialError, SolverError, SweepError)
 from .figures import FIGURE_PRESETS, run_preset
-from .io import FORMATS, branch_row, labeled_rows, write_rows, write_summary
+from .io import (FORMATS, branch_row, labeled_rows, preset_rows, write_rows,
+                 write_summary)
+from .params import KAPPA2_INTERPRETATIONS, SIGN_CONVENTIONS
 from .stability import solve_and_classify
 from .steady import SolverOptions
 
@@ -38,16 +41,18 @@ def _add_common(sub, *, config_required=True):
                      help="output path (default: stdout)")
     sub.add_argument("--format", default=None, choices=FORMATS,
                      help="record format (default: config output.format)")
-    sub.add_argument("--sign", default=None, choices=("plus", "minus"),
+    sub.add_argument("--sign", default=None, choices=tuple(SIGN_CONVENTIONS),
                      help="override flags.sign_convention")
-    sub.add_argument("--kappa2", default=None, choices=("angular", "literal"),
+    sub.add_argument("--kappa2", default=None, choices=KAPPA2_INTERPRETATIONS,
                      help="override flags.kappa2_interpretation")
     sub.add_argument("--threads", type=int, default=None,
                      help="accepted for compatibility and ignored: sweeps "
                           "are solved as one batch in this process")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once; parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="twomode",
         description="steady-state branches, stability, and hysteresis of a "
@@ -148,16 +153,12 @@ def _cmd_preset(args) -> int:
     options = config.options if config else None
     if args.sign is not None:
         base = options if options is not None else SolverOptions()
-        options = dataclasses.replace(base, sign=1 if args.sign == "plus" else -1)
+        options = dataclasses.replace(base, sign=SIGN_CONVENTIONS[args.sign])
     results = run_preset(args.name, kappa2_interpretation=kappa2,
                          amp_convention=amp, options=options,
                          points=args.points)
     out, fmt = _out_and_format(args, config)
-    rows = {}
-    for label, result in results.items():
-        for inner_label, inner_rows in labeled_rows(result).items():
-            key = label if inner_label == "grid" else f"{label}_{inner_label}"
-            rows[key] = inner_rows
+    rows = preset_rows(results)
     write_rows(rows, fmt, out)
     if out is not None:
         summary_path = write_summary(results, out)

@@ -33,9 +33,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .continuation import SweepSpec
+from .continuation import DIRECTIONS, SweepSpec
 from .errors import ConfigError, ParameterError
-from .params import (AMP_CONVENTIONS, AXES, DrivePoint, SystemParams,
+from .io import FORMATS
+from .params import (AMP_CONVENTIONS, AXES, KAPPA2_INTERPRETATIONS,
+                     POWER_AXES, SIGN_CONVENTIONS, DrivePoint, SystemParams,
                      preset_hill_params, to_angular)
 from .steady import SolverOptions
 
@@ -45,10 +47,6 @@ _SYSTEM_FREQ_FIELDS = ("omega1", "omega2", "kappa1", "kappa2",
                        "kappa_e1", "kappa_e2", "g1", "g2", "omega_m")
 _SYSTEM_BARE_FIELDS = ("q_m",)
 _DRIVE_FREQ_FIELDS = ("delta1", "delta2")
-_DRIVE_POWER_FIELDS = ("power_l", "power_r")
-_SIGNS = {"plus": 1, "minus": -1}
-_KAPPA2_INTERPS = ("angular", "literal")
-_FORMATS = ("csv", "jsonlines")
 
 
 @dataclass(frozen=True)
@@ -240,22 +238,22 @@ def _build_flags(ent: _Entries, overrides: dict) -> tuple:
             return value
         return None
 
-    sign_name = choice("flags.sign_convention", tuple(_SIGNS))
-    kappa2 = choice("flags.kappa2_interpretation", _KAPPA2_INTERPS)
+    sign_name = choice("flags.sign_convention", tuple(SIGN_CONVENTIONS))
+    kappa2 = choice("flags.kappa2_interpretation", KAPPA2_INTERPRETATIONS)
     amp = choice("flags.amp_convention", AMP_CONVENTIONS)
     sign_name = overrides.get("sign_convention") or sign_name or "plus"
     kappa2 = overrides.get("kappa2_interpretation") or kappa2 or "angular"
     amp = overrides.get("amp_convention") or amp or "literal"
-    if sign_name not in _SIGNS:
-        raise ConfigError(f"sign override must be one of {tuple(_SIGNS)}, "
-                          f"got {sign_name!r}")
-    if kappa2 not in _KAPPA2_INTERPS:
-        raise ConfigError(f"kappa2 override must be one of {_KAPPA2_INTERPS}, "
-                          f"got {kappa2!r}")
+    if sign_name not in SIGN_CONVENTIONS:
+        raise ConfigError(f"sign override must be one of "
+                          f"{tuple(SIGN_CONVENTIONS)}, got {sign_name!r}")
+    if kappa2 not in KAPPA2_INTERPRETATIONS:
+        raise ConfigError(f"kappa2 override must be one of "
+                          f"{KAPPA2_INTERPRETATIONS}, got {kappa2!r}")
     if amp not in AMP_CONVENTIONS:
         raise ConfigError(f"amp override must be one of {AMP_CONVENTIONS}, "
                           f"got {amp!r}")
-    return _SIGNS[sign_name], kappa2, amp
+    return SIGN_CONVENTIONS[sign_name], kappa2, amp
 
 
 def _build_drive(ent: _Entries, params: SystemParams, amp: str) -> DrivePoint:
@@ -299,7 +297,7 @@ def _build_sweep(ent: _Entries, params: SystemParams,
         suffixed = [f"sweep.{name}{s}" for s in ("_hz", "_rad_s", "_w")]
         key = next((k for k in suffixed if ent.has(k)), f"sweep.{name}")
         line = ent.line(key)
-        if axis in ("power_l", "power_r"):
+        if axis in POWER_AXES:
             value, found = ent.power(f"sweep.{name}")
             for bad in ("_hz", "_rad_s"):
                 if ent.has(f"sweep.{name}{bad}"):
@@ -332,8 +330,9 @@ def _build_sweep(ent: _Entries, params: SystemParams,
     if ent.has("sweep.direction"):
         value, line = ent.take("sweep.direction")
         direction = ent.string("sweep.direction", value, line)
-        if direction not in ("up", "down", "both"):
-            raise ConfigError("expected 'up', 'down', or 'both'",
+        if direction not in DIRECTIONS:
+            raise ConfigError(f"sweep.direction must be one of {DIRECTIONS}, "
+                              f"got {direction!r}",
                               key="sweep.direction", line=line)
     try:
         spec = SweepSpec(axis=axis, start=start, stop=stop, drive=drive,
@@ -372,8 +371,8 @@ def _build_output(ent: _Entries) -> tuple:
     if ent.has("output.format"):
         value, line = ent.take("output.format")
         fmt = ent.string("output.format", value, line)
-        if fmt not in _FORMATS:
-            raise ConfigError(f"expected one of {_FORMATS}, got {fmt!r}",
+        if fmt not in FORMATS:
+            raise ConfigError(f"expected one of {FORMATS}, got {fmt!r}",
                               key="output.format", line=line)
     return path, fmt
 
@@ -430,13 +429,14 @@ def serialize_config(config: RunConfig) -> str:
     lines.append(f"drive.power_r_w = {config.drive.power_r!r}")
     if config.sweep is not None:
         sw = config.sweep
-        suffix = "_w" if sw.axis in ("power_l", "power_r") else "_rad_s"
+        suffix = "_w" if sw.axis in POWER_AXES else "_rad_s"
         lines.append(f'sweep.axis = "{sw.axis}"')
         lines.append(f"sweep.start{suffix} = {sw.start!r}")
         lines.append(f"sweep.stop{suffix} = {sw.stop!r}")
         lines.append(f"sweep.points = {sw.points}")
         lines.append(f'sweep.direction = "{sw.direction}"')
-    sign_name = "plus" if config.options.sign == 1 else "minus"
+    sign_name = next(name for name, sign in SIGN_CONVENTIONS.items()
+                     if sign == config.options.sign)
     lines.append(f'flags.sign_convention = "{sign_name}"')
     lines.append(f'flags.kappa2_interpretation = "{config.kappa2_interpretation}"')
     lines.append(f'flags.amp_convention = "{config.amp_convention}"')

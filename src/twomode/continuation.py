@@ -34,7 +34,7 @@ import numpy as np
 
 from .errors import (ClassificationError, NoStableBranchError, ParameterError,
                      PolynomialError, SolverError, SweepError)
-from .params import AXES, DrivePoint, SystemParams
+from .params import AXES, POWER_AXES, DrivePoint, SystemParams
 from .polyroots import RealPolynomial, real_roots
 from .steady import (SolverOptions, Verdict, _assemble,
                      photon_numbers_from_q, residual_derivative,
@@ -42,7 +42,8 @@ from .steady import (SolverOptions, Verdict, _assemble,
 from .stability import (Diagnostic, _no_stable_branch, solve_and_classify,
                         solve_and_classify_grid)
 
-_POWER_AXES = ("power_l", "power_r")
+#: Sweep directions: "up" solves the grid, "both" also ramps hysteresis.
+DIRECTIONS = ("up", "both")
 # Grids over more than a decade of power are sampled uniformly in log.
 _LOG_SPAN_RATIO = 10.0
 _FOLD_REL_TOL = 1e-6
@@ -69,9 +70,9 @@ class SweepSpec:
     def __post_init__(self):
         if self.axis not in AXES:
             raise ParameterError(f"unknown sweep axis {self.axis!r}, expected {AXES}")
-        if self.direction not in ("up", "down", "both"):
-            raise ParameterError(
-                f"direction must be 'up', 'down', or 'both', got {self.direction!r}")
+        if self.direction not in DIRECTIONS:
+            raise ParameterError(f"sweep direction must be one of "
+                                 f"{DIRECTIONS}, got {self.direction!r}")
         if self.points < 2:
             raise ParameterError(f"a sweep needs at least 2 points, got {self.points!r}")
         if not (math.isfinite(self.start) and math.isfinite(self.stop)):
@@ -79,7 +80,7 @@ class SweepSpec:
         if not self.start < self.stop:
             raise ParameterError(
                 f"sweep start must be below stop, got [{self.start!r}, {self.stop!r}]")
-        if self.axis in _POWER_AXES and self.start < 0.0:
+        if self.axis in POWER_AXES and self.start < 0.0:
             raise ParameterError(f"power sweep start must be >= 0, got {self.start!r}")
 
 
@@ -109,7 +110,7 @@ class SweepResult:
 
 def axis_grid(spec: SweepSpec) -> np.ndarray:
     """Sample values: log-uniform for wide power spans, uniform otherwise."""
-    if (spec.axis in _POWER_AXES and spec.start > 0.0
+    if (spec.axis in POWER_AXES and spec.start > 0.0
             and spec.stop / spec.start > _LOG_SPAN_RATIO):
         return np.geomspace(spec.start, spec.stop, spec.points)
     return np.linspace(spec.start, spec.stop, spec.points)
@@ -322,7 +323,7 @@ def _folds(params, drive, axis, lo, hi, options) -> tuple:
     On a power axis every fold at P > 0; on a detuning axis those inside
     (lo, hi).
     """
-    if axis in _POWER_AXES:
+    if axis in POWER_AXES:
         return _power_folds(params, drive, axis, options)
     return _detuning_folds(params, drive, axis, lo, hi, options)
 

@@ -16,6 +16,7 @@ from pathlib import Path
 
 from .continuation import SweepResult
 from .errors import ParameterError
+from .params import POWER_AXES
 from .steady import Verdict
 
 CSV_HEADER = "axis,branch,q_s,n_p1,n_p2,delta1_eff,delta2_eff,stable,max_re_eig"
@@ -82,6 +83,16 @@ def labeled_rows(result: SweepResult) -> dict:
     return out
 
 
+def preset_rows(results_by_label: dict) -> dict:
+    """Trace label -> rows of a preset's {label: SweepResult}; hysteresis
+    traces become ``<label>_up`` and ``<label>_down``."""
+    rows = {}
+    for label, result in results_by_label.items():
+        for inner, inner_rows in labeled_rows(result).items():
+            rows[label if inner == "grid" else f"{label}_{inner}"] = inner_rows
+    return rows
+
+
 def output_path(base, label: str | None):
     base = Path(fspath(base))
     if label is None or label == "grid":
@@ -132,8 +143,7 @@ def summarize(result: SweepResult, label: str | None = None) -> str:
                              + ", ".join(repr(v) for v in trace.jumps))
             else:
                 lines.append(f"  {name}-ramp jumps: none")
-        if (spec.axis in ("power_l", "power_r")
-                and (hys.up.jumps or hys.down.jumps)):
+        if spec.axis in POWER_AXES and (hys.up.jumps or hys.down.jumps):
             critical = min(hys.up.jumps + hys.down.jumps)
             lines.append(f"  lowest jump power: {critical!r} W")
     if result.diagnostics:

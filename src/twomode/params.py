@@ -30,8 +30,17 @@ TWO_PI = 2.0 * math.pi
 #: Sweepable drive axes, in the order used throughout the package.
 AXES = ("delta1", "delta2", "power_l", "power_r")
 
+#: The drive-power axes among :data:`AXES`.
+POWER_AXES = ("power_l", "power_r")
+
 #: Supported pump-amplitude conventions, see :func:`drive_amplitude`.
 AMP_CONVENTIONS = ("literal", "flux")
+
+#: Force-term sign conventions of the second mode: name -> sign.
+SIGN_CONVENTIONS = {"plus": 1, "minus": -1}
+
+#: Readings of the preset's second linewidth, see :func:`preset_hill_params`.
+KAPPA2_INTERPRETATIONS = ("angular", "literal")
 
 
 class SidebandResolutionWarning(UserWarning):
@@ -191,14 +200,12 @@ def preset_hill_params(kappa2_interpretation: str = "angular") -> SystemParams:
     - ``"literal"``: kappa2 = 1.73e9 rad/s, the printed number taken as
       already angular.
     """
-    if kappa2_interpretation == "angular":
-        kappa2 = to_angular(1.73e9)
-    elif kappa2_interpretation == "literal":
-        kappa2 = 1.73e9
-    else:
+    if kappa2_interpretation not in KAPPA2_INTERPRETATIONS:
         raise ParameterError(
-            f"kappa2 interpretation must be 'angular' or 'literal', "
+            f"kappa2 interpretation must be one of {KAPPA2_INTERPRETATIONS}, "
             f"got {kappa2_interpretation!r}")
+    kappa2 = (to_angular(1.73e9) if kappa2_interpretation == "angular"
+              else 1.73e9)
     kappa1 = to_angular(520e6)
     return SystemParams(
         omega1=to_angular(205.3e12),

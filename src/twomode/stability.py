@@ -4,11 +4,12 @@ The classifier is fully algebraic: the analytic 6x6 Jacobian of the real
 first-order system is built in omega_m-scaled units, its characteristic
 polynomial is produced by the Faddeev-LeVerrier recurrence, and the
 eigenvalues come from the package's own polynomial root finder.  One
-stacked kernel does this for many branches at once: every branch of a
-point in :func:`classify_branches`, every branch of a sweep grid in
-:func:`solve_and_classify_grid`, with results equal to the per-branch
-:func:`classify_stability`, which classifies a branch the kernel's root
-audit rejects.  A branch is Stable when every eigenvalue real part sits
+stacked kernel classifies every branch: all branches of a point in
+:func:`classify_branches`, of a sweep grid in
+:func:`solve_and_classify_grid`, and a single branch in
+:func:`classify_stability`.  A row its root audit rejects is re-solved
+inside the kernel by :func:`polyroots.all_roots` on that row's own
+coefficients.  A branch is Stable when every eigenvalue real part sits
 below ``-eps``, Unstable when one exceeds ``+eps``, Marginal in between,
 with ``eps = marginal_band * omega_m``.
 
@@ -49,10 +50,9 @@ _RATE_COLS = np.array((0, 1, 2, 3, 5, 4, 5))
 _FIELD_ROWS = np.array((0, 1, 2, 3, 5, 5, 5, 5))
 _FIELD_COLS = np.array((4, 4, 4, 4, 0, 1, 2, 3))
 _FIELD_OF = np.array((1, 0, 3, 2, 0, 1, 2, 3))
-# DrivePoint fields, in its field order, that _classify_block reads.
+# DrivePoint fields that _classify_block reads: the four drive values a
+# diagnostic names, then the pump amplitudes.
 _DRIVE_FIELDS = ("delta1", "delta2", "power_l", "power_r", "amp_l", "amp_r")
-# Verdicts by their integer value.
-_VERDICTS = tuple(sorted(Verdict))
 
 
 def branch_state(branch: SteadyBranch) -> np.ndarray:
@@ -95,7 +95,9 @@ def jacobian(state, params: SystemParams, drive: DrivePoint,
     """
     om = params.omega_m
     d = np.array([1.0, 1.0, 1.0, 1.0, 1.0, om])
-    return om * d[:, None] * _scaled_jacobian(state, params, drive, sign) / d
+    jac = _scaled_jacobians(np.asarray(state, dtype=float)[None], params,
+                            drive.delta1, drive.delta2, sign)[0]
+    return om * d[:, None] * jac / d
 
 
 def _scaled_jacobians(states: np.ndarray, params: SystemParams, delta1,
@@ -124,13 +126,6 @@ def _scaled_jacobians(states: np.ndarray, params: SystemParams, delta1,
     return jac
 
 
-def _scaled_jacobian(state, params: SystemParams, drive: DrivePoint,
-                     sign: int) -> np.ndarray:
-    states = np.asarray(state, dtype=float)[None]
-    return _scaled_jacobians(states, params, drive.delta1, drive.delta2,
-                             sign)[0]
-
-
 def _characteristic_rows(m: np.ndarray) -> np.ndarray:
     """Faddeev-LeVerrier over a stack (k, n, n): (k, n + 1) ascending
     coefficients of each monic characteristic polynomial."""
@@ -150,55 +145,68 @@ def _characteristic_rows(m: np.ndarray) -> np.ndarray:
     return coeffs.T
 
 
-def characteristic_polynomial(matrix: np.ndarray) -> RealPolynomial:
-    """Monic characteristic polynomial via the Faddeev-LeVerrier recurrence."""
-    m = np.asarray(matrix, dtype=float)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ParameterError(f"matrix must be square, got shape {m.shape}")
-    # Direct construction: the monic lead must survive even when lower
-    # coefficients are huge, so no relative trimming here.
-    return RealPolynomial(coeffs=tuple(_characteristic_rows(m[None])[0]))
+def _eigenvalue_rows(states, params: SystemParams, delta1, delta2,
+                     sign: int) -> np.ndarray:
+    """Linearization eigenvalues in units of omega_m at each row of
+    ``states`` (n, 5 or 6), as (n, 6); the detunings are floats or (n,)
+    arrays.
+
+    Faddeev-LeVerrier over the stack of scaled Jacobians, then one stacked
+    companion eigenvalue call with the root audit.  A row the audit
+    rejects is re-solved by :func:`all_roots` on its own coefficients, so
+    every row holds what ``all_roots`` gives; a row it cannot solve raises
+    ClassificationError carrying its polynomial.
+    """
+    coeffs = _characteristic_rows(_scaled_jacobians(states, params, delta1,
+                                                    delta2, sign))
+    roots, ok = all_roots_rows(coeffs)
+    # all_roots strips a zero constant term into a smaller companion matrix
+    ok &= coeffs[:, 0] != 0.0
+    for row in (~ok).nonzero()[0].tolist():
+        # direct construction: the monic lead must survive even when lower
+        # coefficients are huge, so no relative trimming here
+        char = RealPolynomial(coeffs=tuple(coeffs[row].tolist()))
+        try:
+            roots[row] = all_roots(char)
+        except PolynomialError as exc:
+            raise ClassificationError(str(exc), polynomial=char) from exc
+    return roots
+
+
+def _max_re_rows(states, params: SystemParams, delta1, delta2,
+                 sign: int) -> np.ndarray:
+    """max Re(eig) [rad/s] at each row of ``states``, see
+    :func:`_eigenvalue_rows`."""
+    roots = _eigenvalue_rows(states, params, delta1, delta2, sign)
+    return (roots.real * params.omega_m).max(axis=1)
 
 
 def branch_eigenvalues(branch: SteadyBranch, params: SystemParams,
                        drive: DrivePoint, sign: int = 1) -> np.ndarray:
-    """All six linearization eigenvalues at a branch [rad/s]."""
-    jac = _scaled_jacobian(branch_state(branch), params, drive, sign)
-    char = characteristic_polynomial(jac)
-    try:
-        lam = all_roots(char)
-    except PolynomialError as exc:
-        raise ClassificationError(str(exc), polynomial=char) from exc
-    return lam * params.omega_m
+    """All six linearization eigenvalues at a branch [rad/s], sorted by
+    real then imaginary part."""
+    (lam,) = _eigenvalue_rows(branch_state(branch)[None], params,
+                              drive.delta1, drive.delta2, sign).tolist()
+    lam.sort(key=lambda z: (z.real, z.imag))
+    return np.asarray(lam, dtype=complex) * params.omega_m
 
 
 def classify_stability(branch: SteadyBranch, params: SystemParams,
                        drive: DrivePoint,
                        options: SolverOptions = SolverOptions()) -> SteadyBranch:
     """Return the branch with its eigenvalue verdict and max Re(eig) filled."""
-    lam = branch_eigenvalues(branch, params, drive, options.sign)
-    max_re = float(np.max(lam.real))
-    return replace(branch, verdict=_verdict(max_re, params, options),
-                   max_re_eig=max_re)
+    (classified,), _ = classify_branches((branch,), params, drive, options)
+    return classified
 
 
-def _verdict(max_re: float, params: SystemParams,
-             options: SolverOptions) -> Verdict:
-    eps = options.marginal_band * params.omega_m
-    if max_re < -eps:
-        return Verdict.STABLE
-    if max_re > eps:
-        return Verdict.UNSTABLE
-    return Verdict.MARGINAL
-
-
-def _verdicts(max_re: np.ndarray, params: SystemParams,
+def _verdicts(max_re: list, params: SystemParams,
               options: SolverOptions) -> list:
-    """:func:`_verdict` of every entry of ``max_re``, as a list."""
+    """Verdict of every max Re(eig) [rad/s] in ``max_re``."""
     eps = options.marginal_band * params.omega_m
-    codes = np.select([max_re < -eps, max_re > eps],
-                      [Verdict.STABLE, Verdict.UNSTABLE], Verdict.MARGINAL)
-    return [_VERDICTS[c] for c in codes.tolist()]
+    stable, unstable, marginal = (Verdict.STABLE, Verdict.UNSTABLE,
+                                  Verdict.MARGINAL)
+    return [stable if m < -eps else unstable if m > eps else marginal
+            for m in max_re]
 
 
 @functools.cache
@@ -212,42 +220,22 @@ def classify_branches(branches, params: SystemParams, drive: DrivePoint,
                       options: SolverOptions = SolverOptions()):
     """Classify every branch; also cross-check against the ordering rule.
 
-    Returns (classified branches ascending in q_s, diagnostic strings).
+    Returns (classified branches ascending in q_s, Diagnostic records).
     Ordering-rule disagreement is reported, never raised.  All branches
     go through one stacked :func:`_max_re_rows`, the kernel
-    :func:`solve_and_classify_grid` uses; each record equals
-    :func:`classify_stability`'s, which classifies any branch the kernel
-    leaves to it.
+    :func:`solve_and_classify_grid` uses.
     """
     branches = tuple(branches)
     states = np.array([branch_state(b) for b in branches]).reshape(-1, 6)
-    max_re, ok = _max_re_rows(states, params, drive.delta1, drive.delta2,
-                              options.sign)
+    max_re = _max_re_rows(states, params, drive.delta1, drive.delta2,
+                          options.sign).tolist()
     classified = tuple(
-        replace(b, verdict=_verdict(m, params, options), max_re_eig=m) if good
-        else classify_stability(b, params, drive, options)
-        for b, m, good in zip(branches, max_re.tolist(), ok.tolist()))
+        replace(b, verdict=verdict, max_re_eig=m)
+        for b, verdict, m in zip(branches, _verdicts(max_re, params, options),
+                                 max_re))
     return classified, _ordering_diagnostics(
         tuple(b.verdict for b in classified), drive.delta1, drive.delta2,
         drive.power_l, drive.power_r)
-
-
-def _max_re_rows(states, params: SystemParams, delta1, delta2,
-                 sign: int) -> tuple:
-    """max Re(eig) [rad/s] at each row of ``states`` (n, 5 or 6), and a
-    mask of the rows where it equals :func:`classify_stability`'s.
-
-    One stack of scaled Jacobians goes through the Faddeev-LeVerrier
-    recurrence and one stacked companion eigenvalue call with the root
-    audit.  A row outside the mask failed the audit or has a zero constant
-    term; :func:`classify_stability` rescues or raises for it.
-    """
-    coeffs = _characteristic_rows(_scaled_jacobians(states, params, delta1,
-                                                    delta2, sign))
-    roots, ok = all_roots_rows(coeffs)
-    # all_roots strips a zero constant term into a smaller companion matrix
-    ok &= coeffs[:, 0] != 0.0
-    return (roots.real * params.omega_m).max(axis=1), ok
 
 
 @dataclass(frozen=True)
@@ -315,9 +303,7 @@ def solve_and_classify_grid(params: SystemParams, drive: DrivePoint,
     done together, block by block: q_s of every branch from
     :func:`steady_q_grid`, photon numbers and effective detunings for all
     branches at once, then every branch of the block through the stacked
-    kernel :func:`classify_branches` uses, :func:`_max_re_rows`, and its
-    verdicts from one vector comparison.  A DrivePoint is built only for
-    a branch the kernel leaves to :func:`classify_stability`.
+    kernel :func:`classify_branches` uses, :func:`_max_re_rows`.
     """
     values = np.asarray(values, dtype=float)
     records = []
@@ -346,22 +332,14 @@ def _classify_block(params, drive, axis, values, options):
     a1, a2 = np.array(amp1, dtype=complex), np.array(amp2, dtype=complex)
     states = np.stack([a1.real, a1.imag, a2.real, a2.imag, q[rows, cols]],
                       axis=1)
-    max_re, ok = _max_re_rows(states, params, delta1, delta2, options.sign)
-    unclassified = zip(q_s, amp1, amp2,
-                       *(a[rows, cols].tolist() for a in (n1, n2, d1, d2)))
+    max_re = _max_re_rows(states, params, delta1, delta2,
+                          options.sign).tolist()
+    records = zip(q_s, amp1, amp2,
+                  *(a[rows, cols].tolist() for a in (n1, n2, d1, d2)),
+                  _verdicts(max_re, params, options), max_re)
     by_sample = [[] for _ in range(len(values))]
-    for r, good, verdict, m, branch_fields in zip(
-            rows.tolist(), ok.tolist(), _verdicts(max_re, params, options),
-            max_re.tolist(), unclassified):
-        if good:
-            branch = SteadyBranch(*branch_fields, verdict, m)
-        else:
-            # field for field the drive point with_value builds
-            point = DrivePoint(*(f[r].item() for f in fields),
-                               amp_convention=drive.amp_convention)
-            branch = classify_stability(SteadyBranch(*branch_fields), params,
-                                        point, options)
-        by_sample[r].append(branch)
+    for r, record in zip(rows.tolist(), records):
+        by_sample[r].append(SteadyBranch(*record))
     drives = zip(*(f.tolist() for f in fields[:4]))
     return [(tuple(branches),
              _ordering_diagnostics(tuple(b.verdict for b in branches), *d))

@@ -24,14 +24,10 @@ import numpy as np
 
 from .continuation import SweepSpec, clamped_hysteresis_sweep, locate_folds
 from .errors import SweepError
-from .params import DrivePoint, preset_hill_params
+from .params import (AMP_CONVENTIONS, KAPPA2_INTERPRETATIONS,
+                     SIGN_CONVENTIONS, DrivePoint, preset_hill_params)
 from .steady import SolverOptions, Verdict, residual_derivative
 from .stability import solve_and_classify
-
-_SIGNS = (("plus", 1), ("minus", -1))
-_KAPPA2 = ("angular", "literal")
-_AMPS = ("literal", "flux")
-
 
 @dataclass(frozen=True)
 class FoldStudyRow:
@@ -109,10 +105,10 @@ def fold_power_study(power_r: float = 1e-7, bracket=(1e-14, 1.0),
                      ) -> FoldStudyReport:
     """Locate the pump-power fold window under all 8 convention choices."""
     rows = []
-    for amp in _AMPS:
-        for kappa2 in _KAPPA2:
+    for amp in AMP_CONVENTIONS:
+        for kappa2 in KAPPA2_INTERPRETATIONS:
             params = preset_hill_params(kappa2_interpretation=kappa2)
-            for sign_name, sign in _SIGNS:
+            for sign_name, sign in SIGN_CONVENTIONS.items():
                 options = SolverOptions(sign=sign)
                 drive = DrivePoint.build(
                     params, delta1=params.omega_m, delta2=params.omega_m,

@@ -8,16 +8,23 @@ numbers.  The exceptions are :func:`scan_counts` and
 :func:`bisect_count_change`, the references for the batched fold scan and
 the exact fold bisection: each is the scalar-solve route it replaced; and
 :func:`polish_root_full`, the reference for the Newton polish's stop on a
-2-cycle, which runs the same loop to its iteration cap.
+2-cycle, which runs the same loop to its iteration cap; and
+:func:`classify_branch`, the reference for the stacked classify kernel,
+which is the per-branch route it replaced: one branch's Jacobian through
+the Faddeev-LeVerrier recurrence, then :func:`all_roots`.
 """
 
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 
 import numpy as np
 
-from twomode.steady import (_POLISH_MAX_ITER, residual_derivative,
+from twomode.polyroots import RealPolynomial, all_roots
+from twomode.stability import (_characteristic_rows, _scaled_jacobians,
+                               branch_state)
+from twomode.steady import (_POLISH_MAX_ITER, Verdict, residual_derivative,
                             steady_branches, steady_residual)
 
 GRID_POINTS = 1_000_000
@@ -167,6 +174,33 @@ def polish_root_full(q, lo, hi, params, drive, sign, trail=None):
         if abs(step) <= 1e-16 * (1.0 + abs(x)):
             break
     return best
+
+
+def characteristic_coefficients(branch, params, drive, sign=1):
+    """Ascending coefficients of the characteristic polynomial of one
+    branch's omega_m-scaled Jacobian, from a one-matrix stack."""
+    jac = _scaled_jacobians(branch_state(branch)[None], params,
+                            drive.delta1, drive.delta2, sign)
+    return tuple(_characteristic_rows(jac)[0].tolist())
+
+
+def classify_branch(branch, params, drive, options, coeffs=None):
+    """The branch with the verdict and max Re(eig) of the per-branch route:
+    :func:`all_roots` of its characteristic polynomial (``coeffs`` when
+    given, else :func:`characteristic_coefficients`)."""
+    if coeffs is None:
+        coeffs = characteristic_coefficients(branch, params, drive,
+                                             options.sign)
+    lam = all_roots(RealPolynomial(coeffs=coeffs)) * params.omega_m
+    max_re = float(np.max(lam.real))
+    eps = options.marginal_band * params.omega_m
+    if max_re < -eps:
+        verdict = Verdict.STABLE
+    elif max_re > eps:
+        verdict = Verdict.UNSTABLE
+    else:
+        verdict = Verdict.MARGINAL
+    return replace(branch, verdict=verdict, max_re_eig=max_re)
 
 
 def cubic_discriminant(a, b, c, d):

@@ -122,6 +122,30 @@ def test_folds_none_found(tmp_path, capsys):
     assert "no folds" in capsys.readouterr().out
 
 
+def test_consecutive_calls_do_not_share_arguments(tmp_path, capsys,
+                                                  monkeypatch):
+    from twomode import cli
+
+    seen = []
+    monkeypatch.setattr(cli, "locate_folds",
+                        lambda *a, samples: seen.append(samples) or ())
+    text = (BASE
+            + 'sweep.axis = "power_l"\n'
+            + 'sweep.start_w = 1e-16\n'
+            + 'sweep.stop_w = 1e-15\n')
+    cfg = _write(tmp_path, text)
+    out = tmp_path / "folds.txt"
+    assert main(["folds", "--config", cfg, "--samples", "32",
+                 "--out", str(out)]) == 0
+    out.unlink()
+    capsys.readouterr()
+    assert main(["folds", "--config", cfg]) == 0
+    assert seen == [32, 1024]
+    assert not out.exists()
+    assert capsys.readouterr().out.startswith("no folds on power_l")
+    assert cli.build_parser() is cli.build_parser()
+
+
 def test_preset_campaign(tmp_path):
     out = tmp_path / "fig5a.csv"
     assert main(["preset", "fig5a", "--points", "25", "--threads", "1",
@@ -137,6 +161,14 @@ def test_config_error_exits_2(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "error:" in err
     assert "system.coupling" in err
+
+
+def test_sweep_direction_down_exits_2(tmp_path, capsys):
+    cfg = _write(tmp_path, LOOP_CONFIG.replace('sweep.direction = "both"',
+                                               'sweep.direction = "down"'))
+    assert main(["sweep", "--config", cfg]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: line 10: sweep.direction must be one of")
 
 
 def test_sweep_endpoint_past_mode_frequency_exits_2(tmp_path, capsys):

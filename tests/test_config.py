@@ -163,6 +163,21 @@ def test_sweep_frequency_axis():
     assert cfg.sweep.direction == "up"
 
 
+def test_sweep_direction_down_is_rejected():
+    # "down" solved the same grid as "up"; it is no longer accepted
+    doc = ('system = "hill2012"\n'
+           'sweep.axis = "power_l"\n'
+           'sweep.start_w = 1e-14\n'
+           'sweep.stop_w = 1e-10\n'
+           'sweep.direction = "down"\n')
+    with pytest.raises(ConfigError) as err:
+        parse_config(doc)
+    assert err.value.key == "sweep.direction"
+    assert err.value.line == 5
+    assert "sweep.direction" in str(err.value)
+    assert "'down'" in str(err.value)
+
+
 def test_sweep_errors():
     base = 'system = "hill2012"\n'
     with pytest.raises(ConfigError) as err:

@@ -59,6 +59,8 @@ def test_spec_validation(preset):
     with pytest.raises(ParameterError):
         SweepSpec(axis="power_l", start=0.0, stop=1.0, drive=d, direction="sideways")
     with pytest.raises(ParameterError):
+        SweepSpec(axis="power_l", start=0.0, stop=1.0, drive=d, direction="down")
+    with pytest.raises(ParameterError):
         SweepSpec(axis="power_l", start=0.0, stop=1.0, drive=d, points=1)
     with pytest.raises(ParameterError):
         SweepSpec(axis="power_l", start=1.0, stop=1.0, drive=d)

@@ -8,9 +8,9 @@ import pytest
 from twomode.continuation import SweepSpec, hysteresis_sweep, sweep_1d
 from twomode.errors import ParameterError
 from twomode.io import (CSV_HEADER, branch_row, labeled_rows, output_path,
-                        render_csv, render_jsonlines, render_rows,
-                        result_rows, summarize, trace_rows, write_rows,
-                        write_summary)
+                        preset_rows, render_csv, render_jsonlines,
+                        render_rows, result_rows, summarize, trace_rows,
+                        write_rows, write_summary)
 from twomode.params import replace_params
 from twomode.stability import solve_and_classify
 from twomode.steady import Verdict
@@ -115,6 +115,20 @@ def test_labeled_fanout(loop_result, preset, options):
                      points=5)
     plain = sweep_1d(preset, spec, options)
     assert set(labeled_rows(plain)) == {"grid"}
+
+
+def test_preset_rows_flatten_labels(loop_result, preset, options):
+    d = _drive(preset, delta1=preset.omega_m, delta2=0.0,
+               power_l=1e-14, power_r=0.0)
+    spec = SweepSpec(axis="power_l", start=1e-15, stop=5e-15, drive=d,
+                     points=5)
+    plain = sweep_1d(preset, spec, options)
+    rows = preset_rows({"ramp": loop_result, "scan": plain})
+    assert list(rows) == ["ramp", "ramp_up", "ramp_down", "scan"]
+    loop = labeled_rows(loop_result)
+    assert rows["ramp"] == loop["grid"]
+    assert rows["ramp_up"] == loop["up"]
+    assert rows["scan"] == result_rows(plain)
 
 
 def test_output_path_labels(tmp_path):

@@ -8,16 +8,17 @@ import pytest
 
 import oracles
 import sampling
-from twomode import stability
-from twomode.errors import ParameterError
+from twomode import continuation, stability
+from twomode.continuation import SweepSpec, axis_grid, sweep_1d
+from twomode.errors import (ClassificationError, ParameterError,
+                            PolynomialError, SweepError)
 from twomode.params import DrivePoint, preset_hill_params, replace_params
-from twomode.polyroots import all_roots_rows
+from twomode.polyroots import all_roots, all_roots_rows
 from twomode.stability import (Trajectory, _ordering_diagnostics,
                                branch_eigenvalues, branch_state,
-                               characteristic_polynomial, classify_branches,
-                               classify_stability, integrate_dynamics,
-                               jacobian, ordering_rule, solve_and_classify,
-                               vector_field)
+                               classify_branches, classify_stability,
+                               integrate_dynamics, jacobian, ordering_rule,
+                               solve_and_classify, vector_field)
 from twomode.steady import SolverOptions, Verdict, steady_branches
 
 from test_steady import FIVE_ROOT_DRIVE, _drive
@@ -77,11 +78,9 @@ def test_jacobian_matches_finite_differences(preset, rng):
         assert np.max(np.abs(got - want)) <= 1e-6 * np.max(np.abs(got))
 
 
-def test_characteristic_polynomial_exact_small_case():
-    cp = characteristic_polynomial(np.diag([1.0, 2.0, 3.0]))
-    assert cp.coeffs == (-6.0, 11.0, -6.0, 1.0)
-    with pytest.raises(ParameterError):
-        characteristic_polynomial(np.zeros((2, 3)))
+def test_characteristic_rows_exact_small_case():
+    coeffs = stability._characteristic_rows(np.diag([1.0, 2.0, 3.0])[None])
+    assert coeffs.tolist() == [[-6.0, 11.0, -6.0, 1.0]]
 
 
 def test_eigenvalues_match_dense_solver(preset, options):
@@ -210,10 +209,13 @@ def test_classify_preserves_branch_fields(preset, options):
         assert math.isfinite(after.max_re_eig)
 
 
-def _scalar_classified(branches, params, drive, options):
-    """classify_branches through the scalar route, branch by branch."""
-    classified = tuple(classify_stability(b, params, drive, options)
-                       for b in branches)
+def _scalar_classified(branches, params, drive, options, coeffs_of=None):
+    """classify_branches through the oracle's per-branch route; branch i
+    takes the characteristic coefficients ``coeffs_of[i]`` when given."""
+    coeffs_of = coeffs_of or {}
+    classified = tuple(
+        oracles.classify_branch(b, params, drive, options, coeffs_of.get(i))
+        for i, b in enumerate(branches))
     return classified, _ordering_diagnostics(
         tuple(b.verdict for b in classified), drive.delta1, drive.delta2,
         drive.power_l, drive.power_r)
@@ -253,14 +255,25 @@ def test_classify_branches_equals_scalar_route():
             options = SolverOptions(sign=sign)
             raw = steady_branches(params, drive, options)
             counts.add((len(raw), params.g1 == 0.0, params.g2 == 0.0))
-            assert classify_branches(raw, params, drive, options) \
-                == _scalar_classified(raw, params, drive, options)
+            want = _scalar_classified(raw, params, drive, options)
+            assert classify_branches(raw, params, drive, options) == want
+            assert tuple(classify_stability(b, params, drive, options)
+                         for b in raw) == want[0]
     assert {(1, False, False), (3, False, False), (5, False, False),
             (3, False, True), (3, True, False)} <= counts
 
 
+def _spy_all_roots(monkeypatch):
+    """Record the coefficients of every all_roots call the kernel makes."""
+    calls = []
+    monkeypatch.setattr(stability, "all_roots",
+                        lambda p: calls.append(p.coeffs) or all_roots(p))
+    return calls
+
+
 def test_classify_branches_rescues_through_scalar_route(monkeypatch):
-    # a stacked row the audit rejects goes to classify_stability
+    # every stacked row the audit rejects is re-solved inside the kernel
+    # by all_roots on that row's own coefficients
     params, drive = sampling.draw_five_root_point(random.Random(3),
                                                   SolverOptions())
     options = SolverOptions()
@@ -271,44 +284,106 @@ def test_classify_branches_rescues_through_scalar_route(monkeypatch):
         roots, ok = all_roots_rows(coeffs)
         return roots, np.zeros_like(ok)
 
-    rescued = []
-    scalar = stability.classify_stability
     monkeypatch.setattr(stability, "all_roots_rows", rejected)
-    monkeypatch.setattr(stability, "classify_stability",
-                        lambda *a: rescued.append(a) or scalar(*a))
+    calls = _spy_all_roots(monkeypatch)
     assert classify_branches(raw, params, drive, options) == want
-    assert len(rescued) == len(raw) == 5
+    assert len(raw) == 5
+    assert calls == [oracles.characteristic_coefficients(b, params, drive)
+                     for b in raw]
 
 
 @pytest.mark.parametrize("route", ["point", "grid"])
 def test_zero_constant_term_goes_to_scalar_route(preset, options,
                                                  monkeypatch, route):
     # all_roots strips a zero constant term into a smaller companion
-    # matrix, which the stacked kernel does not: such a row must be
-    # classified by classify_stability, at the drive point it came from
+    # matrix, which the stacked eigenvalue call does not: such a row must
+    # be re-solved inside the kernel by all_roots on its own coefficients
     d = _drive(preset, **FIVE_ROOT_DRIVE)
     raw = steady_branches(preset, d, options)
-    want = _scalar_classified(raw, preset, d, options)
+    zeroed = list(oracles.characteristic_coefficients(raw[2], preset, d))
+    zeroed[0] = 0.0
+    want = _scalar_classified(raw, preset, d, options, {2: tuple(zeroed)})
     rows = stability._characteristic_rows
 
     def zero_root_in_stack(m):
         coeffs = rows(m)
-        if len(m) > 1:          # the stacked call, not a scalar rescue
-            coeffs[2, 0] = 0.0
+        coeffs[2, 0] = 0.0
         return coeffs
 
-    rescued = []
-    scalar = stability.classify_stability
     monkeypatch.setattr(stability, "_characteristic_rows", zero_root_in_stack)
-    monkeypatch.setattr(stability, "classify_stability",
-                        lambda *a: rescued.append(a) or scalar(*a))
+    calls = _spy_all_roots(monkeypatch)
     if route == "point":
         got = classify_branches(raw, preset, d, options)
     else:
         (got,) = stability.solve_and_classify_grid(preset, d, "power_l",
                                                    [d.power_l], options)
     assert got == want
-    assert rescued == [(raw[2], preset, d, options)]
+    assert calls == [tuple(zeroed)]
+
+
+def test_failed_rescue_raises_classification_error(monkeypatch):
+    # a row all_roots cannot solve raises, carrying that row's polynomial
+    params, drive = sampling.draw_five_root_point(random.Random(3),
+                                                  SolverOptions())
+    options = SolverOptions()
+    raw = steady_branches(params, drive, options)
+
+    def reject_row_2(coeffs):
+        roots, ok = all_roots_rows(coeffs)
+        ok[2] = False
+        return roots, ok
+
+    def no_roots(p):
+        raise PolynomialError(f"no roots for {p.coeffs!r}")
+
+    monkeypatch.setattr(stability, "all_roots_rows", reject_row_2)
+    monkeypatch.setattr(stability, "all_roots", no_roots)
+    with pytest.raises(ClassificationError) as info:
+        classify_branches(raw, params, drive, options)
+    assert info.value.polynomial.coeffs \
+        == oracles.characteristic_coefficients(raw[2], params, drive)
+    assert isinstance(info.value.__cause__, PolynomialError)
+
+
+def test_failed_rescue_names_first_failing_sweep_sample(preset, options,
+                                                        monkeypatch):
+    # rows whose pump photon number passes a threshold cannot be solved;
+    # the sweep raises a SweepError at the first such sample, the error
+    # the pointwise route raises there
+    d = _drive(preset, delta1=preset.omega_m, delta2=preset.omega_m,
+               power_l=1e-13, power_r=1e-13)
+    spec = SweepSpec(axis="power_l", start=1e-13, stop=1e-11, drive=d,
+                     points=20)
+    values = axis_grid(spec).tolist()
+    n_p1 = [max(b.n_p1 for b in branches)
+            for _, branches in sweep_1d(preset, spec, options).records]
+    first = 7
+    assert n_p1 == sorted(n_p1)
+    threshold = math.sqrt(n_p1[first - 1] * n_p1[first])
+    # the scaled force row holds 4 g1 / omega_m times the pump quadratures
+    scale = 4.0 * preset.g1 / preset.omega_m
+    rows = stability._characteristic_rows
+
+    def zero_root_above_threshold(m):
+        coeffs = rows(m)
+        n1 = (m[:, 5, 0] ** 2 + m[:, 5, 1] ** 2) / scale**2
+        coeffs[n1 > threshold, 0] = 0.0
+        return coeffs
+
+    def no_roots(p):
+        raise PolynomialError("no roots")
+
+    monkeypatch.setattr(stability, "_characteristic_rows",
+                        zero_root_above_threshold)
+    monkeypatch.setattr(stability, "all_roots", no_roots)
+    with pytest.raises(SweepError) as info:
+        sweep_1d(preset, spec, options)
+    assert info.value.axis_value == values[first]
+    assert isinstance(info.value.__cause__, ClassificationError)
+    with pytest.raises(SweepError) as pointwise:
+        continuation._solve_classified(preset, d, "power_l", values[first],
+                                       options)
+    assert str(info.value) == str(pointwise.value)
 
 
 def test_classify_branches_of_nothing(preset):
