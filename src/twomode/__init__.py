@@ -11,17 +11,15 @@ from .continuation import (HysteresisResult, SweepResult, SweepSpec, Trace,
                            axis_grid, clamped_hysteresis_sweep,
                            hysteresis_sweep, locate_folds, sweep_1d)
 from .config import RunConfig, parse_config, serialize_config
-from .errors import (ClassificationError, ConfigError, IntegrationError,
-                     NoStableBranchError, ParameterError, PolynomialError,
-                     SolverError, SweepError)
+from .errors import (ClassificationError, ConfigError, NoStableBranchError,
+                     ParameterError, PolynomialError, SolverError, SweepError)
 from .figures import FIGURE_PRESETS, power_window, run_preset
 from .params import (HBAR, DrivePoint, SystemParams, drive_amplitude,
                      preset_hill_params, replace_params, to_angular)
 from .polyroots import RealPolynomial, all_roots, real_roots
-from .stability import (Diagnostic, Trajectory, branch_eigenvalues,
-                        branch_state, classify_branches, classify_stability,
-                        integrate_dynamics, jacobian, ordering_rule,
-                        solve_and_classify, vector_field)
+from .stability import (Diagnostic, branch_eigenvalues, branch_state,
+                        classify_branches, classify_stability, jacobian,
+                        ordering_rule, solve_and_classify)
 from .steady import (ScaledPolynomial, SolverOptions, SteadyBranch, Verdict,
                      assemble_fixed_point_polynomial, effective_detunings,
                      photon_numbers_from_q, q_upper_bound, steady_amplitudes,
@@ -34,7 +32,7 @@ __version__ = "0.1.0"
 __all__ = [
     "HBAR", "__version__",
     "ParameterError", "ConfigError", "PolynomialError", "SolverError",
-    "ClassificationError", "IntegrationError", "SweepError",
+    "ClassificationError", "SweepError",
     "NoStableBranchError",
     "to_angular", "drive_amplitude", "SystemParams", "DrivePoint",
     "preset_hill_params", "replace_params",
@@ -44,10 +42,9 @@ __all__ = [
     "steady_residual",
     "steady_amplitudes", "photon_numbers_from_q", "effective_detunings",
     "q_upper_bound",
-    "branch_state", "vector_field", "jacobian",
+    "branch_state", "jacobian",
     "branch_eigenvalues", "classify_stability", "classify_branches",
-    "ordering_rule", "solve_and_classify", "Diagnostic", "Trajectory",
-    "integrate_dynamics",
+    "ordering_rule", "solve_and_classify", "Diagnostic",
     "SweepSpec", "Trace", "HysteresisResult", "SweepResult", "axis_grid",
     "sweep_1d", "hysteresis_sweep", "clamped_hysteresis_sweep",
     "locate_folds",

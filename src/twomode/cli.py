@@ -21,8 +21,8 @@ from pathlib import Path
 
 from .config import parse_config
 from .continuation import hysteresis_sweep, locate_folds, sweep_1d
-from .errors import (ClassificationError, ConfigError, IntegrationError,
-                     ParameterError, PolynomialError, SolverError, SweepError)
+from .errors import (ClassificationError, ConfigError, ParameterError,
+                     PolynomialError, SolverError, SweepError)
 from .figures import FIGURE_PRESETS, run_preset
 from .io import (FORMATS, branch_row, labeled_rows, preset_rows, write_rows,
                  write_summary)
@@ -31,7 +31,7 @@ from .stability import solve_and_classify
 from .steady import SolverOptions
 
 _NUMERIC_ERRORS = (PolynomialError, SolverError, ClassificationError,
-                   IntegrationError, SweepError)
+                   SweepError)
 
 
 def _add_common(sub, *, config_required=True):
@@ -81,8 +81,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _load_config(args):
-    with open(args.config) as fh:
-        text = fh.read()
+    with open(args.config, "rb") as fh:
+        data = fh.read()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"byte {data[exc.start]:#04x} is not valid UTF-8",
+                          line=data.count(b"\n", 0, exc.start) + 1) from exc
     return parse_config(text, sign_convention=args.sign,
                         kappa2_interpretation=args.kappa2)
 

@@ -43,10 +43,6 @@ class ClassificationError(RuntimeError):
         super().__init__(message)
 
 
-class IntegrationError(RuntimeError):
-    """Time integration could not meet its error target (stiffness, step underflow)."""
-
-
 class SweepError(RuntimeError):
     """A parameter sweep failed; carries the axis value where it happened."""
 

@@ -22,8 +22,9 @@ diagnostic, not an error, since the rule genuinely fails in anti-damped
 code filters them by ``kind``; the text is built only when ``str()`` is
 called.
 
-An adaptive explicit time integrator is included as an independent
-verification oracle for the classifier; it shares no algebra with it.
+The package does no time integration.  The test suite checks verdicts
+against trajectories of the mean-field equations, integrated by SciPy's
+DOP853 on a right-hand side that shares no algebra with this module.
 """
 
 from __future__ import annotations
@@ -34,14 +35,12 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import ClassificationError, IntegrationError, ParameterError, PolynomialError
+from .errors import ClassificationError, PolynomialError
 from .params import DrivePoint, SystemParams
 from .polyroots import RealPolynomial, all_roots, all_roots_rows
 from .steady import (_GRID_BLOCK, SolverOptions, SteadyBranch, Verdict,
-                     photon_numbers_from_q, steady_amplitudes, steady_branches,
-                     steady_q_grid)
+                     photon_numbers_from_q, steady_branches, steady_q_grid)
 
-_DEFAULT_MAX_STEPS = 50_000_000
 # Scaled-Jacobian entries that are constant rates, and those that are a
 # rate times one field quadrature (the Q column and the force row), with
 # the state column each takes.
@@ -62,33 +61,10 @@ def branch_state(branch: SteadyBranch) -> np.ndarray:
                      branch.q_s, 0.0])
 
 
-def _rhs_params(params: SystemParams, drive: DrivePoint, sign: int,
-                unit: float = 1.0) -> tuple:
-    """Rates and pumps in units of ``unit`` [rad/s], in the order the
-    integrator kernel's right-hand side takes them after the state."""
-    rates = (params.kappa1, drive.delta1, params.g1,
-             math.sqrt(params.kappa_e1) * drive.amp_l,
-             params.kappa2, drive.delta2, params.g2,
-             math.sqrt(params.kappa_e2) * drive.amp_r, params.gamma_m)
-    return (*(r / unit for r in rates), float(sign), params.omega_m / unit)
-
-
-def vector_field(state, params: SystemParams, drive: DrivePoint,
-                 sign: int = 1) -> np.ndarray:
-    """Time derivative of the real first-order system, SI rates [1/s].
-
-    State layout matches :func:`branch_state`; P is dQ/dt.  This is the
-    integrator kernel's right-hand side, evaluated in SI units.
-    """
-    from ._odekernel import _rhs
-
-    return np.array(_rhs(*(float(v) for v in state),
-                         *_rhs_params(params, drive, sign)))
-
-
 def jacobian(state, params: SystemParams, drive: DrivePoint,
              sign: int = 1) -> np.ndarray:
-    """Analytic Jacobian of :func:`vector_field` at ``state`` [rad/s].
+    """Analytic Jacobian of the real first-order mean-field system at
+    ``state`` (layout of :func:`branch_state`, P = dQ/dt) [rad/s].
 
     It is omega_m D J D^-1, with J the omega_m-scaled Jacobian and
     D = diag(1, 1, 1, 1, 1, omega_m) the scale of P.
@@ -344,62 +320,3 @@ def _classify_block(params, drive, axis, values, options):
     return [(tuple(branches),
              _ordering_diagnostics(tuple(b.verdict for b in branches), *d))
             for branches, d in zip(by_sample, drives)]
-
-
-@dataclass(frozen=True)
-class Trajectory:
-    """Sampled solution of the time integration, SI units."""
-
-    times: np.ndarray
-    states: np.ndarray
-
-    @property
-    def final(self) -> np.ndarray:
-        return self.states[-1]
-
-
-def integrate_dynamics(initial, params: SystemParams, drive: DrivePoint,
-                       t_end: float, rel_tol: float = 1e-8,
-                       sign: int = 1, n_samples: int = 129,
-                       max_steps: int = _DEFAULT_MAX_STEPS) -> Trajectory:
-    """Adaptive explicit integration of :func:`vector_field`.
-
-    Classical RK4 with step-doubling: every step is checked against two
-    half steps, so the local error is bounded against a half-step-size
-    self-check at the requested relative tolerance.  Step-size underflow
-    or an exhausted step budget raises ``IntegrationError`` (the stiff
-    regime where an explicit method cannot proceed).
-    """
-    from . import _odekernel
-
-    if not 1e-12 <= rel_tol <= 1e-3:
-        raise ParameterError(f"rel_tol out of range [1e-12, 1e-3]: {rel_tol!r}")
-    if not (math.isfinite(t_end) and t_end > 0.0):
-        raise ParameterError(f"t_end must be positive and finite, got {t_end!r}")
-    if n_samples < 2:
-        raise ParameterError(f"need at least 2 samples, got {n_samples!r}")
-    om = params.omega_m
-    y0 = np.asarray(initial, dtype=float).copy()
-    if y0.shape != (6,):
-        raise ParameterError(f"initial state must have 6 components, got {y0.shape}")
-    y0[5] /= om
-    pv = np.array(_rhs_params(params, drive, sign, om))
-    # Error-control floors: the drive's own steady scale where available,
-    # so decay-to-zero segments are not held to a purely relative target.
-    a1, a2 = steady_amplitudes(0.0, params, drive)
-    floor = max(abs(a1), abs(a2), float(np.max(np.abs(y0))), 1e-12)
-    sc = np.maximum(np.abs(y0), 1e-3 * floor)
-    taus = np.linspace(0.0, t_end * om, n_samples)
-    status, states, _ = _odekernel.integrate(y0, taus, rel_tol, pv, sc,
-                                             max_steps)
-    if status == _odekernel.STATUS_STEP_UNDERFLOW:
-        raise IntegrationError(
-            f"step size underflow at rel_tol={rel_tol!r}; system too stiff "
-            "for the explicit integrator")
-    if status == _odekernel.STATUS_STEP_BUDGET:
-        raise IntegrationError(
-            f"step budget {max_steps} exhausted; system too stiff "
-            "for the explicit integrator")
-    out = states.copy()
-    out[:, 5] *= om
-    return Trajectory(times=taus / om, states=out)

@@ -12,6 +12,9 @@ the exact fold bisection: each is the scalar-solve route it replaced; and
 :func:`classify_branch`, the reference for the stacked classify kernel,
 which is the per-branch route it replaced: one branch's Jacobian through
 the Faddeev-LeVerrier recurrence, then :func:`all_roots`.
+
+Time-domain checks integrate :func:`rhs_reference` with SciPy's DOP853
+(:func:`integrate_final`); the package itself does no time integration.
 """
 
 from __future__ import annotations
@@ -20,6 +23,8 @@ import math
 from dataclasses import replace
 
 import numpy as np
+from numpy.polynomial import polynomial as P
+from scipy.integrate import solve_ivp
 
 from twomode.polyroots import RealPolynomial, all_roots
 from twomode.stability import (_characteristic_rows, _scaled_jacobians,
@@ -247,6 +252,55 @@ def rhs_reference(state, params, drive, sign=1):
           + 2.0 * params.omega_m * (params.g1 * abs(a1) ** 2
                                     + sign * params.g2 * abs(a2) ** 2))
     return np.array([da1.real, da1.imag, da2.real, da2.imag, dq, dp])
+
+
+def integrate_final(y0, params, drive, t_end, rel_tol, sign=1):
+    """State at ``t_end`` [s] of :func:`rhs_reference` started from ``y0``.
+
+    DOP853 runs in tau = omega_m t with P divided by omega_m, so every
+    component moves on the same clock.  The absolute tolerance of each
+    component is ``rel_tol`` times its initial size, floored at 1e-3 of
+    the largest of the drive's own linear amplitudes and the initial
+    state: segments that decay to zero are not held to a purely relative
+    target, and a P that starts at 0 still gets a floor on that scale.
+    """
+    om = params.omega_m
+    unit = np.array([1.0, 1.0, 1.0, 1.0, 1.0, om])
+    y = np.asarray(y0, dtype=float) / unit
+    floor = max(math.sqrt(linear_photon_number(params, drive, 1)),
+                math.sqrt(linear_photon_number(params, drive, 2)),
+                float(np.max(np.abs(y))), 1e-12)
+    sol = solve_ivp(
+        lambda _, x: rhs_reference(x * unit, params, drive, sign) / (om * unit),
+        (0.0, t_end * om), y, method="DOP853", rtol=rel_tol,
+        atol=rel_tol * np.maximum(np.abs(y), 1e-3 * floor))
+    if not sol.success:
+        raise RuntimeError(f"DOP853 failed: {sol.message}")
+    return sol.y[:, -1] * unit
+
+
+def characteristic_closed_form(branch, params, drive, sign=1):
+    """Ascending coefficients of the characteristic polynomial of one
+    branch's linearization, in omega_m units, in closed form:
+
+        D(lam) = L1 L2 M - 4 g1^2 n1 D1 L2 - s 4 g2^2 n2 D2 L1
+
+    with Lk = (lam + kappa_k)^2 + Dk^2, M = lam^2 + gamma_m lam + 1, Dk the
+    effective detuning and nk = |a_k|^2 the photon number of mode k.
+    """
+    om = params.omega_m
+    modes = []
+    for kappa, delta, g, amp in ((params.kappa1, drive.delta1, params.g1,
+                                  branch.amp1),
+                                 (params.kappa2, drive.delta2, params.g2,
+                                  branch.amp2)):
+        k, d = kappa / om, (delta - g * branch.q_s) / om
+        lorentz = np.array((k * k + d * d, 2.0 * k, 1.0))
+        modes.append((lorentz, 4.0 * (g / om) ** 2 * abs(amp) ** 2 * d))
+    (l1, c1), (l2, c2) = modes
+    mech = (1.0, params.gamma_m / om, 1.0)
+    return P.polysub(P.polymul(P.polymul(l1, l2), mech),
+                     c1 * l2 + sign * c2 * l1)
 
 
 def fd_jacobian(state, params, drive, sign=1, step_rel=1e-6):

@@ -20,7 +20,7 @@ import oracles
 import sampling
 from twomode.continuation import SweepSpec, hysteresis_sweep, locate_folds, sweep_1d
 from twomode.params import DrivePoint, preset_hill_params, replace_params
-from twomode.stability import branch_state, integrate_dynamics, jacobian
+from twomode.stability import branch_state, jacobian
 from twomode.steady import SolverOptions, Verdict, steady_branches
 from twomode.studies import fold_power_study, subunity_search
 
@@ -137,9 +137,9 @@ def test_ac2_branch_structure_and_ode_verdicts(oracle_batch, options):
             scale = _state_scale(b, params)
             horizon = 30.0 / abs(b.max_re_eig)
             for kick in (1.001, 0.999):
-                traj = integrate_dynamics(branch_state(b) * kick, params,
-                                          point, horizon, rel_tol=1e-10)
-                err = np.max(np.abs(traj.final - branch_state(b)) / scale)
+                final = oracles.integrate_final(branch_state(b) * kick, params,
+                                                point, horizon, rel_tol=1e-10)
+                err = np.max(np.abs(final - branch_state(b)) / scale)
                 worst_return = max(worst_return, err)
                 assert err < 1e-4, (point, b.q_s, err)
         mid = branches[1]
@@ -150,11 +150,12 @@ def test_ac2_branch_structure_and_ode_verdicts(oracle_batch, options):
         settle = min(abs(b.max_re_eig) for b in stable)
         horizon = 20.0 / evals[lead].real + 40.0 / settle
         for s in (1.0, -1.0):
-            traj = integrate_dynamics(branch_state(mid) + s * 1e-4 * v,
-                                      params, point, horizon, rel_tol=1e-10)
-            dists = [np.max(np.abs(traj.final - branch_state(b))
+            final = oracles.integrate_final(branch_state(mid) + s * 1e-4 * v,
+                                            params, point, horizon,
+                                            rel_tol=1e-10)
+            dists = [np.max(np.abs(final - branch_state(b))
                             / _state_scale(b, params)) for b in stable]
-            off = np.max(np.abs(traj.final - branch_state(mid))
+            off = np.max(np.abs(final - branch_state(mid))
                          / _state_scale(mid, params))
             assert off > 1e-2, (point, off)
             worst_landing = max(worst_landing, min(dists))

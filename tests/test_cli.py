@@ -163,6 +163,14 @@ def test_config_error_exits_2(tmp_path, capsys):
     assert "system.coupling" in err
 
 
+def test_config_not_utf8_exits_2_naming_the_line(tmp_path, capsys):
+    path = tmp_path / "run.conf"
+    path.write_bytes(BASE.encode() + b'drive.power_l_w = 1e-13 # \xff\n')
+    assert main(["solve", "--config", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: line 2: byte 0xff is not valid UTF-8")
+
+
 def test_sweep_direction_down_exits_2(tmp_path, capsys):
     cfg = _write(tmp_path, LOOP_CONFIG.replace('sweep.direction = "both"',
                                                'sweep.direction = "down"'))

@@ -1,4 +1,6 @@
-"""Linearization, eigenvalue verdicts, and the time-domain oracle."""
+"""Linearization, eigenvalue verdicts, and their checks against the
+closed-form characteristic polynomial and against trajectories that SciPy's
+DOP853 integrates on the oracle's right-hand side."""
 
 import math
 import random
@@ -10,15 +12,13 @@ import oracles
 import sampling
 from twomode import continuation, stability
 from twomode.continuation import SweepSpec, axis_grid, sweep_1d
-from twomode.errors import (ClassificationError, ParameterError,
-                            PolynomialError, SweepError)
+from twomode.errors import ClassificationError, PolynomialError, SweepError
 from twomode.params import DrivePoint, preset_hill_params, replace_params
 from twomode.polyroots import all_roots, all_roots_rows
-from twomode.stability import (Trajectory, _ordering_diagnostics,
-                               branch_eigenvalues, branch_state,
-                               classify_branches, classify_stability,
-                               integrate_dynamics, jacobian, ordering_rule,
-                               solve_and_classify, vector_field)
+from twomode.stability import (_ordering_diagnostics, branch_eigenvalues,
+                               branch_state, classify_branches,
+                               classify_stability, jacobian, ordering_rule,
+                               solve_and_classify)
 from twomode.steady import SolverOptions, Verdict, steady_branches
 
 from test_steady import FIVE_ROOT_DRIVE, _drive
@@ -41,25 +41,11 @@ def test_branch_state_layout(preset):
     assert s[4] == b.q_s and s[5] == 0.0
 
 
-def test_vector_field_matches_reference(preset, rng):
-    d = _drive(preset, delta1=0.8 * preset.omega_m, delta2=1.2 * preset.omega_m,
-               power_l=4e-11, power_r=7e-12)
-    for sign in (1, -1):
-        for _ in range(50):
-            state = np.array([rng.uniform(-6e4, 6e4), rng.uniform(-6e4, 6e4),
-                              rng.uniform(-2e4, 2e4), rng.uniform(-2e4, 2e4),
-                              rng.uniform(-2e4, 2e4), rng.uniform(-1e14, 1e14)])
-            got = vector_field(state, preset, d, sign)
-            want = oracles.rhs_reference(state, preset, d, sign)
-            assert np.all(np.abs(got - want)
-                          <= 1e-12 * np.maximum(np.abs(want), 1e-30))
-
-
 def test_vector_field_vanishes_at_branches(preset, options, rng):
     for _ in range(20):
         d = sampling.draw_drive(rng, preset)
         for b in steady_branches(preset, d, options):
-            f = vector_field(branch_state(b), preset, d)
+            f = oracles.rhs_reference(branch_state(b), preset, d)
             scale = _state_scale(b, preset)
             rates = np.array([preset.kappa1, preset.kappa1, preset.kappa2,
                               preset.kappa2, preset.omega_m, preset.omega_m])
@@ -263,6 +249,25 @@ def test_classify_branches_equals_scalar_route():
             (3, False, True), (3, True, False)} <= counts
 
 
+def test_characteristic_rows_match_closed_form():
+    # the recurrence over each point's stacked Jacobians against
+    # D(lam) = L1 L2 M - 4 g1^2 n1 D1 L2 - s 4 g2^2 n2 D2 L1
+    counts = set()
+    for params, drive in _classify_cases():
+        for sign in (1, -1):
+            raw = steady_branches(params, drive, SolverOptions(sign=sign))
+            counts.add(len(raw))
+            states = np.array([branch_state(b) for b in raw])
+            rows = stability._characteristic_rows(stability._scaled_jacobians(
+                states, params, drive.delta1, drive.delta2, sign))
+            for b, row in zip(raw, rows):
+                want = oracles.characteristic_closed_form(b, params, drive,
+                                                          sign)
+                assert (np.max(np.abs(row - want))
+                        <= 1e-7 * np.max(np.abs(want))), (drive, sign, b.q_s)
+    assert {1, 3, 5} <= counts
+
+
 def _spy_all_roots(monkeypatch):
     """Record the coefficients of every all_roots call the kernel makes."""
     calls = []
@@ -403,39 +408,20 @@ def test_five_branch_point_is_classified_in_one_stack(preset, options,
     assert calls == [(5, 6, 6)]
 
 
-def test_integrator_validation(preset):
-    d = _drive(preset, delta1=0.0, delta2=0.0, power_l=0.0, power_r=0.0)
-    y0 = np.zeros(6)
-    with pytest.raises(ParameterError):
-        integrate_dynamics(y0, preset, d, t_end=-1.0)
-    with pytest.raises(ParameterError):
-        integrate_dynamics(y0, preset, d, t_end=1e-9, rel_tol=1.0)
-    with pytest.raises(ParameterError):
-        integrate_dynamics(y0, preset, d, t_end=1e-9, n_samples=1)
-    with pytest.raises(ParameterError):
-        integrate_dynamics(np.zeros(5), preset, d, t_end=1e-9)
-
-
 def test_integrator_against_closed_form(preset):
     # uncoupled undriven system: every block has an exact solution
     p0 = replace_params(preset, g1=0.0, g2=0.0)
     d = _drive(p0, delta1=0.3 * p0.omega_m, delta2=-0.6 * p0.omega_m,
                power_l=0.0, power_r=0.0)
     y0 = np.array([1.0, 0.5, -0.3, 0.8, 2.0, 0.0])
-    t_end = 3.0 / p0.kappa1
-    traj = integrate_dynamics(y0, p0, d, t_end, rel_tol=1e-10, n_samples=33)
-    assert isinstance(traj, Trajectory)
-    assert traj.states.shape == (33, 6)
-    assert traj.times[0] == 0.0
-    assert traj.times[-1] == pytest.approx(t_end, rel=1e-12)
-    tf = traj.times[-1]
+    tf = 3.0 / p0.kappa1
+    got = oracles.integrate_final(y0, p0, d, tf, rel_tol=1e-10)
     a1 = (1.0 + 0.5j) * np.exp(-(p0.kappa1 + 1j * d.delta1) * tf)
     a2 = (-0.3 + 0.8j) * np.exp(-(p0.kappa2 + 1j * d.delta2) * tf)
     gm, wm = p0.gamma_m, p0.omega_m
     nu = math.sqrt(wm * wm - gm * gm / 4.0)
     qt = math.exp(-gm * tf / 2.0) * (2.0 * math.cos(nu * tf)
                                      + (gm / nu) * math.sin(nu * tf))
-    got = traj.final
     assert complex(got[0], got[1]) == pytest.approx(a1, rel=1e-8)
     assert complex(got[2], got[3]) == pytest.approx(a2, rel=1e-7)
     assert got[4] == pytest.approx(qt, rel=1e-6)
@@ -454,9 +440,9 @@ def test_integrator_relaxes_to_stable_branch(preset, options):
     y = branch_state(b)
     kicked = y.copy()
     kicked[:5] *= 1.001
-    traj = integrate_dynamics(kicked, heavy, d, 30.0 / abs(b.max_re_eig),
-                              rel_tol=1e-9, n_samples=9)
-    err = np.abs(traj.final - y) / _state_scale(b, heavy)
+    final = oracles.integrate_final(kicked, heavy, d, 30.0 / abs(b.max_re_eig),
+                                    rel_tol=1e-9)
+    err = np.abs(final - y) / _state_scale(b, heavy)
     assert np.max(err) <= 1e-5
 
 
@@ -474,7 +460,7 @@ def test_integrator_departs_unstable_branch(preset, options):
     direction /= np.max(np.abs(direction))
     kicked = y + 1e-6 * max(abs(x) for x in y) * direction
     d_init = np.linalg.norm(kicked - y)
-    traj = integrate_dynamics(kicked, heavy, d, 10.0 / w.real[i],
-                              rel_tol=1e-9, n_samples=9)
-    d_final = np.linalg.norm(traj.final - y)
+    final = oracles.integrate_final(kicked, heavy, d, 10.0 / w.real[i],
+                                    rel_tol=1e-9)
+    d_final = np.linalg.norm(final - y)
     assert d_final >= 100.0 * d_init
