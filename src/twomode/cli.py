@@ -86,8 +86,10 @@ def _load_config(args):
     try:
         text = data.decode("utf-8")
     except UnicodeDecodeError as exc:
+        # lines split as parse_config splits them, so numbers agree
+        head = data[:exc.start].decode("utf-8") + "x"
         raise ConfigError(f"byte {data[exc.start]:#04x} is not valid UTF-8",
-                          line=data.count(b"\n", 0, exc.start) + 1) from exc
+                          line=len(head.splitlines())) from exc
     return parse_config(text, sign_convention=args.sign,
                         kappa2_interpretation=args.kappa2)
 

@@ -165,10 +165,13 @@ def test_config_error_exits_2(tmp_path, capsys):
 
 def test_config_not_utf8_exits_2_naming_the_line(tmp_path, capsys):
     path = tmp_path / "run.conf"
-    path.write_bytes(BASE.encode() + b'drive.power_l_w = 1e-13 # \xff\n')
-    assert main(["solve", "--config", str(path)]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error: line 2: byte 0xff is not valid UTF-8")
+    lines = (b"# preset device", BASE.encode().strip(),
+             b"drive.power_l_w = 1e-13  # \xff")
+    for newline in (b"\n", b"\r\n", b"\r"):
+        path.write_bytes(newline.join(lines) + newline)
+        assert main(["solve", "--config", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: line 3: byte 0xff is not valid UTF-8")
 
 
 def test_sweep_direction_down_exits_2(tmp_path, capsys):
