@@ -30,7 +30,7 @@ amp_convention         "literal" | "flux": |E|^2 = 2*P*kappa/(hbar*w) vs
 
 from __future__ import annotations
 
-import math
+import sys
 from dataclasses import dataclass
 
 from .continuation import DIRECTIONS, SweepSpec
@@ -46,7 +46,6 @@ PRESETS = ("hill2012",)
 _SYSTEM_FREQ_FIELDS = ("omega1", "omega2", "kappa1", "kappa2",
                        "kappa_e1", "kappa_e2", "g1", "g2", "omega_m")
 _SYSTEM_BARE_FIELDS = ("q_m",)
-_DRIVE_FREQ_FIELDS = ("delta1", "delta2")
 
 
 @dataclass(frozen=True)
@@ -82,17 +81,17 @@ def _parse_value(text: str, key: str, line: int):
             raise ConfigError("malformed quoted string", key=key, line=line)
         return text[1:-1]
     try:
-        return int(text)
+        value = int(text)
     except ValueError:
-        pass
-    try:
-        value = float(text)
-    except ValueError:
-        raise ConfigError(
-            f"cannot parse value {text!r} (strings must be double-quoted)",
-            key=key, line=line) from None
-    if not math.isfinite(value):
-        raise ConfigError(f"value {text!r} is not finite", key=key, line=line)
+        try:
+            value = float(text)
+        except ValueError:
+            raise ConfigError(
+                f"cannot parse value {text!r} (strings must be double-quoted)",
+                key=key, line=line) from None
+    # every number is used as a float, so an int past the float range fails
+    if not abs(value) <= sys.float_info.max:
+        raise ConfigError(f"value {text!r} is not a finite float", key=key, line=line)
     return value
 
 

@@ -2,13 +2,14 @@
 
 Every sample of a sweep is solved and classified in one batch
 (:func:`solve_and_classify_grid`), with records equal to the pointwise
-:func:`solve_and_classify`.  Folds (branch-count changes) are located
-exactly, and no steady state is solved to find them.  Each call builds
-one fold list, ((axis value, +-2), ...), at most once: :func:`locate_folds`
-takes its scan counts from it, and sweeps build it only when two
-neighbouring samples' counts differ.  On a power axis the fixed-point
-polynomial is affine in the power, so the folds are roots of one
-polynomial in q.  On a detuning axis the branch curve gives the axis
+:func:`solve_and_classify`; the first sample whose solve fails raises in
+that batch, as a SweepError that names it.  Folds (branch-count changes)
+are located exactly, and no steady state is solved to find them.  Each
+call builds one fold list, ((axis value, +-2), ...), at most once:
+:func:`locate_folds` takes its scan counts from it, and sweeps build it
+only when two neighbouring samples' counts differ.  On a power axis the
+fixed-point polynomial is affine in the power, so the folds are roots of
+one polynomial in q.  On a detuning axis the branch curve gives the axis
 mode's photon number explicitly in q; with the pump frozen at the
 window's middle the folds are near the roots of one polynomial of degree
 <= 12 in q, and each root seeds Newton's method on the limit-point system
@@ -32,15 +33,13 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import (ClassificationError, NoStableBranchError, ParameterError,
-                     PolynomialError, SolverError, SweepError)
+from .errors import NoStableBranchError, ParameterError, SweepError
 from .params import AXES, POWER_AXES, DrivePoint, SystemParams
 from .polyroots import RealPolynomial, real_roots
 from .steady import (SolverOptions, Verdict, _assemble,
                      photon_numbers_from_q, residual_derivative,
                      steady_residual)
-from .stability import (Diagnostic, _no_stable_branch, solve_and_classify,
-                        solve_and_classify_grid)
+from .stability import Diagnostic, _no_stable_branch, solve_and_classify_grid
 
 #: Sweep directions: "up" solves the grid, "both" also ramps hysteresis.
 DIRECTIONS = ("up", "both")
@@ -114,18 +113,6 @@ def axis_grid(spec: SweepSpec) -> np.ndarray:
             and spec.stop / spec.start > _LOG_SPAN_RATIO):
         return np.geomspace(spec.start, spec.stop, spec.points)
     return np.linspace(spec.start, spec.stop, spec.points)
-
-
-def _solve_classified(params, drive, axis, value, options):
-    try:
-        point = drive.with_value(params, axis, value)
-        branches, diags = solve_and_classify(params, point, options)
-    except (ParameterError, SweepError):
-        raise
-    except Exception as exc:
-        raise SweepError(f"solve failed at {axis}={value!r}: {exc}",
-                         axis_value=value) from exc
-    return value, branches, diags
 
 
 def _lorentz_scale(params, drive) -> float:
@@ -359,25 +346,10 @@ def _refine_count_change(axis, folds, lo, hi, change, rel_tol) -> float:
 
 def _solve_grid(params, spec, options):
     values = axis_grid(spec).tolist()
-    try:
-        records = solve_and_classify_grid(params, spec.drive, spec.axis,
-                                          values, options)
-    except (ParameterError, PolynomialError, SolverError,
-            ClassificationError):
-        # Some sample fails.  The pointwise path raises at the first one,
-        # as a SweepError that names it.
-        return [_solve_classified(params, spec.drive, spec.axis, v, options)
-                for v in values]
-    return [(v, branches, diags)
-            for v, (branches, diags) in zip(values, records)]
-
-
-def _folds_from_counts(spec, solved, folds, rel_tol):
-    return tuple(
-        _refine_count_change(spec.axis, folds(), v0, v1, len(b1) - len(b0),
-                             rel_tol)
-        for (v0, b0, _), (v1, b1, _) in zip(solved, solved[1:])
-        if len(b0) != len(b1))
+    # a failing sample raises in the grid, as a SweepError that names it
+    records = solve_and_classify_grid(params, spec.drive, spec.axis, values,
+                                      options)
+    return [(v, *record) for v, record in zip(values, records)]
 
 
 def _result(params, spec, options, solved, ramp=False, notes=()):
@@ -388,9 +360,14 @@ def _result(params, spec, options, solved, ramp=False, notes=()):
     folds = functools.cache(lambda: _folds(params, spec.drive, spec.axis,
                                            spec.start, spec.stop, options))
     hysteresis = _ramps(spec, solved, folds) if ramp else None
+    changes = tuple(
+        _refine_count_change(spec.axis, folds(), v0, v1, len(b1) - len(b0),
+                             _FOLD_REL_TOL)
+        for (v0, b0, _), (v1, b1, _) in zip(solved, solved[1:])
+        if len(b0) != len(b1))
     return SweepResult(
         spec=spec, records=tuple((v, branches) for v, branches, _ in solved),
-        folds=_folds_from_counts(spec, solved, folds, _FOLD_REL_TOL),
+        folds=changes,
         diagnostics=tuple(d for _, _, diags in solved for d in diags) + notes,
         hysteresis=hysteresis)
 

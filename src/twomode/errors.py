@@ -38,8 +38,9 @@ class SolverError(RuntimeError):
 class ClassificationError(RuntimeError):
     """Eigenvalue classification failed; carries the characteristic polynomial."""
 
-    def __init__(self, message: str, polynomial=None):
+    def __init__(self, message: str, polynomial=None, row: int | None = None):
         self.polynomial = polynomial
+        self.row = row
         super().__init__(message)
 
 

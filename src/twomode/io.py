@@ -43,11 +43,9 @@ def branch_row(axis_value: float, index: int, branch) -> dict:
 
 
 def result_rows(result: SweepResult) -> list:
-    rows = []
-    for value, branches in result.records:
-        for index, branch in enumerate(branches):
-            rows.append(branch_row(value, index, branch))
-    return rows
+    return [branch_row(value, index, branch)
+            for value, branches in result.records
+            for index, branch in enumerate(branches)]
 
 
 def trace_rows(trace) -> list:

@@ -35,11 +35,13 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import ClassificationError, PolynomialError
+from .errors import (ClassificationError, ParameterError, PolynomialError,
+                     SweepError)
 from .params import DrivePoint, SystemParams
 from .polyroots import RealPolynomial, all_roots, all_roots_rows
-from .steady import (_GRID_BLOCK, SolverOptions, SteadyBranch, Verdict,
-                     photon_numbers_from_q, steady_branches, steady_q_grid)
+from .steady import (_GRID_BLOCK, _MAX_BRANCHES, SolverOptions, SteadyBranch,
+                     Verdict, _solve_rows, photon_numbers_from_q,
+                     steady_branches)
 
 # Scaled-Jacobian entries that are constant rates, and those that are a
 # rate times one field quadrature (the Q column and the force row), with
@@ -131,7 +133,7 @@ def _eigenvalue_rows(states, params: SystemParams, delta1, delta2,
     companion eigenvalue call with the root audit.  A row the audit
     rejects is re-solved by :func:`all_roots` on its own coefficients, so
     every row holds what ``all_roots`` gives; a row it cannot solve raises
-    ClassificationError carrying its polynomial.
+    ClassificationError carrying its polynomial and its row index.
     """
     coeffs = _characteristic_rows(_scaled_jacobians(states, params, delta1,
                                                     delta2, sign))
@@ -145,7 +147,8 @@ def _eigenvalue_rows(states, params: SystemParams, delta1, delta2,
         try:
             roots[row] = all_roots(char)
         except PolynomialError as exc:
-            raise ClassificationError(str(exc), polynomial=char) from exc
+            raise ClassificationError(str(exc), polynomial=char,
+                                      row=row) from exc
     return roots
 
 
@@ -277,9 +280,11 @@ def solve_and_classify_grid(params: SystemParams, drive: DrivePoint,
 
     Every record equals the pointwise one, field for field.  Samples are
     done together, block by block: q_s of every branch from
-    :func:`steady_q_grid`, photon numbers and effective detunings for all
-    branches at once, then every branch of the block through the stacked
-    kernel :func:`classify_branches` uses, :func:`_max_re_rows`.
+    :func:`steady._solve_rows`, which rescues its own rows, photon numbers
+    and effective detunings for all branches at once, then every branch
+    through :func:`_max_re_rows`, as in :func:`classify_branches`.  The
+    first sample whose solve or classify raises, where the pointwise loop
+    stops, raises a SweepError naming it (a ParameterError as it is).
     """
     values = np.asarray(values, dtype=float)
     records = []
@@ -290,7 +295,8 @@ def solve_and_classify_grid(params: SystemParams, drive: DrivePoint,
 
 
 def _classify_block(params, drive, axis, values, options):
-    q = steady_q_grid(params, drive, axis, values, options)
+    q = np.full((len(values), _MAX_BRANCHES), np.nan)
+    failed = _solve_rows(params, drive, axis, values, options, q)
     columns, _ = drive.with_values(params, axis, values[:, None])
     n1, n2, d1, d2 = photon_numbers_from_q(q, params, columns)
     rows, cols = np.nonzero(~np.isnan(q))
@@ -308,8 +314,18 @@ def _classify_block(params, drive, axis, values, options):
     a1, a2 = np.array(amp1, dtype=complex), np.array(amp2, dtype=complex)
     states = np.stack([a1.real, a1.imag, a2.real, a2.imag, q[rows, cols]],
                       axis=1)
-    max_re = _max_re_rows(states, params, delta1, delta2,
-                          options.sign).tolist()
+    try:
+        max_re = _max_re_rows(states, params, delta1, delta2,
+                              options.sign).tolist()
+    except ClassificationError as exc:
+        # rows past a steady failure are NaN, so this sample comes first
+        failed = int(rows[exc.row]), exc
+    if failed is not None:
+        value, exc = float(values[failed[0]]), failed[1]
+        if isinstance(exc, ParameterError):
+            raise exc
+        raise SweepError(f"solve failed at {axis}={value!r}: {exc}",
+                         axis_value=value) from exc
     records = zip(q_s, amp1, amp2,
                   *(a[rows, cols].tolist() for a in (n1, n2, d1, d2)),
                   _verdicts(max_re, params, options), max_re)

@@ -34,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ParameterError, SolverError
+from .errors import ParameterError, PolynomialError, SolverError
 from .params import DrivePoint, SystemParams
 from .polyroots import (RealPolynomial, mul_rows, real_roots, real_roots_rows,
                         trim_rows)
@@ -389,11 +389,12 @@ def _polish_rows(q, lo, hi, params, drive, sign):
     return out
 
 
-def _solve_rows(params, drive, axis, values, options, out) -> np.ndarray:
-    """Write the steady_q_grid rows of ``values`` into ``out``.
+def _solve_rows(params, drive, axis, values, options, out):
+    """Write the steady_q_grid rows of ``values`` into ``out``; a row the
+    masked steps reject is rescued by :func:`steady_branches`.
 
-    Returns the mask of rows solved here; every other row needs a path
-    that only :func:`steady_branches` has.
+    Returns None, or ``(i, exc)`` for the first row whose rescue raises;
+    rows i and after are left NaN.
     """
     columns, ok = drive.with_values(params, axis, values[:, None])
     ok = ok.ravel() & np.ravel((columns.power_l > 0.0) | (columns.power_r > 0.0))
@@ -425,7 +426,15 @@ def _solve_rows(params, drive, axis, values, options, out) -> np.ndarray:
         ok &= ~(defect > _RESIDUAL_CEILING * (1.0 + np.abs(q))).any(axis=1)
         ok &= ~np.isnan(q[:, 0])
     out[ok] = q[ok]
-    return ok
+    for i in np.flatnonzero(~ok).tolist():
+        try:
+            point = drive.with_value(params, axis, float(values[i]))
+            qs = [b.q_s for b in steady_branches(params, point, options)]
+        except (ParameterError, PolynomialError, SolverError) as exc:
+            out[i:] = np.nan
+            return i, exc
+        out[i, :len(qs)] = qs
+    return None
 
 
 def steady_q_grid(params: SystemParams, drive: DrivePoint, axis: str,
@@ -439,16 +448,15 @@ def steady_q_grid(params: SystemParams, drive: DrivePoint, axis: str,
     polish and deduplication as masked array steps.  A row that needs a
     path only the scalar solver has (rest point, a root-audit rescue,
     chained duplicates, a self-consistency breach, no root) is re-solved
-    by :func:`steady_branches`, which rescues or raises as it always does.
+    by :func:`steady_branches` in :func:`_solve_rows`; the first that
+    raises stops the grid with that error.
     """
     values = np.asarray(values, dtype=float)
     out = np.full((len(values), _MAX_BRANCHES), np.nan)
     for start in range(0, len(values), _GRID_BLOCK):
-        block = values[start:start + _GRID_BLOCK]
-        rows = out[start:start + len(block)]
-        solved = _solve_rows(params, drive, axis, block, options, rows)
-        for i in np.flatnonzero(~solved):
-            point = drive.with_value(params, axis, float(block[i]))
-            qs = [b.q_s for b in steady_branches(params, point, options)]
-            rows[i, :len(qs)] = qs
+        block = slice(start, start + _GRID_BLOCK)
+        failed = _solve_rows(params, drive, axis, values[block], options,
+                             out[block])
+        if failed is not None:
+            raise failed[1]
     return out

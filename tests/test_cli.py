@@ -174,6 +174,19 @@ def test_config_not_utf8_exits_2_naming_the_line(tmp_path, capsys):
         assert err.startswith("error: line 3: byte 0xff is not valid UTF-8")
 
 
+@pytest.mark.parametrize("command,line,entry", [
+    ("solve", 5, "drive.power_l_w = 1e-12"),
+    ("sweep", 9, "sweep.points = 60"),
+])
+def test_integer_past_float_range_exits_2(tmp_path, capsys, command, line,
+                                           entry):
+    key = entry.split(" = ")[0]
+    cfg = _write(tmp_path, LOOP_CONFIG.replace(entry,
+                                               f'{key} = 1{"0" * 400}'))
+    assert main([command, "--config", cfg]) == 2
+    assert capsys.readouterr().err.startswith(f"error: line {line}: value '1000")
+
+
 def test_sweep_direction_down_exits_2(tmp_path, capsys):
     cfg = _write(tmp_path, LOOP_CONFIG.replace('sweep.direction = "both"',
                                                'sweep.direction = "down"'))

@@ -133,6 +133,18 @@ def test_malformed_documents_rejected():
         assert fragment in str(err.value), doc
 
 
+@pytest.mark.parametrize("key", ["drive.power_l_w", "sweep.points"])
+def test_integer_past_float_range_rejected(key):
+    # an int literal too large for a float fails as 1e400 does
+    doc = ('system = "hill2012"\nsweep.axis = "power_l"\n'
+           'sweep.start_w = 1e-14\nsweep.stop_w = 1e-10\n'
+           f'{key} = 1{"0" * 400}\n')
+    with pytest.raises(ConfigError) as err:
+        parse_config(doc)
+    assert (err.value.key, err.value.line) == (key, 5)
+    assert "is not a finite float" in str(err.value)
+
+
 def test_sweep_block(preset):
     doc = ('system = "hill2012"\n'
            'drive.delta1_hz = 4e9\n'

@@ -10,7 +10,7 @@ import pytest
 
 import oracles
 import sampling
-from twomode import continuation, stability
+from twomode import stability
 from twomode.continuation import SweepSpec, axis_grid, sweep_1d
 from twomode.errors import ClassificationError, PolynomialError, SweepError
 from twomode.params import DrivePoint, preset_hill_params, replace_params
@@ -385,10 +385,11 @@ def test_failed_rescue_names_first_failing_sweep_sample(preset, options,
         sweep_1d(preset, spec, options)
     assert info.value.axis_value == values[first]
     assert isinstance(info.value.__cause__, ClassificationError)
-    with pytest.raises(SweepError) as pointwise:
-        continuation._solve_classified(preset, d, "power_l", values[first],
-                                       options)
-    assert str(info.value) == str(pointwise.value)
+    with pytest.raises(ClassificationError) as pointwise:
+        solve_and_classify(preset, d.with_value(preset, "power_l",
+                                                values[first]), options)
+    assert str(info.value) \
+        == f"solve failed at power_l={values[first]!r}: {pointwise.value}"
 
 
 def test_classify_branches_of_nothing(preset):

@@ -6,6 +6,7 @@ scalar arithmetic elementwise, in the same order.
 
 import math
 import random
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -13,10 +14,10 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import sampling
-from twomode import steady
+from twomode import continuation, stability, steady
 from twomode.continuation import SweepSpec, _solve_grid, axis_grid, sweep_1d
-from twomode.errors import (ClassificationError, PolynomialError, SolverError,
-                            SweepError)
+from twomode.errors import (ClassificationError, ParameterError,
+                            PolynomialError, SolverError, SweepError)
 from twomode.params import DrivePoint, preset_hill_params, replace_params
 from twomode.stability import solve_and_classify
 from twomode.steady import (SolverOptions, q_upper_bound, steady_branches,
@@ -237,3 +238,108 @@ def test_sweep_through_ceiling_breach_names_the_sample():
     assert caught.value.axis_value == CEILING_BREACH_POWER_L
     assert str(caught.value).startswith(
         f"solve failed at power_l={CEILING_BREACH_POWER_L!r}: ")
+
+
+def _ceiling_case():
+    """The drive and options of the ceiling-breach tests above."""
+    params = preset_hill_params("literal")
+    drive = DrivePoint.build(params, delta1=params.omega_m,
+                             delta2=params.omega_m, power_l=2e-6, power_r=1e-7)
+    return params, drive, SolverOptions(sign=-1)
+
+
+def test_ceiling_breach_sweep_solves_in_one_pass(monkeypatch):
+    # the failing sample is named by the grid itself: no sample is solved
+    # again point by point
+    params, drive, options = _ceiling_case()
+    spec = SweepSpec(axis="power_l", start=9e-6, stop=CEILING_BREACH_POWER_L,
+                     drive=drive, points=5)
+    with pytest.raises(SolverError) as scalar:
+        steady_branches(params, drive.with_value(
+            params, "power_l", CEILING_BREACH_POWER_L), options)
+    calls = {"steady_branches": 0, "solve_and_classify": 0}
+
+    def counted(name, real):
+        def spy(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+        return spy
+
+    for module in (steady, stability, continuation):
+        for name in calls:
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name,
+                                    counted(name, getattr(module, name)))
+    with pytest.raises(SweepError) as caught:
+        sweep_1d(params, spec, options)
+    assert calls == {"steady_branches": 1, "solve_and_classify": 0}
+    assert caught.value.axis_value == CEILING_BREACH_POWER_L
+    assert str(caught.value) == (
+        f"solve failed at power_l={CEILING_BREACH_POWER_L!r}: {scalar.value}")
+    assert isinstance(caught.value.__cause__, SolverError)
+
+
+def _fail_classify_above(monkeypatch, params, amp_sq):
+    """Make classify fail at every branch whose pump amplitude squared,
+    read back from its Jacobian, is above ``amp_sq``."""
+    rows = stability._characteristic_rows
+    om = params.omega_m
+
+    def zero_root_above(m):
+        coeffs = rows(m)
+        # the force row holds 4 g1 / omega_m times the pump quadratures
+        n1 = (m[:, 5, 0] ** 2 + m[:, 5, 1] ** 2) / (4.0 * params.g1 / om)**2
+        lorentz = (params.kappa1 / om) ** 2 + m[:, 0, 1] ** 2
+        coeffs[n1 * lorentz * om**2 / params.kappa_e1 > amp_sq, 0] = 0.0
+        return coeffs
+
+    def no_roots(p):
+        raise PolynomialError("no roots")
+
+    monkeypatch.setattr(stability, "_characteristic_rows", zero_root_above)
+    monkeypatch.setattr(stability, "all_roots", no_roots)
+
+
+def test_classify_failure_before_steady_failure_names_its_sample(monkeypatch):
+    # classify fails from sample 2 on, the steady solve at sample 4
+    params, drive, options = _ceiling_case()
+    spec = SweepSpec(axis="power_l", start=9e-6, stop=CEILING_BREACH_POWER_L,
+                     drive=drive, points=5)
+    values = axis_grid(spec).tolist()
+    amp_sq = [drive.with_value(params, "power_l", v).amp_l ** 2
+              for v in values[1:3]]
+    _fail_classify_above(monkeypatch, params, math.sqrt(amp_sq[0] * amp_sq[1]))
+    with pytest.raises(SweepError) as caught:
+        sweep_1d(params, spec, options)
+    assert caught.value.axis_value == values[2]
+    assert str(caught.value) == f"solve failed at power_l={values[2]!r}: no roots"
+    assert isinstance(caught.value.__cause__, ClassificationError)
+
+
+def test_steady_failure_before_classify_failure_names_its_sample(monkeypatch):
+    # the steady solve fails at sample 0, classify at every sample
+    params, drive, options = _ceiling_case()
+    spec = SweepSpec(axis="power_l", start=CEILING_BREACH_POWER_L, stop=9.3e-6,
+                     drive=drive, points=5)
+    _fail_classify_above(monkeypatch, params, 0.0)
+    with pytest.raises(SweepError) as later:
+        sweep_1d(params, replace(spec, start=axis_grid(spec)[1]), options)
+    assert isinstance(later.value.__cause__, ClassificationError)
+    with pytest.raises(SweepError) as caught:
+        sweep_1d(params, spec, options)
+    assert caught.value.axis_value == CEILING_BREACH_POWER_L
+    assert str(caught.value).startswith(
+        f"solve failed at power_l={CEILING_BREACH_POWER_L!r}: ")
+    assert isinstance(caught.value.__cause__, SolverError)
+
+
+def test_sweep_past_mode_frequency_raises_parameter_error():
+    # at delta1 >= omega1 the pump laser frequency is not positive: the
+    # ParameterError is raised as it is, not wrapped in a SweepError
+    params = preset_hill_params()
+    drive = DrivePoint.build(params, delta1=0.0, delta2=params.omega_m,
+                             power_l=1e-12, power_r=1e-12)
+    spec = SweepSpec(axis="delta1", start=0.0, stop=2.0 * params.omega1,
+                     drive=drive, points=5)
+    with pytest.raises(ParameterError, match="laser frequency must be positive"):
+        sweep_1d(params, spec, SolverOptions())
