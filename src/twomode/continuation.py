@@ -9,8 +9,9 @@ call builds one fold list, ((axis value, +-2), ...), at most once:
 :func:`locate_folds` takes its scan counts from it, and sweeps build it
 only when two neighbouring samples' counts differ.  On a power axis the
 fixed-point polynomial is affine in the power, so the folds are roots of
-one polynomial in q.  On a detuning axis the branch curve gives the axis
-mode's photon number explicitly in q; with the pump frozen at the
+one polynomial in q, its companion eigenvalues unpolished: the fold power
+is stationary in the root.  On a detuning axis the branch curve gives the
+axis mode's photon number explicitly in q; with the pump frozen at the
 window's middle the folds are near the roots of one polynomial of degree
 <= 12 in q, and each root seeds Newton's method on the limit-point system
 f = df/dq = 0 with the exact pump.  A fold is reported on the lattice of
@@ -33,12 +34,12 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import NoStableBranchError, ParameterError, SweepError
-from .params import AXES, POWER_AXES, DrivePoint, SystemParams
-from .polyroots import RealPolynomial, real_roots
+from .errors import (NoStableBranchError, ParameterError, PolynomialError,
+                     SweepError)
+from .params import AXES, POWER_AXES, DrivePoint, SystemParams, drive_amplitude
+from .polyroots import _DEDUP_REL, RealPolynomial
 from .steady import (SolverOptions, Verdict, _assemble,
-                     photon_numbers_from_q, residual_derivative,
-                     steady_residual)
+                     photon_numbers_from_q, steady_residual)
 from .stability import Diagnostic, _no_stable_branch, solve_and_classify_grid
 
 #: Sweep directions: "up" solves the grid, "both" also ramps hysteresis.
@@ -122,15 +123,25 @@ def _lorentz_scale(params, drive) -> float:
         (drive.delta2, params.kappa2, params.g2)) if g > 0.0)
 
 
+def _polyval(coeffs, x):
+    """np.polyval of descending coefficients at a float, bit for bit."""
+    acc = 0.0
+    for c in coeffs:
+        acc = acc * x + c
+    return acc
+
+
 def _power_folds(params, drive, axis, options) -> tuple:
     """((power, change), ...) of every fold on a power axis, ascending.
 
     The fixed-point polynomial is affine in the axis power, p(x; P) =
     a(x) - P b(x), so the branch curve is P(x) = a(x) / b(x) and its folds
-    are the real roots of a'b - ab' with P > 0.  A root counts where that
-    numerator changes sign (odd multiplicity); the branch count changes by
-    +2 across a minimum of P(x) and by -2 across a maximum.  No steady
-    state is solved.
+    are the real roots of w = a'b - ab' with P > 0.  A root counts where w
+    changes sign (odd multiplicity); the branch count changes by +2 across
+    a minimum of P(x) and by -2 across a maximum.  The roots are w's
+    companion eigenvalues, from one LAPACK call, and are not polished: P
+    is stationary at a fold, so a root error dx moves the fold power by
+    O(dx^2) only.  The rest is float arithmetic; no steady state is solved.
     """
     left = axis == "power_l"
     g = params.g1 if left else params.g2
@@ -139,50 +150,85 @@ def _power_folds(params, drive, axis, options) -> tuple:
     zero = drive.with_value(params, axis, 0.0)
     unit = drive.with_value(params, axis, 1.0)
     q_scale = _lorentz_scale(params, drive)
-    a = np.array(_assemble(params, zero, options.sign, q_scale).poly.coeffs)
-    p1 = np.array(_assemble(params, unit, options.sign, q_scale).poly.coeffs)
+    a = _assemble(params, zero, options.sign, q_scale).poly.coeffs
+    p1 = _assemble(params, unit, options.sign, q_scale).poly.coeffs
     if len(p1) != len(a):
         raise SweepError(f"the fixed-point polynomial at {axis} = 1 W lost "
                          f"its leading coefficient to trimming")
-    b = a - p1
-    # derivatives padded to their polynomial's length, so a constant b works
-    da, db = (np.append(c[1:] * np.arange(1, len(c)), 0.0) for c in (a, b))
-    w = RealPolynomial.from_coeffs(np.convolve(da, b) - np.convolve(a, db))
-    xs = real_roots(w, options.imag_tol)
-    if not len(xs):
+    # a'b - ab' = sum over i != j of (i - j) a_i b_j x^(i + j - 1)
+    w = [0.0] * (2 * len(a) - 3)
+    for j, bj in enumerate(c - c1 for c, c1 in zip(a, p1)):
+        if bj:
+            for i, ai in enumerate(a):
+                if i != j:
+                    w[i + j - 1] += (i - j) * ai * bj
+    w = RealPolynomial.from_coeffs(w).coeffs[::-1]
+    if len(w) < 2:
+        raise PolynomialError(
+            f"degree must be >= 1 to extract roots, got {len(w) - 1}")
+    companion = np.eye(len(w) - 1, k=-1)
+    companion[0] = [-c / w[0] for c in w[1:]]
+    try:
+        roots = np.linalg.eigvals(companion).tolist()
+    except np.linalg.LinAlgError as exc:
+        raise PolynomialError(
+            f"companion eigenvalue iteration failed: {exc}") from exc
+    xs = []
+    for x in sorted(r.real for r in roots
+                    if abs(r.imag) <= options.imag_tol * (1.0 + abs(r.real))):
+        if xs and x - xs[-1] <= _DEDUP_REL * (1.0 + abs(x)):
+            # one multiple root: keep the smaller residual
+            if abs(_polyval(w, x)) < abs(_polyval(w, xs[-1])):
+                xs[-1] = x
+        else:
+            xs.append(x)
+    if not xs:
         return ()
     # the sign of dP/dx between the roots and beyond them
-    probes = np.concatenate(([xs[0] - 1.0 - abs(xs[0])],
-                             0.5 * (xs[1:] + xs[:-1]),
-                             [xs[-1] + 1.0 + abs(xs[-1])]))
-    slope = np.sign(w(probes))
+    probes = ([xs[0] - 1.0 - abs(xs[0])]
+              + [0.5 * (x1 + x0) for x0, x1 in zip(xs, xs[1:])]
+              + [xs[-1] + 1.0 + abs(xs[-1])])
+    slope = [(y > 0.0) - (y < 0.0) for y in (_polyval(w, x) for x in probes)]
     s = 1 if left else options.sign
     folds = []
-    for x, before, after in zip(xs.tolist(), slope[:-1], slope[1:]):
+    for x, before, after in zip(xs, slope, slope[1:]):
+        if before == after:
+            continue
         # f(q; P) = f(q; 0) - P (2 / omega_m) s g n(q; 1 W) is zero at the fold
         q = x * q_scale
         n_unit = photon_numbers_from_q(q, params, unit)[0 if left else 1]
         power = (steady_residual(q, params, zero, options.sign)
                  / ((2.0 / params.omega_m) * s * g * n_unit))
-        if before != after and power > 0.0:
-            folds.append((float(power), 2 if after > before else -2))
+        if power > 0.0:
+            folds.append((power, 2 if after > before else -2))
     return tuple(sorted(folds))
 
 
-def _limit_point_system(q, params, point, axis, sign):
+def _limit_point_system(q, v, params, drive, axis, sign):
     """f, df/dq and the Jacobian of (f, df/dq) in (q, axis detuning).
 
-    The detuning also moves the pump amplitude, through the laser
-    frequency omega_k - delta_k: d|E|^2/d delta = |E|^2 / (omega_k - delta_k).
+    At ``drive.with_value(params, axis, v)``, without building it: f and
+    df/dq are :func:`steady_residual` and :func:`residual_derivative`
+    term for term.  The detuning also moves the pump amplitude, through
+    the laser frequency omega_k - delta_k: d|E|^2/d delta = |E|^2 /
+    (omega_k - delta_k).
     """
-    f_qq = f_v = f_qv = 0.0
-    for name, kappa, delta, g, kappa_e, amp, omega, s in (
-            ("delta1", params.kappa1, point.delta1, params.g1,
-             params.kappa_e1, point.amp_l, params.omega1, 1),
-            ("delta2", params.kappa2, point.delta2, params.g2,
-             params.kappa_e2, point.amp_r, params.omega2, sign)):
+    force = force_q = f_qq = f_v = f_qv = 0.0
+    for name, kappa, delta, g, kappa_e, amp, power, omega, s in (
+            ("delta1", params.kappa1, drive.delta1, params.g1,
+             params.kappa_e1, drive.amp_l, drive.power_l, params.omega1, 1),
+            ("delta2", params.kappa2, drive.delta2, params.g2,
+             params.kappa_e2, drive.amp_r, drive.power_r, params.omega2,
+             sign)):
+        if name == axis:
+            delta = v
+            amp = drive_amplitude(power, kappa, omega - v,
+                                  drive.amp_convention)
         a = kappa_e * (amp * amp)
         d = delta - g * q
+        lorentz = kappa**2 + d * d          # as steady_residual writes it
+        force += s * g * (a / lorentz)
+        force_q += s * g * (2.0 * a * g * d / (lorentz * lorentz))
         den = kappa * kappa + d * d
         bend = (3.0 * d * d - kappa * kappa) / den**3
         f_qq -= 2.0 * s * g**3 * a * bend
@@ -191,9 +237,7 @@ def _limit_point_system(q, params, point, axis, sign):
             f_v -= s * g * (da - 2.0 * a * d / den) / den
             f_qv -= 2.0 * s * g * g * (da * d / den**2 - a * bend)
     c = 2.0 / params.omega_m
-    return (steady_residual(q, params, point, sign),
-            residual_derivative(q, params, point, sign), c * f_v, c * f_qq,
-            c * f_qv)
+    return (q - c * force, 1.0 - c * force_q, c * f_v, c * f_qq, c * f_qv)
 
 
 def _limit_point(params, drive, axis, lo, hi, q, v, sign):
@@ -205,9 +249,8 @@ def _limit_point(params, drive, axis, lo, hi, q, v, sign):
     to a point strictly inside (lo, hi).
     """
     for _ in range(_LP_MAX_ITER):
-        point = drive.with_value(params, axis, v)
-        f, f_q, f_v, f_qq, f_qv = _limit_point_system(q, params, point, axis,
-                                                      sign)
+        f, f_q, f_v, f_qq, f_qv = _limit_point_system(q, v, params, drive,
+                                                      axis, sign)
         det = f_q * f_qv - f_v * f_qq
         if det == 0.0 or not math.isfinite(det):
             return None
@@ -238,10 +281,10 @@ def _detuning_folds(params, drive, axis, lo, hi, options) -> tuple:
     in x = q / q_scale) with R > 0 seeds the limit-point Newton at three
     detunings, g_k q + u for u = A R' / (2 g_k R^2) and u = +-sqrt(A / R -
     kappa_k^2): near a double root the expanded polynomial is at rounding
-    level, and one of them still lands on the fold.  Seeds more than one
-    window width outside it are dropped.  The Newton keeps the exact
-    pump, so the frozen A only places the seeds.  No steady state is
-    solved.
+    level, and one of them still lands on the fold.  R, R' and L_j are
+    evaluated on floats at each root.  Seeds more than one window width
+    outside it are dropped.  The Newton keeps the exact pump, so the
+    frozen A only places the seeds.  No steady state is solved.
     """
     om = params.omega_m
     left = axis == "delta1"
@@ -275,14 +318,15 @@ def _detuning_folds(params, drive, axis, lo, hi, options) -> tuple:
     fold[4:] += at * at * np.convolve(slope, slope) / q_scale**2
     roots = np.roots(fold)
     near = roots.real[np.abs(roots.imag) <= 0.1 * (1.0 + np.abs(roots.real))]
+    lorentz, n, slope = lorentz.tolist(), n.tolist(), slope.tolist()
     found = []
     for x in near.tolist():
-        lx = float(np.polyval(lorentz, x))
-        r = float(np.polyval(n, x)) / lx
+        lx = _polyval(lorentz, x)
+        r = _polyval(n, x) / lx
         if not r > 0.0:
             continue
         q = x * q_scale
-        r_q = float(np.polyval(slope, x)) / (lx * lx * q_scale)
+        r_q = _polyval(slope, x) / (lx * lx * q_scale)
         us = [a * r_q / (2.0 * g * r * r)]
         w = a / r - kappa * kappa
         if w >= 0.0:
@@ -332,7 +376,9 @@ def _refine_count_change(axis, folds, lo, hi, change, rel_tol) -> float:
             f"count by {found:+d}, but its ends differ by {change:+d}")
     floor = 1e-12 * abs(hi - lo)
     only = inside[0][0] if len(inside) == 1 else None
-    while (hi - lo) > max(rel_tol * max(abs(lo), abs(hi)), floor):
+    # hi - lo > max(rel_tol * max(|lo|, |hi|), floor), without max calls
+    while ((width := hi - lo) > floor and width > rel_tol * abs(lo)
+           and width > rel_tol * abs(hi)):
         mid = 0.5 * (lo + hi)
         if mid <= lo or mid >= hi:
             break

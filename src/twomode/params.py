@@ -185,10 +185,6 @@ class SystemParams:
                 "sideband-resolved assumptions are violated",
                 SidebandResolutionWarning, stacklevel=2)
 
-    @property
-    def kappa_max(self) -> float:
-        return max(self.kappa1, self.kappa2)
-
 
 def preset_hill_params(kappa2_interpretation: str = "angular") -> SystemParams:
     """Device preset for the silicon two-mode optomechanical crystal.

@@ -42,12 +42,12 @@ class RealPolynomial:
         Leading (highest-degree) coefficients whose magnitude is below
         ``1e-14 * max|c|`` are dropped so the stored degree is honest.
         """
-        arr = [float(c) for c in coeffs]
+        arr = list(map(float, coeffs))
         if not arr:
             raise PolynomialError("empty coefficient sequence")
-        if not all(math.isfinite(c) for c in arr):
+        if not all(map(math.isfinite, arr)):
             raise PolynomialError(f"non-finite coefficient in {arr!r}")
-        top = max(abs(c) for c in arr)
+        top = max(map(abs, arr))
         if top == 0.0:
             raise PolynomialError("zero polynomial has no defined roots")
         cut = _TRIM_REL * top
@@ -55,16 +55,6 @@ class RealPolynomial:
         while last > 0 and abs(arr[last]) <= cut:
             last -= 1
         return cls(coeffs=tuple(arr[:last + 1]))
-
-    @classmethod
-    def from_roots(cls, roots, leading: float = 1.0) -> "RealPolynomial":
-        """Expand ``leading * prod(x - r)``; complex roots must pair up."""
-        coeffs = np.array([leading], dtype=complex)
-        for r in roots:
-            coeffs = np.convolve(coeffs, np.array([-r, 1.0], dtype=complex))
-        if np.max(np.abs(coeffs.imag)) > 1e-9 * max(np.max(np.abs(coeffs.real)), 1.0):
-            raise PolynomialError("roots do not produce a real polynomial")
-        return cls.from_coeffs(coeffs.real.tolist())
 
     @property
     def degree(self) -> int:

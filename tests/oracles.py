@@ -26,6 +26,7 @@ import numpy as np
 from numpy.polynomial import polynomial as P
 from scipy.integrate import solve_ivp
 
+from twomode.errors import PolynomialError
 from twomode.polyroots import RealPolynomial, all_roots
 from twomode.stability import (_characteristic_rows, _scaled_jacobians,
                                branch_state)
@@ -34,6 +35,22 @@ from twomode.steady import (_POLISH_MAX_ITER, Verdict, residual_derivative,
 
 GRID_POINTS = 1_000_000
 GRID_PAD = 1.02
+
+
+def from_roots(roots, leading=1.0):
+    """``leading * prod(x - r)`` as a RealPolynomial; complex roots must
+    pair up."""
+    coeffs = np.array([leading], dtype=complex)
+    for r in roots:
+        coeffs = np.convolve(coeffs, np.array([-r, 1.0], dtype=complex))
+    if np.max(np.abs(coeffs.imag)) > 1e-9 * max(np.max(np.abs(coeffs.real)), 1.0):
+        raise PolynomialError("roots do not produce a real polynomial")
+    return RealPolynomial.from_coeffs(coeffs.real.tolist())
+
+
+def kappa_max(params):
+    """The larger of the two cavity decay rates."""
+    return max(params.kappa1, params.kappa2)
 
 
 def lorentzian_force_terms(params, drive, sign=1):
@@ -67,22 +84,34 @@ def residual_grid(params, drive, sign=1, n=GRID_POINTS, pad=GRID_PAD,
     With the plus convention the force sum is non-negative, so roots live
     in [0, bound]; the minus convention admits negative roots and the
     grid widens to [-bound, bound].  The grid is uniform, or with ``log``
-    geometric in |q| from 1e-9 * bound up (mirrored for negative q),
-    which resolves close root pairs lying decades below a loose bound.
+    geometric in |q| from 1e-15 * bound up (mirrored for negative q),
+    which resolves close root pairs lying decades below a loose bound: at
+    0.1 W pump power, fold pairs lie 13 decades below it.
     """
     top = max(pad * force_bound(params, drive, sign), 1e-300)
     lo = 0.0 if sign > 0 else -top
+    floor = 1e-15 * top
     if not log:
         q = np.linspace(lo, top, n)
     elif sign > 0:
-        q = np.concatenate(([0.0], np.geomspace(1e-9 * top, top, n - 1)))
+        q = np.concatenate(([0.0], np.geomspace(floor, top, n - 1)))
     else:
-        half = np.geomspace(1e-9 * top, top, n // 2)
+        half = np.geomspace(floor, top, n // 2)
         q = np.concatenate((-half[::-1], half))
     total = np.zeros_like(q)
+    term = np.empty_like(q)
     for g, a, delta, kappa in lorentzian_force_terms(params, drive, sign):
-        total += g * a / (kappa**2 + (delta - g * q) ** 2)
-    return q, q - 2.0 / params.omega_m * total
+        # g a / (kappa^2 + (delta - g q)^2), in place: the same values
+        # without a grid-sized temporary per operation
+        np.multiply(q, g, out=term)
+        np.subtract(delta, term, out=term)
+        np.square(term, out=term)
+        term += kappa**2
+        np.divide(g * a, term, out=term)
+        total += term
+    total *= -2.0 / params.omega_m
+    total += q
+    return q, total
 
 
 def grid_zeros(params, drive, sign=1, n=GRID_POINTS, pad=GRID_PAD,
@@ -122,8 +151,9 @@ def sign_change_count(params, drive, sign=1, n=GRID_POINTS, pad=GRID_PAD,
     """Number of residual sign changes on the dense grid."""
     _, f = residual_grid(params, drive, sign, n, pad, log)
     s = np.sign(f)
-    s = s[s != 0]
-    return int(np.count_nonzero(s[:-1] * s[1:] < 0))
+    if not s.all():
+        s = s[s != 0]
+    return int(np.count_nonzero(s[:-1] != s[1:]))
 
 
 def scan_counts(params, drive, axis, values, options):

@@ -19,9 +19,9 @@ import pytest
 import oracles
 import sampling
 from twomode.continuation import SweepSpec, hysteresis_sweep, locate_folds, sweep_1d
-from twomode.params import DrivePoint, preset_hill_params, replace_params
+from twomode.params import DrivePoint, replace_params
 from twomode.stability import branch_state, jacobian
-from twomode.steady import SolverOptions, Verdict, steady_branches
+from twomode.steady import Verdict, steady_branches
 from twomode.studies import fold_power_study, subunity_search
 
 from test_continuation import LOOP_FOLDS

@@ -18,7 +18,8 @@ from twomode.continuation import (_FOLD_REL_TOL, _FOLD_SCAN_REL_TOL,
                                   hysteresis_sweep, locate_folds, sweep_1d)
 from twomode.errors import NoStableBranchError, ParameterError, SweepError
 from twomode.figures import run_preset
-from twomode.params import DrivePoint, preset_hill_params, replace_params
+from twomode.params import (POWER_AXES, DrivePoint, preset_hill_params,
+                            replace_params)
 from twomode.stability import Diagnostic, solve_and_classify
 from twomode.steady import (SolverOptions, Verdict, steady_branches,
                             steady_q_grid)
@@ -289,22 +290,46 @@ def test_sweep_folds_and_jumps_match_bisection_oracle(name, folds, jumps):
         assert repr(jump) == oracle(values[i - 1], values[i])
 
 
-@pytest.mark.parametrize("name", POWER_DRIVES)
-def test_power_folds_move_the_grid_oracle_count(name):
-    # independent of the polynomial route: the dense-grid sign-change count
-    # gains or loses exactly the fold's pair across each closed-form fold.
-    # The grid is geometric: under the minus convention the readout's peak
-    # push puts the uniform grid's spacing above the pair's separation.
-    params, drive, axis, _, _, options, count = FOLD_DRIVES[name]
+def _assert_folds_move_the_grid_oracle_count(params, drive, axis, options):
+    """Return the power-axis folds, each checked against the grid oracle.
+
+    Independent of the polynomial route: the dense-grid sign-change count
+    gains or loses exactly the fold's pair across each closed-form fold.
+    The grid is geometric: under the minus convention the readout's peak
+    push puts the uniform grid's spacing above the pair's separation.
+    """
     folds = continuation._power_folds(params, drive, axis, options)
-    assert len(folds) == count
     for value, change in folds:
         below, above = (
             oracles.sign_change_count(
                 params, drive.with_value(params, axis, value * factor),
                 options.sign, log=True)
             for factor in (1.0 - 1e-6, 1.0 + 1e-6))
-        assert above - below == change
+        assert above - below == change, (drive, axis, options, folds)
+    return folds
+
+
+@pytest.mark.parametrize("name", POWER_DRIVES)
+def test_power_folds_move_the_grid_oracle_count(name):
+    params, drive, axis, _, _, options, count = FOLD_DRIVES[name]
+    assert len(_assert_folds_move_the_grid_oracle_count(
+        params, drive, axis, options)) == count
+
+
+N_AUDIT_POWER = 40
+
+
+def test_power_folds_move_the_grid_oracle_count_on_drawn_drives():
+    # seeded audit of the unpolished companion roots on drawn drives,
+    # under both signs and on both power axes
+    rng = random.Random(0xF01D5)
+    params = preset_hill_params()
+    folding = 0
+    for k in range(N_AUDIT_POWER):
+        folding += bool(_assert_folds_move_the_grid_oracle_count(
+            params, sampling.draw_drive(rng, params), POWER_AXES[k // 2 % 2],
+            SolverOptions(sign=1 if k % 2 else -1)))
+    assert folding >= N_AUDIT_POWER // 2
 
 
 def _refuse_solves(monkeypatch):

@@ -5,8 +5,6 @@ import pytest
 from twomode.continuation import SweepResult
 from twomode.errors import ParameterError
 from twomode.figures import FIGURE_PRESETS, power_window, run_preset
-from twomode.params import preset_hill_params
-from twomode.steady import SolverOptions
 
 from test_steady import _drive
 

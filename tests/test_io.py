@@ -8,12 +8,10 @@ import pytest
 from twomode.continuation import SweepSpec, hysteresis_sweep, sweep_1d
 from twomode.errors import ParameterError
 from twomode.io import (CSV_HEADER, branch_row, labeled_rows, output_path,
-                        preset_rows, render_csv, render_jsonlines,
-                        render_rows, result_rows, summarize, trace_rows,
-                        write_rows, write_summary)
+                        preset_rows, render_csv, render_rows, result_rows,
+                        summarize, trace_rows, write_rows, write_summary)
 from twomode.params import replace_params
 from twomode.stability import solve_and_classify
-from twomode.steady import Verdict
 
 from test_continuation import LOOP_FOLDS
 from test_steady import _drive

@@ -8,8 +8,8 @@ from hypothesis import strategies as st
 
 from twomode.errors import ParameterError
 from twomode.params import (DrivePoint, SidebandResolutionWarning,
-                            SystemParams, drive_amplitude,
-                            preset_hill_params, replace_params, to_angular)
+                            drive_amplitude, preset_hill_params,
+                            replace_params, to_angular)
 
 TWO_PI = 2.0 * math.pi
 

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import oracles
 from twomode.errors import PolynomialError
 from twomode.polyroots import RealPolynomial, all_roots, real_roots
 
@@ -79,7 +80,7 @@ def test_all_roots_contract_random_quintics():
         if min(b - a for a, b in zip(known[:-1], known[1:])) < 1e-3:
             continue
         lead = rng.choice([-1.0, 1.0]) * rng.uniform(0.5, 2.0)
-        p = RealPolynomial.from_roots(known, leading=lead)
+        p = oracles.from_roots(known, leading=lead)
         roots = all_roots(p)
         assert len(roots) == 5
         got = sorted(roots.real)
@@ -119,7 +120,7 @@ def test_real_roots_double_root_cluster():
     # (x-2)^2 (x+1): the fold-like double root may surface as one value
     # or as an eps-split pair; either way everything clusters at 2 and
     # the simple root stays put
-    p = RealPolynomial.from_roots([2.0, 2.0, -1.0])
+    p = oracles.from_roots([2.0, 2.0, -1.0])
     got = real_roots(p)
     assert 2 <= len(got) <= 3
     assert got[0] == pytest.approx(-1.0, rel=1e-9)
@@ -128,7 +129,7 @@ def test_real_roots_double_root_cluster():
 
 
 def test_real_roots_polish_hits_tight_residual():
-    p = RealPolynomial.from_roots([1.0, 3.0, 7.0], leading=2.5)
+    p = oracles.from_roots([1.0, 3.0, 7.0], leading=2.5)
     for r in real_roots(p):
         assert abs(p(r)) <= 1e-12 * p.residual_scale(r)
 
@@ -167,13 +168,13 @@ def test_reconstruction_property(roots, lead):
     roots = sorted(roots)
     if any(b - a < 1e-3 for a, b in zip(roots[:-1], roots[1:])):
         return
-    p = RealPolynomial.from_roots(roots, leading=lead)
+    p = oracles.from_roots(roots, leading=lead)
     if p.degree != len(roots):
         # coefficient spread reached the documented 1e-14 lead trim;
         # such instances are outside the condition-bounded contract
         return
     got = all_roots(p)
-    rebuilt = RealPolynomial.from_roots(sorted(got.real), leading=lead)
+    rebuilt = oracles.from_roots(sorted(got.real), leading=lead)
     scale = max(abs(c) for c in p.coeffs)
     assert len(rebuilt.coeffs) == len(p.coeffs)
     for a, b in zip(p.coeffs, rebuilt.coeffs):

@@ -116,7 +116,7 @@ def test_weak_drive_sideband_cooling(preset, options):
     b = classified[0]
     assert b.verdict is Verdict.STABLE
     assert b.max_re_eig == pytest.approx(-124271332.46085185, rel=1e-8)
-    assert -preset.kappa_max <= b.max_re_eig < -100.0 * preset.gamma_m
+    assert -oracles.kappa_max(preset) <= b.max_re_eig < -100.0 * preset.gamma_m
 
 
 def test_self_oscillation_flagged_against_ordering_rule(preset, options):

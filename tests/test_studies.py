@@ -1,7 +1,5 @@
 """Convention-sensitivity fold study and the sub-unity readout search."""
 
-import math
-
 import pytest
 
 from twomode.studies import (FoldStudyReport, SubUnityReport,
