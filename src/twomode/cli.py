@@ -20,7 +20,8 @@ import sys
 from pathlib import Path
 
 from .config import parse_config
-from .continuation import hysteresis_sweep, locate_folds, sweep_1d
+from .continuation import (_FOLD_SCAN_SAMPLES, hysteresis_sweep,
+                           locate_folds, sweep_1d)
 from .errors import (ClassificationError, ConfigError, ParameterError,
                      PolynomialError, SolverError, SweepError)
 from .figures import FIGURE_PRESETS, run_preset
@@ -75,8 +76,8 @@ def build_parser() -> argparse.ArgumentParser:
                             help="locate branch-count changes on the sweep "
                                  "interval")
     _add_common(folds)
-    folds.add_argument("--samples", type=int, default=1024,
-                       help="coarse scan resolution (default 1024)")
+    folds.add_argument("--samples", type=int, default=_FOLD_SCAN_SAMPLES,
+                       help="coarse scan resolution (default %(default)s)")
     return parser
 
 

@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -73,6 +74,11 @@ class SweepSpec:
         if self.direction not in DIRECTIONS:
             raise ParameterError(f"sweep direction must be one of "
                                  f"{DIRECTIONS}, got {self.direction!r}")
+        try:
+            operator.index(self.points)
+        except TypeError:
+            raise ParameterError(f"sweep points must be an integer, got "
+                                 f"{self.points!r}") from None
         if self.points < 2:
             raise ParameterError(f"a sweep needs at least 2 points, got {self.points!r}")
         if not (math.isfinite(self.start) and math.isfinite(self.stop)):

@@ -16,7 +16,7 @@ fig5a   pulled readout resonance with a very weak second drive
 fig5b   power hysteresis read out by the very weak second drive
 
 Power windows for hysteresis presets are found adaptively: the exact pump
-power folds in [1e-14, 1] W (:func:`locate_folds` over 512 cells, each
+power folds in [1e-14, 1] W (:func:`locate_folds` over 512 samples, each
 fold on its 1e-9 bisection lattice) bound the bistable window, which is
 padded outward by a factor of 5 on each side.  When the chosen
 conventions give no fold at any reachable power (which happens for the

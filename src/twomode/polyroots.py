@@ -3,10 +3,12 @@
 Coefficients are stored ascending (``coeffs[i]`` multiplies ``x**i``).
 Root extraction goes through the balanced companion matrix (numpy's
 eigenvalue path), followed by a residual audit; real-root selection adds a
-Newton polish and tolerance-based deduplication.  Identical inputs produce
-bit-identical outputs on a given platform: there is no randomness anywhere
-in this module, and results are sorted canonically before they are
-returned.
+Newton polish and tolerance-based deduplication.  The row forms at the end
+of the module keep only the common path: a row that would need the audit's
+rescue, a polish step or a merge is left out of their ``ok`` mask for the
+scalar form to solve.  Identical inputs produce bit-identical outputs on a
+given platform: there is no randomness anywhere in this module, and
+results are sorted canonically before they are returned.
 """
 
 from __future__ import annotations
@@ -248,33 +250,6 @@ def _scale_rows(coeffs, x):
     return power.max(axis=0)
 
 
-def _newton_real_rows(coeffs, x):
-    """:func:`_newton_real` at every non-NaN entry of x (n, m)."""
-    dcoeffs = coeffs[:, 1:] * np.arange(1, coeffs.shape[1])
-    out = np.full(x.shape, np.nan)
-    fx = _horner_rows(coeffs, x)
-    best, best_res = x, np.abs(fx)
-    active = ~np.isnan(x)
-    for _ in range(_POLISH_MAX_ITER):
-        done = active & (np.abs(fx) <= _POLISH_RESIDUAL_REL * _scale_rows(coeffs, x))
-        out[done] = x[done]
-        active &= ~done
-        dfx = _horner_rows(dcoeffs, x)
-        stuck = active & (dfx == 0.0)
-        out[stuck] = best[stuck]
-        active &= ~stuck
-        if not active.any():
-            return out
-        x = np.where(active, x - fx / dfx, x)
-        fx = _horner_rows(coeffs, x)
-        res = np.abs(fx)
-        better = active & (res < best_res)
-        best = np.where(better, x, best)
-        best_res = np.where(better, res, best_res)
-    out[active] = best[active]
-    return out
-
-
 def all_roots_rows(coeffs: np.ndarray) -> tuple:
     """:func:`all_roots` of many polynomials of one degree d at once.
 
@@ -308,22 +283,22 @@ def real_roots_rows(coeffs: np.ndarray, imag_tol: float) -> tuple:
     ``coeffs`` is (n, d + 1), ascending, trimmed (nonzero last column), with
     a nonzero constant term.  Returns ``(roots, ok)``: the real roots of each
     row, ascending and NaN-padded to (n, d), and a mask of the rows whose
-    roots are exactly what :func:`real_roots` computes.  A row outside the
-    mask needs a path only the scalar form has: the complex-Newton rescue
-    of a root failing the residual audit, a chain of two or more collapsing
-    pairs, or a failed eigenvalue iteration.
+    roots are exactly what :func:`real_roots` computes.  The roots are not
+    polished or merged, so the mask holds only rows where neither path
+    would act.  A row outside the mask needs a path only the scalar form
+    has: the complex-Newton rescue of a root failing the residual audit, a
+    Newton polish step (a real root with ``|p| > 1e-13 * scale``), the
+    merge of two real roots within 1e-8 relative, or a failed eigenvalue
+    iteration.
     """
     roots, ok = all_roots_rows(coeffs)
     real = np.abs(roots.imag) <= imag_tol * (1.0 + np.abs(roots.real))
-    x = np.sort(_newton_real_rows(coeffs, np.where(real, roots.real, np.nan)),
-                axis=1)
+    x = np.where(real, roots.real, np.nan)
+    # the test real_roots' Newton polish makes before its first step
+    stays = (np.abs(_horner_rows(coeffs, x))
+             <= _POLISH_RESIDUAL_REL * _scale_rows(coeffs, x))
+    ok &= (stays | ~real).all(axis=1)
+    x.sort(axis=1)
     close = np.abs(x[:, 1:] - x[:, :-1]) <= _DEDUP_REL * (1.0 + np.abs(x[:, 1:]))
-    ok &= close.sum(axis=1) <= 1
-    rows, left = np.nonzero(close & ok[:, None])
-    if len(rows):
-        pair = np.stack([x[rows, left], x[rows, left + 1]], axis=1)
-        res = np.abs(_horner_rows(coeffs[rows], pair))
-        # the later root replaces the earlier only with a smaller residual
-        x[rows, np.where(res[:, 1] < res[:, 0], left, left + 1)] = np.nan
-        x.sort(axis=1)
+    ok &= ~close.any(axis=1)
     return x, ok

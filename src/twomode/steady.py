@@ -36,8 +36,8 @@ import numpy as np
 
 from .errors import ParameterError, PolynomialError, SolverError
 from .params import DrivePoint, SystemParams
-from .polyroots import (RealPolynomial, mul_rows, real_roots, real_roots_rows,
-                        trim_rows)
+from .polyroots import (_DEDUP_REL, RealPolynomial, mul_rows, real_roots,
+                        real_roots_rows, trim_rows)
 
 _POLISH_MAX_ITER = 12
 # Solver-level sanity ceiling on the steady-state self-consistency defect.
@@ -46,8 +46,6 @@ _RESIDUAL_CEILING = 1e-6
 # 400-point sweep is one block, and its temporaries stay near 0.6 MB.
 _GRID_BLOCK = 512
 _MAX_BRANCHES = 5
-# Roots closer than this, relative to 1 + |q|, are one branch.
-_DEDUP_REL = 1e-8
 
 
 class Verdict(enum.IntEnum):
@@ -226,15 +224,14 @@ def _polish_root(q: float, lo: float, hi: float, params, drive, sign) -> float:
 
     The step depends on x alone, so once an iterate equals the one before
     last the iterates repeat and ``best`` cannot change: the loop stops
-    there with what running to ``_POLISH_MAX_ITER`` returns.
+    there with what running to ``_POLISH_MAX_ITER`` returns.  At an exact
+    zero the step is 0, so the negligible-step exit returns that iterate.
     """
     best = q
     best_res = abs(steady_residual(q, params, drive, sign))
     x, last = q, math.nan
     for _ in range(_POLISH_MAX_ITER):
         fx = steady_residual(x, params, drive, sign)
-        if fx == 0.0:
-            return x
         dfx = residual_derivative(x, params, drive, sign)
         if dfx == 0.0 or not math.isfinite(dfx):
             break
@@ -364,9 +361,6 @@ def _polish_rows(q, lo, hi, params, drive, sign):
     best, best_res = x, np.abs(fx)
     active = ~np.isnan(q)
     for _ in range(_POLISH_MAX_ITER):
-        hit = active & (fx == 0.0)
-        out[hit] = x[hit]
-        active &= ~hit
         dfx = residual_derivative(x, params, drive, sign)
         stuck = active & ((dfx == 0.0) | ~np.isfinite(dfx))
         out[stuck] = best[stuck]
@@ -391,7 +385,8 @@ def _polish_rows(q, lo, hi, params, drive, sign):
 
 def _solve_rows(params, drive, axis, values, options, out):
     """Write the steady_q_grid rows of ``values`` into ``out``; a row the
-    masked steps reject is rescued by :func:`steady_branches`.
+    masked steps reject, such as one :func:`real_roots_rows` leaves out of
+    its mask, is rescued by :func:`steady_branches`.
 
     Returns None, or ``(i, exc)`` for the first row whose rescue raises;
     rows i and after are left NaN.
@@ -445,11 +440,12 @@ def steady_q_grid(params: SystemParams, drive: DrivePoint, axis: str,
     each branch, ascending, NaN-padded to 5 columns.  Rows are solved
     together, block by block: one stacked companion eigenvalue call per
     polynomial degree, then the scalar solver's audit, filters, Newton
-    polish and deduplication as masked array steps.  A row that needs a
-    path only the scalar solver has (rest point, a root-audit rescue,
-    chained duplicates, a self-consistency breach, no root) is re-solved
-    by :func:`steady_branches` in :func:`_solve_rows`; the first that
-    raises stops the grid with that error.
+    polish on the residual and deduplication as masked array steps.  A row
+    that needs a path only the scalar solver has (rest point, a root-audit
+    rescue, a polynomial Newton polish step or root merge in
+    :func:`real_roots`, chained duplicates, a self-consistency breach, no
+    root) is re-solved by :func:`steady_branches` in :func:`_solve_rows`;
+    the first that raises stops the grid with that error.
     """
     values = np.asarray(values, dtype=float)
     out = np.full((len(values), _MAX_BRANCHES), np.nan)

@@ -11,7 +11,7 @@ import pytest
 
 import oracles
 import sampling
-from twomode import continuation, stability, steady
+from twomode import continuation, figures, stability, steady
 from twomode.continuation import (_FOLD_REL_TOL, _FOLD_SCAN_REL_TOL,
                                   HysteresisResult, SweepSpec, Trace, _folds,
                                   axis_grid, clamped_hysteresis_sweep,
@@ -63,6 +63,8 @@ def test_spec_validation(preset):
         SweepSpec(axis="power_l", start=0.0, stop=1.0, drive=d, direction="down")
     with pytest.raises(ParameterError):
         SweepSpec(axis="power_l", start=0.0, stop=1.0, drive=d, points=1)
+    with pytest.raises(ParameterError, match="points must be an integer"):
+        SweepSpec(axis="delta1", start=0.0, stop=1e9, drive=d, points=2.5)
     with pytest.raises(ParameterError):
         SweepSpec(axis="power_l", start=1.0, stop=1.0, drive=d)
     with pytest.raises(ParameterError):
@@ -70,6 +72,13 @@ def test_spec_validation(preset):
     with pytest.raises(ParameterError):
         SweepSpec(axis="delta1", start=0.0, stop=math.inf, drive=d)
     SweepSpec(axis="delta1", start=-1.0, stop=1.0, drive=d)
+    SweepSpec(axis="delta1", start=-1.0, stop=1.0, drive=d, points=np.int64(5))
+
+
+def test_locate_folds_rejects_non_integer_samples(heavy, options):
+    with pytest.raises(ParameterError, match="points must be an integer"):
+        locate_folds(heavy, _loop_drive(heavy), "power_l", 1e-14, 1.0, options,
+                     samples=100.5)
 
 
 def test_axis_grid_spacing_rules(preset):
@@ -288,6 +297,23 @@ def test_sweep_folds_and_jumps_match_bisection_oracle(name, folds, jumps):
     for jump in found:
         i = bisect.bisect_left(values, jump)
         assert repr(jump) == oracle(values[i - 1], values[i])
+
+
+def test_sweep_step_across_two_folds_matches_bisection_oracle():
+    # one coarse step from five branches down to one crosses the two -2
+    # folds of a five-branch drive, so the bisection counts from both
+    options = SolverOptions()
+    params, drive = sampling.draw_five_root_point(random.Random(0), options)
+    spec = SweepSpec(axis="power_l", start=drive.power_l, stop=1e-6,
+                     drive=drive, points=2)
+    res = sweep_1d(params, spec, options)
+    (v0, five), (v1, one) = res.records
+    assert (len(five), len(one)) == (5, 1)
+    assert [change for v, change in _folds(params, drive, "power_l", v0, v1,
+                                           options)
+            if v0 < v <= v1] == [-2, -2]
+    assert [repr(f) for f in res.folds] == [repr(oracles.bisect_count_change(
+        params, drive, "power_l", v0, v1, options, _FOLD_REL_TOL))]
 
 
 def _assert_folds_move_the_grid_oracle_count(params, drive, axis, options):
@@ -555,6 +581,19 @@ def test_uncoupled_control_shows_no_loop(preset, options):
     down = dict(res.hysteresis.down.points)
     for v in up:
         assert up[v].q_s == down[v].q_s
+
+
+def test_ramp_without_a_stable_first_sample_names_it(preset, options):
+    # the fig2b window: with no fold at any power the fallback window is
+    # used, and on the preset device its first sample self-oscillates
+    drive = figures._drive(preset, "literal")
+    lo, hi = figures.power_window(preset, drive)
+    spec = SweepSpec(axis="power_l", start=lo, stop=hi, drive=drive,
+                     points=400, direction="both")
+    with pytest.raises(NoStableBranchError) as caught:
+        hysteresis_sweep(preset, spec, options)
+    assert caught.value.axis_value == spec.start == 1e-08
+    assert str(caught.value) == stability._no_stable_branch("power_l", 1e-08)
 
 
 def _high_q_drive(preset):

@@ -14,7 +14,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import sampling
-from twomode import continuation, stability, steady
+from twomode import continuation, polyroots, stability, steady
 from twomode.continuation import SweepSpec, _solve_grid, axis_grid, sweep_1d
 from twomode.errors import (ClassificationError, ParameterError,
                             PolynomialError, SolverError, SweepError)
@@ -59,10 +59,10 @@ def _assert_rows_match(params, drive, axis, values, options):
     return grid
 
 
-def _solver_degree(params, drive, options):
-    """Degree of the polynomial the scalar solver roots at this drive."""
+def _solver_poly(params, drive, options):
+    """The polynomial the scalar solver roots at this drive."""
     qb = min(q_upper_bound(params, drive), steady._tail_root_bound(params, drive))
-    return steady._assemble(params, drive, options.sign, max(qb, 1.0)).poly.degree
+    return steady._assemble(params, drive, options.sign, max(qb, 1.0)).poly
 
 
 def _case(regime, seed):
@@ -122,8 +122,8 @@ def test_flux_study_rows_trim_to_quartic_and_quintic():
                              delta2=params.omega_m, power_r=1e-7,
                              amp_convention="flux")
     values = np.geomspace(1e-14, 1.0, 40)
-    degrees = [_solver_degree(params, drive.with_value(params, "power_l", v),
-                              SolverOptions())
+    degrees = [_solver_poly(params, drive.with_value(params, "power_l", v),
+                            SolverOptions()).degree
                for v in values]
     assert {4, 5} <= set(degrees)
     _assert_rows_match(params, drive, "power_l", values, SolverOptions())
@@ -146,6 +146,60 @@ def test_ceiling_breach_raises_like_the_scalar_solver():
     values = np.array([9e-6, CEILING_BREACH_POWER_L, 9.3e-6])
     assert _scalar_rows(params, drive, "power_l", values, options)[1] is SolverError
     _assert_rows_match(params, drive, "power_l", values, options)
+
+
+def _fold_approach():
+    """A five-branch drive and twelve power_l values from 1e-8 to 0.1
+    relative above its lowest fold, where its two new roots close in."""
+    options = SolverOptions()
+    params, drive = sampling.draw_five_root_point(random.Random(0), options)
+    (fold, _), *_ = continuation._folds(params, drive, "power_l", 0.0, 1.0,
+                                        options)
+    return params, drive, fold * (1.0 + np.geomspace(1e-8, 0.1, 12)), options
+
+
+def _rows_real_roots_changes(params, drive, values, options, monkeypatch):
+    """Indices of the power_l rows where the scalar real_roots takes a
+    Newton polish step or merges two roots."""
+    newton = polyroots._newton_real
+    steps = []
+
+    def spy(p, dp, x):
+        # the polish evaluates dp only to take a step
+        slopes = []
+        root = newton(p, lambda y: slopes.append(y) or dp(y), x)
+        steps.append(bool(slopes))
+        return root
+
+    monkeypatch.setattr(polyroots, "_newton_real", spy)
+    rows = []
+    for i, v in enumerate(values.tolist()):
+        steps.clear()
+        p = _solver_poly(params, drive.with_value(params, "power_l", v), options)
+        # one polish per real root: fewer roots out means a merge
+        if len(polyroots.real_roots(p, options.imag_tol)) < len(steps) or any(steps):
+            rows.append(i)
+    return rows
+
+
+@pytest.mark.parametrize("constant,value", [("_POLISH_RESIDUAL_REL", 1e-16),
+                                            ("_DEDUP_REL", 1e-4)])
+def test_rows_real_roots_would_change_go_to_steady_branches(
+        constant, value, monkeypatch):
+    # the row kernel neither polishes nor merges real roots: a row where
+    # the scalar form does is solved by steady_branches, and no other row
+    params, drive, values, options = _fold_approach()
+    monkeypatch.setattr(polyroots, constant, value)
+    changed = _rows_real_roots_changes(params, drive, values, options,
+                                       monkeypatch)
+    assert changed
+    rescued = []
+    scalar = steady.steady_branches
+    monkeypatch.setattr(steady, "steady_branches", lambda p, point, o: (
+        rescued.append(point.power_l) or scalar(p, point, o)))
+    assert _assert_rows_match(params, drive, "power_l", values,
+                              options) is not None
+    assert rescued == [values.tolist()[i] for i in changed]
 
 
 def _pointwise_records(params, spec, options):
