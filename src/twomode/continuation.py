@@ -7,13 +7,13 @@ that batch, as a SweepError that names it.  Folds (branch-count changes)
 are located exactly, and no steady state is solved to find them.  Each
 call builds one fold list, ((axis value, +-2), ...), at most once:
 :func:`locate_folds` takes its scan counts from it, and sweeps build it
-only when two neighbouring samples' counts differ.  On a power axis the
-fixed-point polynomial is affine in the power, so the folds are roots of
-one polynomial in q, its companion eigenvalues unpolished: the fold power
-is stationary in the root.  On a detuning axis the branch curve gives the
-axis mode's photon number explicitly in q; with the pump frozen at the
-window's middle the folds are near the roots of one polynomial of degree
-<= 12 in q, and each root seeds Newton's method on the limit-point system
+only when two neighbouring samples' counts differ.  The fold lists take
+each mode's Lorentzian L_k and force factor s_k c_k from
+:func:`steady._mode_terms`.  On a power axis the fixed-point polynomial is
+a(x) - P b(x), a assembled once at P = 0 and b = s_k c_k(1 W) L_j, so the
+folds are roots of one polynomial.  On a detuning axis the branch curve
+gives the axis mode's photon number explicitly in q through L_j, and roots
+of one polynomial seed Newton's method on the limit-point system
 f = df/dq = 0 with the exact pump.  A fold is reported on the lattice of
 a bisection that takes its counts from the fold list: 1e-9 relative in
 :func:`locate_folds` and 1e-6 in sweeps, the values a bisection that
@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import functools
 import math
-import operator
+import numbers
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -39,7 +39,7 @@ from .errors import (NoStableBranchError, ParameterError, PolynomialError,
                      SweepError)
 from .params import AXES, POWER_AXES, DrivePoint, SystemParams, drive_amplitude
 from .polyroots import _DEDUP_REL, RealPolynomial
-from .steady import (SolverOptions, Verdict, _assemble,
+from .steady import (SolverOptions, Verdict, _assemble, _mode_terms,
                      photon_numbers_from_q, steady_residual)
 from .stability import Diagnostic, _no_stable_branch, solve_and_classify_grid
 
@@ -74,20 +74,20 @@ class SweepSpec:
         if self.direction not in DIRECTIONS:
             raise ParameterError(f"sweep direction must be one of "
                                  f"{DIRECTIONS}, got {self.direction!r}")
-        try:
-            operator.index(self.points)
-        except TypeError:
-            raise ParameterError(f"sweep points must be an integer, got "
-                                 f"{self.points!r}") from None
-        if self.points < 2:
-            raise ParameterError(f"a sweep needs at least 2 points, got {self.points!r}")
-        if not (math.isfinite(self.start) and math.isfinite(self.stop)):
-            raise ParameterError("sweep endpoints must be finite")
-        if not self.start < self.stop:
-            raise ParameterError(
-                f"sweep start must be below stop, got [{self.start!r}, {self.stop!r}]")
-        if self.axis in POWER_AXES and self.start < 0.0:
-            raise ParameterError(f"power sweep start must be >= 0, got {self.start!r}")
+        _check_grid(self.axis, self.start, self.stop, self.points,
+                    "sweep points", "sweep start", "stop")
+
+
+def _check_grid(axis, start, stop, points, n_points, n_start, n_stop):
+    """Reject ``points`` samples over [start, stop] on ``axis`` that no grid
+    can take; the messages name them ``n_points``, ``n_start``, ``n_stop``."""
+    if not (isinstance(points, numbers.Integral) and points >= 2):
+        raise ParameterError(f"{n_points} must be an integer >= 2, got {points!r}")
+    if not (math.isfinite(start) and math.isfinite(stop) and start < stop):
+        raise ParameterError(
+            f"need finite {n_start} < {n_stop}, got [{start!r}, {stop!r}]")
+    if axis in POWER_AXES and start < 0.0:
+        raise ParameterError(f"{n_start} must be >= 0 on a power axis, got {start!r}")
 
 
 @dataclass(frozen=True)
@@ -129,25 +129,29 @@ def _lorentz_scale(params, drive) -> float:
         (drive.delta2, params.kappa2, params.g2)) if g > 0.0)
 
 
-def _polyval(coeffs, x):
-    """np.polyval of descending coefficients at a float, bit for bit."""
-    acc = 0.0
-    for c in coeffs:
-        acc = acc * x + c
-    return acc
+def _power_split(params, zero, unit, axis, sign, q_scale):
+    """(a, b), ascending in x = q / q_scale, with p(x; P) = a(x) - P b(x).
+
+    a is the polynomial at ``zero`` (axis power 0) and b = s_k c_k L_j from
+    :func:`steady._mode_terms` at ``unit`` (1 W), with L_j = 1 when g_j = 0.
+    """
+    a = _assemble(params, zero, sign, q_scale).poly.coeffs
+    modes = _mode_terms(params, unit, sign, q_scale)
+    (_, force), other = modes if axis == "power_l" else modes[::-1]
+    return a, [force * c for c in other[0]] if other else [force]
 
 
 def _power_folds(params, drive, axis, options) -> tuple:
     """((power, change), ...) of every fold on a power axis, ascending.
 
     The fixed-point polynomial is affine in the axis power, p(x; P) =
-    a(x) - P b(x), so the branch curve is P(x) = a(x) / b(x) and its folds
-    are the real roots of w = a'b - ab' with P > 0.  A root counts where w
-    changes sign (odd multiplicity); the branch count changes by +2 across
-    a minimum of P(x) and by -2 across a maximum.  The roots are w's
-    companion eigenvalues, from one LAPACK call, and are not polished: P
-    is stationary at a fold, so a root error dx moves the fold power by
-    O(dx^2) only.  The rest is float arithmetic; no steady state is solved.
+    a(x) - P b(x) (:func:`_power_split`), so the branch curve is P(x) =
+    a(x) / b(x) and its folds are the real roots of w = a'b - ab' with
+    P > 0.  A root counts where w changes sign (odd multiplicity); the
+    branch count changes by +2 across a minimum of P(x) and by -2 across a
+    maximum.  The roots are w's companion eigenvalues, from one LAPACK
+    call, and are not polished: P is stationary at a fold, so a root error
+    dx moves the fold power by O(dx^2) only.  No steady state is solved.
     """
     left = axis == "power_l"
     g = params.g1 if left else params.g2
@@ -156,24 +160,19 @@ def _power_folds(params, drive, axis, options) -> tuple:
     zero = drive.with_value(params, axis, 0.0)
     unit = drive.with_value(params, axis, 1.0)
     q_scale = _lorentz_scale(params, drive)
-    a = _assemble(params, zero, options.sign, q_scale).poly.coeffs
-    p1 = _assemble(params, unit, options.sign, q_scale).poly.coeffs
-    if len(p1) != len(a):
-        raise SweepError(f"the fixed-point polynomial at {axis} = 1 W lost "
-                         f"its leading coefficient to trimming")
+    a, b = _power_split(params, zero, unit, axis, options.sign, q_scale)
     # a'b - ab' = sum over i != j of (i - j) a_i b_j x^(i + j - 1)
-    w = [0.0] * (2 * len(a) - 3)
-    for j, bj in enumerate(c - c1 for c, c1 in zip(a, p1)):
-        if bj:
-            for i, ai in enumerate(a):
-                if i != j:
-                    w[i + j - 1] += (i - j) * ai * bj
-    w = RealPolynomial.from_coeffs(w).coeffs[::-1]
-    if len(w) < 2:
+    w = [0.0] * (len(a) + len(b) - 2)
+    for j, bj in enumerate(b):
+        for i, ai in enumerate(a):
+            if i != j:
+                w[i + j - 1] += (i - j) * ai * bj
+    w = RealPolynomial.from_coeffs(w)
+    if w.degree < 1:
         raise PolynomialError(
-            f"degree must be >= 1 to extract roots, got {len(w) - 1}")
-    companion = np.eye(len(w) - 1, k=-1)
-    companion[0] = [-c / w[0] for c in w[1:]]
+            f"degree must be >= 1 to extract roots, got {w.degree}")
+    companion = np.eye(w.degree, k=-1)
+    companion[0] = [-c / w.coeffs[-1] for c in w.coeffs[-2::-1]]
     try:
         roots = np.linalg.eigvals(companion).tolist()
     except np.linalg.LinAlgError as exc:
@@ -184,7 +183,7 @@ def _power_folds(params, drive, axis, options) -> tuple:
                     if abs(r.imag) <= options.imag_tol * (1.0 + abs(r.real))):
         if xs and x - xs[-1] <= _DEDUP_REL * (1.0 + abs(x)):
             # one multiple root: keep the smaller residual
-            if abs(_polyval(w, x)) < abs(_polyval(w, xs[-1])):
+            if abs(w(x)) < abs(w(xs[-1])):
                 xs[-1] = x
         else:
             xs.append(x)
@@ -194,7 +193,7 @@ def _power_folds(params, drive, axis, options) -> tuple:
     probes = ([xs[0] - 1.0 - abs(xs[0])]
               + [0.5 * (x1 + x0) for x0, x1 in zip(xs, xs[1:])]
               + [xs[-1] + 1.0 + abs(xs[-1])])
-    slope = [(y > 0.0) - (y < 0.0) for y in (_polyval(w, x) for x in probes)]
+    slope = [(y > 0.0) - (y < 0.0) for y in map(w, probes)]
     s = 1 if left else options.sign
     folds = []
     for x, before, after in zip(xs, slope, slope[1:]):
@@ -283,24 +282,24 @@ def _detuning_folds(params, drive, axis, lo, hi, options) -> tuple:
     gives u = A R' / (2 g_k R^2), so folds sit at the real roots of
     4 g_k^2 kappa_k^2 R^4 - 4 g_k^2 A R^3 + A^2 R'^2: a polynomial of
     degree <= 12 in q once multiplied by L_j^4, mode j's Lorentzian
-    denominator.  Every real or nearly real root (|Im| <= 0.1 (1 + |Re|)
-    in x = q / q_scale) with R > 0 seeds the limit-point Newton at three
-    detunings, g_k q + u for u = A R' / (2 g_k R^2) and u = +-sqrt(A / R -
-    kappa_k^2): near a double root the expanded polynomial is at rounding
-    level, and one of them still lands on the fold.  R, R' and L_j are
-    evaluated on floats at each root.  Seeds more than one window width
-    outside it are dropped.  The Newton keeps the exact pump, so the
-    frozen A only places the seeds.  No steady state is solved.
+    denominator (1 when g_j = 0), with L_j and s_j c_j from
+    :func:`steady._mode_terms`.  Every real or nearly real root (|Im| <=
+    0.1 (1 + |Re|) in x = q / q_scale) with R > 0 seeds the limit-point
+    Newton at three detunings, g_k q + u for u = A R' / (2 g_k R^2) and
+    u = +-sqrt(A / R - kappa_k^2): near a double root the expanded
+    polynomial is at rounding level, and one of them still lands on the
+    fold.  R, R' and L_j are evaluated on floats at each root.  Seeds more
+    than one window width outside it are dropped.  The Newton keeps the
+    exact pump, so the frozen A only places the seeds.  No steady state is
+    solved.
     """
     om = params.omega_m
     left = axis == "delta1"
     modes = ((params.g1, params.kappa1, params.kappa_e1, 1),
              (params.g2, params.kappa2, params.kappa_e2, options.sign))
-    (g, kappa, kappa_e, s), (gj, kappa_j, kappa_ej, sj) = (
-        modes if left else modes[::-1])
+    (g, kappa, kappa_e, s), (gj, kappa_j, _, _) = modes if left else modes[::-1]
     mid = drive.with_value(params, axis, 0.5 * (lo + hi))
-    amp, amp_j, dj = ((mid.amp_l, mid.amp_r, mid.delta2) if left
-                      else (mid.amp_r, mid.amp_l, mid.delta1))
+    amp, dj = (mid.amp_l, mid.delta2) if left else (mid.amp_r, mid.delta1)
     a = kappa_e * (amp * amp)
     if g == 0.0 or a == 0.0:
         return ()                   # the count does not depend on delta_k
@@ -308,13 +307,12 @@ def _detuning_folds(params, drive, axis, lo, hi, options) -> tuple:
                   (abs(dj) + kappa_j) / gj if gj > 0.0 else 0.0)
     # rates in units of omega_m, q = q_scale x; polynomials descending in x
     gt, kt, at = g / om, kappa / om, a / om**2
-    gjt = gj * q_scale / om
-    lorentz = np.array([gjt * gjt, -2.0 * (dj / om) * gjt,
-                        (kappa_j / om)**2 + (dj / om)**2])
-    # N = R L_j, and R' L_j^2 q_scale = N' L_j - N L_j'
-    n = np.convolve([0.5 * q_scale, 0.0], lorentz)
-    n[-1] -= sj * (gj / om) * kappa_ej * (amp_j * amp_j) / om**2
-    n /= s * gt
+    terms = _mode_terms(params, mid, options.sign, q_scale)
+    lorentz, force_j = terms[1 if left else 0] or ((1.0, 0.0, 0.0), 0.0)
+    lorentz = np.array(lorentz[::-1])
+    # N = R L_j = (x L_j - s_j c_j) q_scale / (2 s_k g_k / omega_m), and
+    # R' L_j^2 q_scale = N' L_j - N L_j'
+    n = np.append(lorentz, -force_j) * (0.5 * q_scale / (s * gt))
     slope = (np.convolve(np.polyder(n), lorentz)
              - np.convolve(n, np.polyder(lorentz)))
     n3 = np.convolve(np.convolve(n, n), n)
@@ -324,15 +322,16 @@ def _detuning_folds(params, drive, axis, lo, hi, options) -> tuple:
     fold[4:] += at * at * np.convolve(slope, slope) / q_scale**2
     roots = np.roots(fold)
     near = roots.real[np.abs(roots.imag) <= 0.1 * (1.0 + np.abs(roots.real))]
-    lorentz, n, slope = lorentz.tolist(), n.tolist(), slope.tolist()
+    lorentz, n, slope = (RealPolynomial(tuple(p[::-1].tolist()))
+                         for p in (lorentz, n, slope))
     found = []
     for x in near.tolist():
-        lx = _polyval(lorentz, x)
-        r = _polyval(n, x) / lx
+        lx = lorentz(x)
+        r = n(x) / lx
         if not r > 0.0:
             continue
         q = x * q_scale
-        r_q = _polyval(slope, x) / (lx * lx * q_scale)
+        r_q = slope(x) / (lx * lx * q_scale)
         us = [a * r_q / (2.0 * g * r * r)]
         w = a / r - kappa * kappa
         if w >= 0.0:
@@ -448,6 +447,7 @@ def locate_folds(params: SystemParams, drive: DrivePoint, axis: str,
     Returns an empty tuple when the count never changes; that is a valid,
     converged answer, not a failure.
     """
+    _check_grid(axis, lo, hi, samples, "samples", "lo", "hi")
     scan = SweepSpec(axis=axis, start=lo, stop=hi, drive=drive, points=samples)
     values = axis_grid(scan)
     folds = _folds(params, drive, axis, lo, hi, options)

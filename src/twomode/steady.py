@@ -170,21 +170,35 @@ def _tail_root_bound(params: SystemParams, drive: DrivePoint) -> float:
     return max(bound, (8.0 * tail_sum / params.omega_m) ** (1.0 / 3.0))
 
 
-def _assemble(params: SystemParams, drive: DrivePoint, sign: int,
-              q_scale: float) -> ScaledPolynomial:
+def _mode_terms(params: SystemParams, drive: DrivePoint, sign: int,
+                q_scale) -> list:
+    """Each mode's (L_k, s_k c_k) in x = q / q_scale, or None when g_k == 0.
+
+    L_k = (kappa_k^2 + (delta_k - g_k q)^2) / omega_m^2, as ascending
+    coefficients, and c_k = 2 g_k kappa_e_k |E_k|^2 / (omega_m^3 q_scale),
+    linear in mode k's power: the polynomial is x L_1 L_2 - s_1 c_1 L_2 -
+    s_2 c_2 L_1.  Drive fields and ``q_scale`` may be floats or (n, 1) columns.
+    """
     om = params.omega_m
-    modes = []
+    terms = []
     for kappa, delta, g, kappa_e, amp, s in (
             (params.kappa1, drive.delta1, params.g1, params.kappa_e1, drive.amp_l, 1),
             (params.kappa2, drive.delta2, params.g2, params.kappa_e2, drive.amp_r, sign)):
         if g == 0.0:
+            terms.append(None)
             continue
         kt = kappa / om
         dt = delta / om
         gt = g * q_scale / om
-        lorentz = RealPolynomial((kt * kt + dt * dt, -2.0 * dt * gt, gt * gt))
         c = 2.0 * g * (kappa_e * amp * amp) / (om**3 * q_scale)
-        modes.append((lorentz, s * c))
+        terms.append(((kt * kt + dt * dt, -2.0 * dt * gt, gt * gt), s * c))
+    return terms
+
+
+def _assemble(params: SystemParams, drive: DrivePoint, sign: int,
+              q_scale: float) -> ScaledPolynomial:
+    modes = [(RealPolynomial(lorentz), force) for lorentz, force in
+             filter(None, _mode_terms(params, drive, sign, q_scale))]
     poly = RealPolynomial((0.0, 1.0))
     for lorentz, _ in modes:
         poly = poly * lorentz
@@ -206,10 +220,7 @@ def assemble_fixed_point_polynomial(params: SystemParams, drive: DrivePoint,
     The real zeros of the result, rescaled by ``q_scale``, are exactly the
     zeros of :func:`steady_residual`.  Degree is ``1 + 2 * (number of
     modes with g_k != 0)``; with both couplings active the leading
-    coefficient is ``(g1 g2 q_scale^2 / omega_m^2)^2 > 0``.  Lorentzian
-    factors of uncoupled modes are constants and are divided out exactly
-    rather than multiplied in, so their (varying) magnitude cannot perturb
-    the coefficients of the part that matters.
+    coefficient is ``(g1 g2 q_scale^2 / omega_m^2)^2 > 0``.
 
     ``q_scale = max(q_upper_bound, 1)``.  At strong drive this is loose
     (the roots sit many decades below it); the branch solver then works on
@@ -324,21 +335,9 @@ def _assemble_rows(params: SystemParams, drive: DrivePoint, sign: int,
     degree, with every intermediate product trimmed as the scalar form
     trims it.
     """
-    om = params.omega_m
     n = q_scale.shape[0]
-    modes = []
-    for kappa, delta, g, kappa_e, amp, s in (
-            (params.kappa1, drive.delta1, params.g1, params.kappa_e1, drive.amp_l, 1),
-            (params.kappa2, drive.delta2, params.g2, params.kappa_e2, drive.amp_r, sign)):
-        if g == 0.0:
-            continue
-        kt = kappa / om
-        dt = delta / om
-        gt = g * q_scale / om
-        lorentz = np.hstack(np.broadcast_arrays(kt * kt + dt * dt, -2.0 * dt * gt,
-                                                gt * gt))
-        c = 2.0 * g * (kappa_e * amp * amp) / (om**3 * q_scale)
-        modes.append((lorentz, s * c))
+    modes = [(np.hstack(np.broadcast_arrays(*lorentz)), force) for lorentz, force
+             in filter(None, _mode_terms(params, drive, sign, q_scale))]
     poly = np.broadcast_to([0.0, 1.0], (n, 2))
     for lorentz, _ in modes:
         poly = trim_rows(mul_rows(poly, lorentz))

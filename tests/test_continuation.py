@@ -1,6 +1,7 @@
 """Sweeps, fold location, and quasi-static hysteresis ramps."""
 
 import bisect
+import itertools
 import math
 import random
 import re
@@ -76,9 +77,18 @@ def test_spec_validation(preset):
 
 
 def test_locate_folds_rejects_non_integer_samples(heavy, options):
-    with pytest.raises(ParameterError, match="points must be an integer"):
+    with pytest.raises(ParameterError, match="samples must be an integer"):
         locate_folds(heavy, _loop_drive(heavy), "power_l", 1e-14, 1.0, options,
                      samples=100.5)
+
+
+def test_locate_folds_errors_name_its_arguments(heavy, options):
+    # locate_folds has no points, start or stop argument
+    with pytest.raises(ParameterError, match="samples must be an integer >= 2"):
+        locate_folds(heavy, _loop_drive(heavy), "power_l", 1e-14, 1.0, options,
+                     samples=1)
+    with pytest.raises(ParameterError, match="lo < hi"):
+        locate_folds(heavy, _loop_drive(heavy), "power_l", 1.0, 1e-14, options)
 
 
 def test_axis_grid_spacing_rules(preset):
@@ -356,6 +366,41 @@ def test_power_folds_move_the_grid_oracle_count_on_drawn_drives():
             params, sampling.draw_drive(rng, params), POWER_AXES[k // 2 % 2],
             SolverOptions(sign=1 if k % 2 else -1)))
     assert folding >= N_AUDIT_POWER // 2
+
+
+N_SPLIT = 40
+
+
+def test_power_split_is_affine_in_the_axis_power(monkeypatch):
+    # p(x; P) = a(x) - P b(x): the assembly at P is the assembly at 0 minus
+    # P times the force term b, on seeded drawn drives, under both signs
+    # and on both power axes; a fold list assembles once, for a
+    calls = []
+    monkeypatch.setattr(continuation, "_assemble",
+                        lambda *a: calls.append(a) or steady._assemble(*a))
+    rng = random.Random(0x5B117)
+    params = preset_hill_params()
+    for k in range(N_SPLIT):
+        drive = sampling.draw_drive(rng, params)
+        axis = POWER_AXES[k // 2 % 2]
+        options = SolverOptions(sign=1 if k % 2 else -1)
+        q_scale = continuation._lorentz_scale(params, drive)
+        a, b = continuation._power_split(
+            params, drive.with_value(params, axis, 0.0),
+            drive.with_value(params, axis, 1.0), axis, options.sign, q_scale)
+        for power in (sampling.log_uniform(rng, *sampling.POWER_RANGE)
+                      for _ in range(3)):
+            got = steady._assemble(params, drive.with_value(params, axis, power),
+                                   options.sign, q_scale).poly.coeffs
+            want = [ai - power * bi for ai, bi in
+                    itertools.zip_longest(a, b, fillvalue=0.0)]
+            top = max(map(abs, [*a, *(power * bi for bi in b)]))
+            assert len(got) == len(want)
+            assert all(abs(g - w) <= 4.0 * np.finfo(float).eps * top
+                       for g, w in zip(got, want)), (drive, axis, options)
+        calls.clear()
+        continuation._power_folds(params, drive, axis, options)
+        assert len(calls) <= 1
 
 
 def _refuse_solves(monkeypatch):
