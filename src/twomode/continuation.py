@@ -5,7 +5,7 @@ Every sample of a sweep is solved and classified in one batch
 :func:`solve_and_classify`; the first sample whose solve fails raises in
 that batch, as a SweepError that names it.  Folds (branch-count changes)
 are located exactly, and no steady state is solved to find them.  Each
-call builds one fold list, ((axis value, +-2), ...), at most once:
+call builds one fold list, ((axis value, +-2, q_f), ...), at most once:
 :func:`locate_folds` takes its scan counts from it, and sweeps build it
 only when two neighbouring samples' counts differ.  The fold lists take
 each mode's Lorentzian L_k and force factor s_k c_k from
@@ -21,9 +21,11 @@ solved at every midpoint reports.  A bracket (a scan cell, or two
 neighbouring sweep samples) whose ends have the same count reports
 nothing, even when a pair of opposite folds lies inside it; a sweep
 bracket whose folds do not add up to its count difference raises
-SweepError.  Hysteresis traces follow the stable branch nearest in q_s
-to the previous selection and jump when that branch disappears at a
-fold, which is the quasi-static reading of a slow experimental ramp.
+SweepError.  A hysteresis trace, the quasi-static reading of a slow
+experimental ramp, follows a branch by its index in the ascending branch
+list.  Only a fold moves that index, so the trace jumps exactly where a
+fold removes its branch; it then lands on the stable branch nearest in
+q_s, as it does where the followed branch is not stable.
 """
 
 from __future__ import annotations
@@ -142,7 +144,7 @@ def _power_split(params, zero, unit, axis, sign, q_scale):
 
 
 def _power_folds(params, drive, axis, options) -> tuple:
-    """((power, change), ...) of every fold on a power axis, ascending.
+    """((power, change, q_f), ...) of every fold on a power axis, ascending.
 
     The fixed-point polynomial is affine in the axis power, p(x; P) =
     a(x) - P b(x) (:func:`_power_split`), so the branch curve is P(x) =
@@ -151,7 +153,8 @@ def _power_folds(params, drive, axis, options) -> tuple:
     branch count changes by +2 across a minimum of P(x) and by -2 across a
     maximum.  The roots are w's companion eigenvalues, from one LAPACK
     call, and are not polished: P is stationary at a fold, so a root error
-    dx moves the fold power by O(dx^2) only.  No steady state is solved.
+    dx moves the fold power by O(dx^2) only.  q_f = x q_scale is the
+    fold's double root in q.  No steady state is solved.
     """
     left = axis == "power_l"
     g = params.g1 if left else params.g2
@@ -205,7 +208,7 @@ def _power_folds(params, drive, axis, options) -> tuple:
         power = (steady_residual(q, params, zero, options.sign)
                  / ((2.0 / params.omega_m) * s * g * n_unit))
         if power > 0.0:
-            folds.append((power, 2 if after > before else -2))
+            folds.append((power, 2 if after > before else -2, q))
     return tuple(sorted(folds))
 
 
@@ -272,7 +275,8 @@ def _limit_point(params, drive, axis, lo, hi, q, v, sign):
 
 
 def _detuning_folds(params, drive, axis, lo, hi, options) -> tuple:
-    """((detuning, change), ...) of every fold inside (lo, hi), ascending.
+    """((detuning, change, q_f), ...) of every fold inside (lo, hi),
+    ascending, with q_f the limit point's double root in q.
 
     Sweeping mode k's detuning, the branch curve has an explicit photon
     number n_k = R(q) = (omega_m q / 2 - s_j g_j n_j(q)) / (s_k g_k), and
@@ -350,14 +354,15 @@ def _detuning_folds(params, drive, axis, lo, hi, options) -> tuple:
                 and abs(folds[-1][1] - v) <= _LP_SAME_REL * (abs(v) + hi - lo)
                 and abs(folds[-1][0] - q) <= _LP_SAME_REL * (abs(q) + q_scale)):
             folds.append((q, v, change))
-    return tuple((v, change) for _, v, change in folds)
+    return tuple((v, change, q) for q, v, change in folds)
 
 
 def _folds(params, drive, axis, lo, hi, options) -> tuple:
-    """((axis value, change), ...) of the exact folds, ascending.
+    """((axis value, change, q_f), ...) of the exact folds, ascending.
 
-    On a power axis every fold at P > 0; on a detuning axis those inside
-    (lo, hi).
+    change is the branch count's change going up the axis, and q_f the
+    displacement where the two branches meet.  On a power axis every fold
+    at P > 0; on a detuning axis those inside (lo, hi).
     """
     if axis in POWER_AXES:
         return _power_folds(params, drive, axis, options)
@@ -373,7 +378,7 @@ def _refine_count_change(axis, folds, lo, hi, change, rel_tol) -> float:
     inside, that count is the count at lo exactly below the fold.  Folds
     whose changes do not add up to ``change`` raise SweepError.
     """
-    inside = [(v, step) for v, step in folds if lo < v <= hi]
+    inside = [(v, step) for v, step, _ in folds if lo < v <= hi]
     found = sum(step for _, step in inside)
     if found != change:
         raise SweepError(
@@ -410,15 +415,21 @@ def _result(params, spec, options, solved, ramp=False, notes=()):
     """
     folds = functools.cache(lambda: _folds(params, spec.drive, spec.axis,
                                            spec.start, spec.stop, options))
-    hysteresis = _ramps(spec, solved, folds) if ramp else None
-    changes = tuple(
+    # each step's refined count change, None where the count is unchanged
+    changes = [
         _refine_count_change(spec.axis, folds(), v0, v1, len(b1) - len(b0),
-                             _FOLD_REL_TOL)
-        for (v0, b0, _), (v1, b1, _) in zip(solved, solved[1:])
-        if len(b0) != len(b1))
+                             _FOLD_REL_TOL) if len(b0) != len(b1) else None
+        for (v0, b0, _), (v1, b1, _) in zip(solved, solved[1:])]
+    hysteresis = None
+    if ramp:
+        slots = functools.partial(_fold_slots, params, spec, options.sign,
+                                  folds)
+        hysteresis = HysteresisResult(
+            up=_follow(solved, changes, min, spec.axis, slots),
+            down=_follow(solved[::-1], changes[::-1], max, spec.axis, slots))
     return SweepResult(
         spec=spec, records=tuple((v, branches) for v, branches, _ in solved),
-        folds=changes,
+        folds=tuple(v for v in changes if v is not None),
         diagnostics=tuple(d for _, _, diags in solved for d in diags) + notes,
         hysteresis=hysteresis)
 
@@ -451,8 +462,8 @@ def locate_folds(params: SystemParams, drive: DrivePoint, axis: str,
     scan = SweepSpec(axis=axis, start=lo, stop=hi, drive=drive, points=samples)
     values = axis_grid(scan)
     folds = _folds(params, drive, axis, lo, hi, options)
-    at = np.array([v for v, _ in folds], dtype=float)
-    steps = np.cumsum([0] + [change for _, change in folds])
+    at = np.array([v for v, _, _ in folds], dtype=float)
+    steps = np.cumsum([0] + [change for _, change, _ in folds])
     counts = steps[np.searchsorted(at, values, side="right")]
     return tuple(_refine_count_change(axis, folds, float(values[i]),
                                       float(values[i + 1]),
@@ -471,55 +482,66 @@ def _first_without_stable(solved):
                  if not _stable(branches)), None)
 
 
-def _follow(values, solved_by_value, pick_start, spec, folds):
-    """Quasi-static ramp along `values`, switching branches only at folds."""
-    v0 = values[0]
-    stable0 = _stable(solved_by_value[v0])
-    if not stable0:
-        raise NoStableBranchError(_no_stable_branch(spec.axis, v0),
-                                  axis_value=v0)
-    current = pick_start(stable0, key=lambda b: b.q_s)
-    points = [(v0, current)]
-    jumps = []
-    prev_q = current.q_s
-    prev_v = v0
-    prev_count = len(solved_by_value[v0])
-    prev_dq = None
-    for v in values[1:]:
-        branches = solved_by_value[v]
+def _fold_slots(params, spec, sign, folds, u, before, w):
+    """(change, k) of each fold in the ramp step u -> w, in ramp order.
+
+    change is the fold's count change in the ramp direction and k the
+    number of branches below its q_f just before it: those of ``before``
+    (ascending, at u), plus the changes of the step's earlier folds below
+    q_f, plus the one other crossing of q_f.  On a power axis there is
+    none, p(x; P) being affine in P.  On a detuning axis, with the pump
+    frozen, f(q_f; delta) = 0 also at 2 g q_f - v_f; inside (u, v_f) it
+    counts -1 where the branch rises through q_f (sign of f_q f_delta).
+    """
+    up = 1 if w > u else -1
+    inside = [f for f in folds() if min(u, w) < f[0] <= max(u, w)]
+    done = []
+    for v, change, q in sorted(inside, reverse=up < 0):
+        k = (sum(b.q_s < q for b in before)
+             + sum(c for c, q_e in done if q_e < q))
+        if spec.axis not in POWER_AXES:
+            g = params.g1 if spec.axis == "delta1" else params.g2
+            other = 2.0 * g * q - v
+            if min(u, v) < other < max(u, v):
+                _, f_q, f_v, _, _ = _limit_point_system(
+                    q, other, params, spec.drive, spec.axis, sign)
+                k += up if f_q * f_v > 0.0 else -up
+        done.append((up * change, q))
+        yield up * change, k
+
+
+def _follow(solved, changes, pick_start, axis, slots):
+    """Quasi-static ramp over ``solved``, in its order.
+
+    The followed branch is tracked by its index i in the ascending branch
+    list, and only a fold moves i: at a step whose count changes, a -2
+    fold in the ramp direction removes indices (k - 1, k) and a +2 fold
+    inserts two at k (:func:`_fold_slots`).  Where the branch dies, or
+    ``branches[i]`` is not stable, the ramp lands on the stable branch
+    nearest in q_s; a death is a jump, at the step's value in ``changes``.
+    """
+    points, jumps, prev = [], [], None
+    for (v, branches, _), jump in zip(solved, [None, *changes]):
         stable = _stable(branches)
         if not stable:
-            raise NoStableBranchError(_no_stable_branch(spec.axis, v),
+            raise NoStableBranchError(_no_stable_branch(axis, v),
                                       axis_value=v)
-        cand = min(stable, key=lambda b: abs(b.q_s - prev_q))
-        if prev_dq is None:
-            predicted = prev_q
-            guard = 0.05 * (1.0 + abs(prev_q))
-        else:
-            predicted = prev_q + prev_dq
-            guard = 10.0 * abs(prev_dq) + 1e-3 * (1.0 + abs(prev_q))
-        if len(branches) != prev_count and abs(cand.q_s - predicted) > guard:
-            # The followed branch died at a fold inside (prev_v, v).
-            change = len(branches) - prev_count
-            jumps.append(_refine_count_change(
-                spec.axis, folds(), min(prev_v, v), max(prev_v, v),
-                change if v > prev_v else -change, _FOLD_REL_TOL))
-            prev_dq = None
-        else:
-            prev_dq = cand.q_s - prev_q
-        points.append((v, cand))
-        prev_q = cand.q_s
-        prev_v = v
-        prev_count = len(branches)
+        if prev is None:
+            i = branches.index(pick_start(stable, key=lambda b: b.q_s))
+        elif jump is not None:
+            for change, k in slots(*prev, v):
+                if change < 0 and k - 1 <= i <= k:
+                    jumps.append(jump)
+                    i = None
+                    break
+                if i >= k:
+                    i += change
+        if i is None or branches[i].verdict != Verdict.STABLE:
+            q = points[-1][1].q_s
+            i = branches.index(min(stable, key=lambda b: abs(b.q_s - q)))
+        points.append((v, branches[i]))
+        prev = v, branches
     return Trace(points=tuple(points), jumps=tuple(jumps))
-
-
-def _ramps(spec, solved, folds) -> HysteresisResult:
-    by_value = {v: branches for v, branches, _ in solved}
-    values = [v for v, _, _ in solved]
-    return HysteresisResult(
-        up=_follow(values, by_value, min, spec, folds),
-        down=_follow(values[::-1], by_value, max, spec, folds))
 
 
 def hysteresis_sweep(params: SystemParams, spec: SweepSpec,

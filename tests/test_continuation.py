@@ -1,6 +1,7 @@
 """Sweeps, fold location, and quasi-static hysteresis ramps."""
 
 import bisect
+import functools
 import itertools
 import math
 import random
@@ -319,8 +320,8 @@ def test_sweep_step_across_two_folds_matches_bisection_oracle():
     res = sweep_1d(params, spec, options)
     (v0, five), (v1, one) = res.records
     assert (len(five), len(one)) == (5, 1)
-    assert [change for v, change in _folds(params, drive, "power_l", v0, v1,
-                                           options)
+    assert [change for v, change, _ in _folds(params, drive, "power_l", v0,
+                                              v1, options)
             if v0 < v <= v1] == [-2, -2]
     assert [repr(f) for f in res.folds] == [repr(oracles.bisect_count_change(
         params, drive, "power_l", v0, v1, options, _FOLD_REL_TOL))]
@@ -335,7 +336,7 @@ def _assert_folds_move_the_grid_oracle_count(params, drive, axis, options):
     push puts the uniform grid's spacing above the pair's separation.
     """
     folds = continuation._power_folds(params, drive, axis, options)
-    for value, change in folds:
+    for value, change, _ in folds:
         below, above = (
             oracles.sign_change_count(
                 params, drive.with_value(params, axis, value * factor),
@@ -504,8 +505,8 @@ def test_detuning_fold_lists_match_the_grid_counts():
         q_s = steady_q_grid(params, drive, axis, values, options)
         counts = np.count_nonzero(~np.isnan(q_s), axis=1)
         folds = _folds(params, drive, axis, lo, hi, options)
-        at = np.array([v for v, _ in folds], dtype=float)
-        steps = np.cumsum([0] + [change for _, change in folds])
+        at = np.array([v for v, _, _ in folds], dtype=float)
+        steps = np.cumsum([0] + [change for _, change, _ in folds])
         implied = counts[0] + steps[np.searchsorted(at, values, side="right")]
         assert implied.tolist() == counts.tolist(), (axis, lo, hi, drive,
                                                      options, folds)
@@ -610,6 +611,170 @@ def test_blue_readout_hysteresis_frozen(heavy, options):
     assert by_value[before].n_p2 == pytest.approx(91262.82485140329, rel=1e-8)
     assert by_value[after].n_p2 == pytest.approx(69812.45778801662, rel=1e-8)
     assert by_value[after].n_p2 < by_value[before].n_p2
+
+
+def _ramp_jumps(params, drive, axis, lo, hi, points, options):
+    """(up jumps, down jumps) of the hysteresis ramp over [lo, hi], or None
+    when some sample has no stable branch."""
+    spec = SweepSpec(axis=axis, start=lo, stop=hi, drive=drive,
+                     points=points, direction="both")
+    try:
+        ramps = hysteresis_sweep(params, spec, options).hysteresis
+    except NoStableBranchError:
+        return None
+    return ramps.up.jumps, ramps.down.jumps
+
+
+N_DRAWN_LOOPS = 40
+RAMP_SIZES = (20, 40, 400)
+
+
+@functools.cache
+def _drawn_loop_jumps():
+    """seed -> {points: :func:`_ramp_jumps`} of the power_l ramp over
+    [fold_0 / 5, 5 fold_1] of each seed's three-branch drive."""
+    options = SolverOptions()
+    found = {}
+    for seed in range(N_DRAWN_LOOPS):
+        params, drive, _, _ = sampling.draw_three_root_point(
+            random.Random(seed), options)
+        folds = locate_folds(params, drive, "power_l", 1e-14, 1e-9, options)
+        found[seed] = {n: _ramp_jumps(params, drive, "power_l",
+                                      folds[0] / 5.0, 5.0 * folds[-1], n,
+                                      options) for n in RAMP_SIZES}
+    return found
+
+
+@pytest.mark.parametrize("seed", [4, 28, 31, 37])
+def test_drawn_loop_jumps_once_each_way_at_every_size(seed):
+    # a coarse step moves q far on the surviving branch, yet the ramp
+    # leaves its branch only where that branch's fold removes it
+    for n, jumps in _drawn_loop_jumps()[seed].items():
+        assert jumps is not None and tuple(map(len, jumps)) == (1, 1), n
+
+
+def test_drawn_ramps_jump_alike_at_every_size():
+    # seeded property: wherever the ramp runs, every grid size reports the
+    # same jumps, each on its own step's 1e-6 bisection lattice
+    ramped = []
+    for seed, by_size in _drawn_loop_jumps().items():
+        runs = [jumps for jumps in by_size.values() if jumps is not None]
+        ramped += [seed] if runs else []
+        for up, down in runs[1:]:
+            assert up == pytest.approx(runs[0][0], rel=1e-6), seed
+            assert down == pytest.approx(runs[0][1], rel=1e-6), seed
+    # the other 36 draws self-oscillate somewhere in their window
+    assert ramped == [4, 28, 31, 37]
+
+
+@pytest.mark.parametrize("power_l", [2e-12, 5e-12])
+def test_detuning_loop_jumps_once_each_way_at_every_size(heavy, options,
+                                                         power_l):
+    drive = _drive(heavy, delta1=heavy.omega_m, delta2=heavy.omega_m,
+                   power_l=power_l)
+    for n in (5, 8, 12, 20, 40, 400):
+        up, down = _ramp_jumps(heavy, drive, "delta1", 0.0,
+                               2.0 * heavy.omega_m, n, options)
+        assert (len(up), len(down)) == (1, 1), n
+
+
+def test_detuning_step_counts_the_other_crossing_of_a_fold(options):
+    # 5 points over [0, 2 omega_m]: in the up step (0.5, 1] omega_m the
+    # upper branch rises through the -2 fold's q_f before the fold, so the
+    # pair the fold removes is (1, 2), not (2, 3)
+    params, drive, axis, lo, hi, _, _ = FOLD_DRIVES["delta1"]
+    wm = params.omega_m
+    spec = SweepSpec(axis=axis, start=lo, stop=hi, drive=drive, points=5,
+                     direction="both")
+    (u, before), (w, after) = sweep_1d(params, spec, options).records[1:3]
+    assert (u / wm, w / wm) == (pytest.approx(0.5), pytest.approx(1.0))
+    assert (len(before), len(after)) == (3, 1)
+    folds = _folds(params, drive, axis, lo, hi, options)
+    (v, change, q), = [f for f in folds if u < f[0] <= w]
+    assert (change, round(q, 1), round(v / wm, 4)) == (-2, 2796.1, 0.6838)
+    assert round((2.0 * params.g1 * q - v) / wm, 4) == 0.6584
+    assert sum(b.q_s < q for b in before) == 3
+    assert list(continuation._fold_slots(params, spec, options.sign,
+                                         lambda: folds, u, before, w)) == [
+        (-2, 2)]
+
+
+def _slot_sweeps():
+    """(params, spec, options) of coarse sweeps whose steps cross folds:
+    3-point windows around seeded five-branch drives on all four axes,
+    the q_m = 5 detuning loop at 5 points and seeded detuning windows."""
+    sweeps = []
+    for seed in range(3):
+        params, drive = sampling.draw_five_root_point(random.Random(seed),
+                                                      SolverOptions())
+        for axis, lo, hi in (("power_l", 1e-2, 1e2), ("power_r", 1e-2, 1e2),
+                             ("delta1", 0.2, 1.8), ("delta2", 0.2, 1.8)):
+            v = getattr(drive, axis)
+            sweeps.append((params, SweepSpec(
+                axis=axis, start=lo * v, stop=hi * v, drive=drive, points=3),
+                SolverOptions()))
+    params, drive, axis, lo, hi, options, _ = FOLD_DRIVES["delta1"]
+    sweeps.append((params, SweepSpec(axis=axis, start=lo, stop=hi,
+                                     drive=drive, points=5), options))
+    rng = random.Random(7)
+    for _ in range(30):
+        params, drive, axis, lo, hi, options = sampling.draw_detuning_window(
+            rng)
+        sweeps.append((params, SweepSpec(axis=axis, start=lo, stop=hi,
+                                         drive=drive, points=5), options))
+    return sweeps
+
+
+def test_fold_slots_count_the_branches_below_each_fold():
+    # oracle: k is the number of steady branches below the fold's q_f,
+    # solved 1e-7 of the step before the fold in the ramp direction, for
+    # each fold of every count-changing step, ramped both ways
+    checked = 0
+    for params, spec, options in _slot_sweeps():
+        records = sweep_1d(params, spec, options).records
+        folds = _folds(params, spec.drive, spec.axis, spec.start, spec.stop,
+                       options)
+        for (v0, b0), (v1, b1) in zip(records, records[1:]):
+            if len(b0) == len(b1):
+                continue
+            for u, before, w in ((v0, b0, v1), (v1, b1, v0)):
+                inside = sorted((f for f in folds
+                                 if min(u, w) < f[0] <= max(u, w)),
+                                reverse=w < u)
+                slots = list(continuation._fold_slots(
+                    params, spec, options.sign, lambda: folds, u, before, w))
+                assert len(slots) == len(inside)
+                for (v, _, q), (_, k) in zip(inside, slots):
+                    near = spec.drive.with_value(
+                        params, spec.axis, v - 1e-7 * (w - u))
+                    assert k == sum(b.q_s < q for b in steady_branches(
+                        params, near, options)), (spec, v)
+                    checked += 1
+    assert checked >= 70
+
+
+@pytest.mark.parametrize("name", list(FOLD_DRIVES))
+def test_fold_q_is_a_double_root(name):
+    # at (value, q_f) both f and df/dq vanish, relative to the terms each
+    # cancels; power-axis roots are unpolished, so df/dq is only as small
+    # as the root error
+    params, drive, axis, lo, hi, options, count = FOLD_DRIVES[name]
+    folds = _folds(params, drive, axis, lo, hi, options)
+    assert len(folds) >= count
+    c = 2.0 / params.omega_m
+    for v, _, q in folds:
+        at = drive.with_value(params, axis, v)
+        n1, n2, _, _ = steady.photon_numbers_from_q(q, params, at)
+        d1, d2 = steady.effective_detunings(q, params, at)
+        force = abs(q) + c * (params.g1 * n1 + params.g2 * n2)
+        slope = 1.0 + 2.0 * c * sum(
+            g * g * n * abs(d) / (kappa * kappa + d * d)
+            for g, n, d, kappa in ((params.g1, n1, d1, params.kappa1),
+                                   (params.g2, n2, d2, params.kappa2)))
+        assert abs(steady.steady_residual(q, params, at, options.sign)) <= (
+            4.0 * np.finfo(float).eps * force), (name, v)
+        assert abs(steady.residual_derivative(q, params, at, options.sign)
+                   ) <= 1e-11 * slope, (name, v)
 
 
 def test_uncoupled_control_shows_no_loop(preset, options):

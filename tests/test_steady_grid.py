@@ -153,8 +153,8 @@ def _fold_approach():
     relative above its lowest fold, where its two new roots close in."""
     options = SolverOptions()
     params, drive = sampling.draw_five_root_point(random.Random(0), options)
-    (fold, _), *_ = continuation._folds(params, drive, "power_l", 0.0, 1.0,
-                                        options)
+    (fold, _, _), *_ = continuation._folds(params, drive, "power_l", 0.0,
+                                           1.0, options)
     return params, drive, fold * (1.0 + np.geomspace(1e-8, 0.1, 12)), options
 
 
