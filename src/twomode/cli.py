@@ -111,8 +111,8 @@ def _out_and_format(args, config):
     out = args.out if args.out is not None else (
         config.out_path if config is not None else None)
     fmt = args.format if args.format is not None else (
-        config.out_format if config is not None else "csv")
-    return out, fmt
+        config.out_format if config is not None else None)
+    return out, fmt or "csv"
 
 
 def _cmd_solve(args) -> int:
@@ -120,7 +120,7 @@ def _cmd_solve(args) -> int:
     branches, diagnostics = solve_and_classify(config.params, config.drive,
                                                config.options)
     out, fmt = _out_and_format(args, config)
-    if out is None and args.format is None:
+    if out is None and args.format is None and config.out_format is None:
         d = config.drive
         print(f"operating point: delta1={d.delta1!r} delta2={d.delta2!r} "
               f"power_l={d.power_l!r} power_r={d.power_r!r}")

@@ -60,7 +60,7 @@ class RunConfig:
     kappa2_interpretation: str = "angular"
     amp_convention: str = "literal"
     out_path: str | None = None
-    out_format: str = "csv"
+    out_format: str | None = None
 
 
 def _split_comment(raw: str) -> str:
@@ -366,7 +366,7 @@ def _build_output(ent: _Entries) -> tuple:
     if ent.has("output.path"):
         value, line = ent.take("output.path")
         path = ent.string("output.path", value, line)
-    fmt = "csv"
+    fmt = None
     if ent.has("output.format"):
         value, line = ent.take("output.format")
         fmt = ent.string("output.format", value, line)
@@ -443,5 +443,6 @@ def serialize_config(config: RunConfig) -> str:
     lines.append(f"tol.marginal_band = {config.options.marginal_band!r}")
     if config.out_path is not None:
         lines.append(f'output.path = "{config.out_path}"')
-    lines.append(f'output.format = "{config.out_format}"')
+    if config.out_format is not None:
+        lines.append(f'output.format = "{config.out_format}"')
     return "\n".join(lines) + "\n"

@@ -36,12 +36,8 @@ class SolverError(RuntimeError):
 
 
 class ClassificationError(RuntimeError):
-    """Eigenvalue classification failed; carries the characteristic polynomial."""
-
-    def __init__(self, message: str, polynomial=None, row: int | None = None):
-        self.polynomial = polynomial
-        self.row = row
-        super().__init__(message)
+    """Eigenvalue classification failed: the eigenvalue iteration on a
+    Jacobian did not converge or met a non-finite entry."""
 
 
 class SweepError(RuntimeError):

@@ -6,7 +6,7 @@ eigenvalue path), followed by a residual audit; real-root selection adds a
 Newton polish and tolerance-based deduplication.  The row forms at the end
 of the module keep only the common path: a row that would need the audit's
 rescue, a polish step or a merge is left out of their ``ok`` mask for the
-scalar form to solve.  Identical inputs produce bit-identical outputs on a
+caller to solve.  Identical inputs produce bit-identical outputs on a
 given platform: there is no randomness anywhere in this module, and
 results are sorted canonically before they are returned.
 """
@@ -166,7 +166,7 @@ def real_roots(p: RealPolynomial, imag_tol: float = 1e-7) -> np.ndarray:
     candidates = []
     for r in all_roots(p):
         if abs(r.imag) <= imag_tol * (1.0 + abs(r.real)):
-            x = float(_newton_real(p, dp, r.real))
+            x = float(_newton(p, dp, r.real, _POLISH_RESIDUAL_REL))
             candidates.append(x)
     candidates.sort()
     out: list[float] = []
@@ -178,22 +178,6 @@ def real_roots(p: RealPolynomial, imag_tol: float = 1e-7) -> np.ndarray:
         else:
             out.append(x)
     return np.asarray(out, dtype=float)
-
-
-def _newton_real(p: RealPolynomial, dp: RealPolynomial, x: float) -> float:
-    best, best_res = x, abs(p(x))
-    for _ in range(_POLISH_MAX_ITER):
-        fx = p(x)
-        if abs(fx) <= _POLISH_RESIDUAL_REL * p.residual_scale(x):
-            return x
-        dfx = dp(x)
-        if dfx == 0.0:
-            break
-        x = x - fx / dfx
-        res = abs(p(x))
-        if res < best_res:
-            best, best_res = x, res
-    return best
 
 
 # Row-wise forms of the above: each row of a (n, k) coefficient array is one
@@ -253,12 +237,14 @@ def _scale_rows(coeffs, x):
 def all_roots_rows(coeffs: np.ndarray) -> tuple:
     """:func:`all_roots` of many polynomials of one degree d at once.
 
-    ``coeffs`` is (n, d + 1), ascending, with a nonzero last column and a
-    nonzero constant term.  Returns ``(roots, ok)``: the (n, d) complex
-    companion eigenvalues of each row, unsorted, and a mask of the rows
-    whose roots all pass the residual audit, so that :func:`all_roots`
-    returns them unchanged.  A row outside the mask needs the scalar
-    form's complex-Newton rescue, or its eigenvalue iteration failed.
+    ``coeffs`` is (n, d + 1), ascending, with a nonzero last column.
+    Returns ``(roots, ok)``: the (n, d) complex companion eigenvalues of
+    each row, unsorted, and a mask of the rows whose roots all pass the
+    residual audit.  On a row in the mask with a nonzero constant term,
+    :func:`all_roots` returns these roots unchanged (it strips a zero
+    constant term into a smaller companion matrix).  A row outside the
+    mask failed the audit or its eigenvalue iteration; each caller says
+    what solves it.
     """
     n, d = coeffs.shape[0], coeffs.shape[1] - 1
     desc = coeffs[:, ::-1]

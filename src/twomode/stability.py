@@ -3,15 +3,15 @@
 The classifier is fully algebraic: the analytic 6x6 Jacobian of the real
 first-order system is built in omega_m-scaled units, its characteristic
 polynomial is produced by the Faddeev-LeVerrier recurrence, and the
-eigenvalues come from the package's own polynomial root finder.  One
-stacked kernel classifies every branch: all branches of a point in
-:func:`classify_branches`, of a sweep grid in
+eigenvalues come from one stacked companion eigenvalue call with a
+residual audit.  One stacked kernel classifies every branch: all
+branches of a point in :func:`classify_branches`, of a sweep grid in
 :func:`solve_and_classify_grid`, and a single branch in
-:func:`classify_stability`.  A row its root audit rejects is re-solved
-inside the kernel by :func:`polyroots.all_roots` on that row's own
-coefficients.  A branch is Stable when every eigenvalue real part sits
-below ``-eps``, Unstable when one exceeds ``+eps``, Marginal in between,
-with ``eps = marginal_band * omega_m``.
+:func:`classify_stability`.  A row its root audit rejects takes the
+eigenvalues of its own scaled Jacobian instead, from one more stacked
+``np.linalg.eigvals`` call.  A branch is Stable when every eigenvalue
+real part sits below ``-eps``, Unstable when one exceeds ``+eps``,
+Marginal in between, with ``eps = marginal_band * omega_m``.
 
 The folk rule for these systems ("outermost branches stable, middle ones
 unstable", alternating) is computed alongside and compared; when it
@@ -35,10 +35,9 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import (ClassificationError, ParameterError, PolynomialError,
-                     SweepError)
+from .errors import ClassificationError, ParameterError, SweepError
 from .params import DrivePoint, SystemParams
-from .polyroots import RealPolynomial, all_roots, all_roots_rows
+from .polyroots import all_roots_rows
 from .steady import (_GRID_BLOCK, _MAX_BRANCHES, SolverOptions, SteadyBranch,
                      Verdict, _solve_rows, photon_numbers_from_q,
                      steady_branches)
@@ -130,25 +129,19 @@ def _eigenvalue_rows(states, params: SystemParams, delta1, delta2,
     arrays.
 
     Faddeev-LeVerrier over the stack of scaled Jacobians, then one stacked
-    companion eigenvalue call with the root audit.  A row the audit
-    rejects is re-solved by :func:`all_roots` on its own coefficients, so
-    every row holds what ``all_roots`` gives; a row it cannot solve raises
-    ClassificationError carrying its polynomial and its row index.
+    companion eigenvalue call with the root audit.  The rows the audit
+    rejects take the eigenvalues of their own scaled Jacobians, in one
+    more stacked call; a failure of that call (a non-finite Jacobian)
+    raises ClassificationError.
     """
-    coeffs = _characteristic_rows(_scaled_jacobians(states, params, delta1,
-                                                    delta2, sign))
-    roots, ok = all_roots_rows(coeffs)
-    # all_roots strips a zero constant term into a smaller companion matrix
-    ok &= coeffs[:, 0] != 0.0
-    for row in (~ok).nonzero()[0].tolist():
-        # direct construction: the monic lead must survive even when lower
-        # coefficients are huge, so no relative trimming here
-        char = RealPolynomial(coeffs=tuple(coeffs[row].tolist()))
+    jac = _scaled_jacobians(states, params, delta1, delta2, sign)
+    roots, ok = all_roots_rows(_characteristic_rows(jac))
+    if not ok.all():
         try:
-            roots[row] = all_roots(char)
-        except PolynomialError as exc:
-            raise ClassificationError(str(exc), polynomial=char,
-                                      row=row) from exc
+            roots[~ok] = np.linalg.eigvals(jac[~ok])
+        except np.linalg.LinAlgError as exc:
+            raise ClassificationError(
+                f"Jacobian eigenvalue iteration failed: {exc}") from exc
     return roots
 
 
@@ -282,9 +275,10 @@ def solve_and_classify_grid(params: SystemParams, drive: DrivePoint,
     done together, block by block: q_s of every branch from
     :func:`steady._solve_rows`, which rescues its own rows, photon numbers
     and effective detunings for all branches at once, then every branch
-    through :func:`_max_re_rows`, as in :func:`classify_branches`.  The
-    first sample whose solve or classify raises, where the pointwise loop
-    stops, raises a SweepError naming it (a ParameterError as it is).
+    through :func:`_max_re_rows`, as in :func:`classify_branches`.  A block
+    whose steady solve fails is not classified: its first failing sample,
+    where the pointwise loop stops, raises a SweepError naming it (a
+    ParameterError as it is).  A ClassificationError is raised as it is.
     """
     values = np.asarray(values, dtype=float)
     records = []
@@ -297,6 +291,12 @@ def solve_and_classify_grid(params: SystemParams, drive: DrivePoint,
 def _classify_block(params, drive, axis, values, options):
     q = np.full((len(values), _MAX_BRANCHES), np.nan)
     failed = _solve_rows(params, drive, axis, values, options, q)
+    if failed is not None:
+        value, exc = float(values[failed[0]]), failed[1]
+        if isinstance(exc, ParameterError):
+            raise exc
+        raise SweepError(f"solve failed at {axis}={value!r}: {exc}",
+                         axis_value=value) from exc
     columns, _ = drive.with_values(params, axis, values[:, None])
     n1, n2, d1, d2 = photon_numbers_from_q(q, params, columns)
     rows, cols = np.nonzero(~np.isnan(q))
@@ -314,18 +314,8 @@ def _classify_block(params, drive, axis, values, options):
     a1, a2 = np.array(amp1, dtype=complex), np.array(amp2, dtype=complex)
     states = np.stack([a1.real, a1.imag, a2.real, a2.imag, q[rows, cols]],
                       axis=1)
-    try:
-        max_re = _max_re_rows(states, params, delta1, delta2,
-                              options.sign).tolist()
-    except ClassificationError as exc:
-        # rows past a steady failure are NaN, so this sample comes first
-        failed = int(rows[exc.row]), exc
-    if failed is not None:
-        value, exc = float(values[failed[0]]), failed[1]
-        if isinstance(exc, ParameterError):
-            raise exc
-        raise SweepError(f"solve failed at {axis}={value!r}: {exc}",
-                         axis_value=value) from exc
+    max_re = _max_re_rows(states, params, delta1, delta2,
+                          options.sign).tolist()
     records = zip(q_s, amp1, amp2,
                   *(a[rows, cols].tolist() for a in (n1, n2, d1, d2)),
                   _verdicts(max_re, params, options), max_re)

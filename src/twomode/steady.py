@@ -388,7 +388,7 @@ def _solve_rows(params, drive, axis, values, options, out):
     its mask, is rescued by :func:`steady_branches`.
 
     Returns None, or ``(i, exc)`` for the first row whose rescue raises;
-    rows i and after are left NaN.
+    rows after it are not rescued, since every caller raises it.
     """
     columns, ok = drive.with_values(params, axis, values[:, None])
     ok = ok.ravel() & np.ravel((columns.power_l > 0.0) | (columns.power_r > 0.0))
@@ -425,7 +425,6 @@ def _solve_rows(params, drive, axis, values, options, out):
             point = drive.with_value(params, axis, float(values[i]))
             qs = [b.q_s for b in steady_branches(params, point, options)]
         except (ParameterError, PolynomialError, SolverError) as exc:
-            out[i:] = np.nan
             return i, exc
         out[i, :len(qs)] = qs
     return None

@@ -219,13 +219,10 @@ def characteristic_coefficients(branch, params, drive, sign=1):
     return tuple(_characteristic_rows(jac)[0].tolist())
 
 
-def classify_branch(branch, params, drive, options, coeffs=None):
+def classify_branch(branch, params, drive, options):
     """The branch with the verdict and max Re(eig) of the per-branch route:
-    :func:`all_roots` of its characteristic polynomial (``coeffs`` when
-    given, else :func:`characteristic_coefficients`)."""
-    if coeffs is None:
-        coeffs = characteristic_coefficients(branch, params, drive,
-                                             options.sign)
+    :func:`all_roots` of :func:`characteristic_coefficients`."""
+    coeffs = characteristic_coefficients(branch, params, drive, options.sign)
     lam = all_roots(RealPolynomial(coeffs=coeffs)) * params.omega_m
     max_re = float(np.max(lam.real))
     eps = options.marginal_band * params.omega_m

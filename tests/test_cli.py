@@ -1,7 +1,11 @@
 """Subcommand behavior and process exit codes."""
 
+import json
+
+import numpy as np
 import pytest
 
+from twomode import stability
 from twomode.cli import main
 from twomode.io import CSV_HEADER
 from twomode.params import preset_hill_params
@@ -50,9 +54,20 @@ def test_solve_format_flag_stdout(tmp_path, capsys):
     cfg = _write(tmp_path, BASE + 'drive.power_l_w = 1e-13\n')
     assert main(["solve", "--config", cfg, "--format", "jsonlines"]) == 0
     out = capsys.readouterr().out
-    import json
     row = json.loads(out.splitlines()[0])
     assert row["stable"] == 1
+
+
+def test_solve_stdout_takes_the_documents_format(tmp_path, capsys):
+    # output.format applies to stdout as it does for sweep; --format
+    # overrides it
+    cfg = _write(tmp_path, BASE + 'drive.power_l_w = 1e-13\n'
+                 'output.format = "jsonlines"\n')
+    assert main(["solve", "--config", cfg]) == 0
+    row = json.loads(capsys.readouterr().out.splitlines()[0])
+    assert row["stable"] == 1
+    assert main(["solve", "--config", cfg, "--format", "csv"]) == 0
+    assert capsys.readouterr().out.splitlines()[0] == CSV_HEADER
 
 
 def test_sweep_with_hysteresis_fanout(tmp_path, capsys):
@@ -257,6 +272,23 @@ def test_numerical_failure_exits_3(tmp_path, capsys):
     cfg = _write(tmp_path, text)
     assert main(["sweep", "--config", cfg, "--threads", "1"]) == 3
     assert "numerical failure" in capsys.readouterr().err
+
+
+def test_classification_failure_exits_3(tmp_path, capsys, monkeypatch):
+    # a non-finite Jacobian entry fails the eigenvalue call that the
+    # audit-rejected row takes
+    jacobians = stability._scaled_jacobians
+
+    def nan_in_first_row(*args):
+        jac = jacobians(*args)
+        jac[0, 5, 4] = np.nan
+        return jac
+
+    monkeypatch.setattr(stability, "_scaled_jacobians", nan_in_first_row)
+    cfg = _write(tmp_path, LOOP_CONFIG.replace('"both"', '"up"'))
+    assert main(["sweep", "--config", cfg]) == 3
+    assert capsys.readouterr().err.startswith(
+        "numerical failure: Jacobian eigenvalue iteration failed: ")
 
 
 def test_fig2b_minus_literal_reports_its_four_folds(tmp_path):

@@ -37,7 +37,7 @@ def test_minimal_preset_document(preset):
     assert cfg.drive.power_l == 0.0 and cfg.drive.power_r == 0.0
     assert cfg.sweep is None
     assert cfg.options.sign == 1
-    assert cfg.out_path is None and cfg.out_format == "csv"
+    assert cfg.out_path is None and cfg.out_format is None
 
 
 def test_full_field_system_with_unit_suffixes():
@@ -290,6 +290,13 @@ def test_round_trip_is_stable():
     again = parse_config(text)
     assert again == cfg
     assert serialize_config(again) == text
+
+
+def test_round_trip_keeps_an_unset_format_unset():
+    cfg = parse_config('system = "hill2012"\ndrive.power_l_w = 1e-12\n')
+    text = serialize_config(cfg)
+    assert "output.format" not in text
+    assert parse_config(text) == cfg
 
 
 def test_round_trip_full_system():

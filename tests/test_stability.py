@@ -11,10 +11,9 @@ import pytest
 import oracles
 import sampling
 from twomode import stability
-from twomode.continuation import SweepSpec, axis_grid, sweep_1d
-from twomode.errors import ClassificationError, PolynomialError, SweepError
+from twomode.errors import ClassificationError
 from twomode.params import DrivePoint, preset_hill_params, replace_params
-from twomode.polyroots import all_roots, all_roots_rows
+from twomode.polyroots import all_roots_rows
 from twomode.stability import (_ordering_diagnostics, branch_eigenvalues,
                                branch_state, classify_branches,
                                classify_stability, jacobian, ordering_rule,
@@ -195,13 +194,10 @@ def test_classify_preserves_branch_fields(preset, options):
         assert math.isfinite(after.max_re_eig)
 
 
-def _scalar_classified(branches, params, drive, options, coeffs_of=None):
-    """classify_branches through the oracle's per-branch route; branch i
-    takes the characteristic coefficients ``coeffs_of[i]`` when given."""
-    coeffs_of = coeffs_of or {}
-    classified = tuple(
-        oracles.classify_branch(b, params, drive, options, coeffs_of.get(i))
-        for i, b in enumerate(branches))
+def _scalar_classified(branches, params, drive, options):
+    """classify_branches through the oracle's per-branch route."""
+    classified = tuple(oracles.classify_branch(b, params, drive, options)
+                       for b in branches)
     return classified, _ordering_diagnostics(
         tuple(b.verdict for b in classified), drive.delta1, drive.delta2,
         drive.power_l, drive.power_r)
@@ -268,46 +264,51 @@ def test_characteristic_rows_match_closed_form():
     assert {1, 3, 5} <= counts
 
 
-def _spy_all_roots(monkeypatch):
-    """Record the coefficients of every all_roots call the kernel makes."""
-    calls = []
-    monkeypatch.setattr(stability, "all_roots",
-                        lambda p: calls.append(p.coeffs) or all_roots(p))
-    return calls
+def _reject_rows(monkeypatch, rejected):
+    """Make the stacked root audit reject rows ``rejected`` of every
+    stack, with NaN for their companion roots."""
+
+    def audit(coeffs):
+        roots, ok = all_roots_rows(coeffs)
+        roots[rejected], ok[rejected] = np.nan, False
+        return roots, ok
+
+    monkeypatch.setattr(stability, "all_roots_rows", audit)
 
 
-def test_classify_branches_rescues_through_scalar_route(monkeypatch):
-    # every stacked row the audit rejects is re-solved inside the kernel
-    # by all_roots on that row's own coefficients
+def test_rejected_rows_take_their_jacobian_eigenvalues(monkeypatch):
+    # the rows the audit rejects get np.linalg.eigvals of their own scaled
+    # Jacobians, the others keep their companion roots; the verdicts stay
     params, drive = sampling.draw_five_root_point(random.Random(3),
                                                   SolverOptions())
     options = SolverOptions()
     raw = steady_branches(params, drive, options)
-    want = _scalar_classified(raw, params, drive, options)
-
-    def rejected(coeffs):
-        roots, ok = all_roots_rows(coeffs)
-        return roots, np.zeros_like(ok)
-
-    monkeypatch.setattr(stability, "all_roots_rows", rejected)
-    calls = _spy_all_roots(monkeypatch)
-    assert classify_branches(raw, params, drive, options) == want
     assert len(raw) == 5
-    assert calls == [oracles.characteristic_coefficients(b, params, drive)
-                     for b in raw]
+    states = np.array([branch_state(b) for b in raw])
+    args = (states, params, drive.delta1, drive.delta2, options.sign)
+    unforced_roots = stability._eigenvalue_rows(*args)
+    unforced = classify_branches(raw, params, drive, options)
+    rejected, kept = [1, 3], [0, 2, 4]
+    _reject_rows(monkeypatch, rejected)
+    roots = stability._eigenvalue_rows(*args)
+    jac = stability._scaled_jacobians(*args)
+    assert np.array_equal(roots[rejected], np.linalg.eigvals(jac[rejected]))
+    assert np.array_equal(roots[kept], unforced_roots[kept])
+    classified, diagnostics = classify_branches(raw, params, drive, options)
+    assert diagnostics == unforced[1]
+    for got, want in zip(classified, unforced[0]):
+        assert got.verdict is want.verdict
+        assert abs(got.max_re_eig - want.max_re_eig) <= 1e-10 * params.omega_m
 
 
 @pytest.mark.parametrize("route", ["point", "grid"])
-def test_zero_constant_term_goes_to_scalar_route(preset, options,
-                                                 monkeypatch, route):
-    # all_roots strips a zero constant term into a smaller companion
-    # matrix, which the stacked eigenvalue call does not: such a row must
-    # be re-solved inside the kernel by all_roots on its own coefficients
+def test_zero_constant_term_row_stays_in_the_stack(preset, options,
+                                                   monkeypatch, route):
+    # a zero constant term is an exact zero root of the companion matrix:
+    # the row passes the audit and keeps its companion roots, it does not
+    # take its Jacobian's eigenvalues
     d = _drive(preset, **FIVE_ROOT_DRIVE)
     raw = steady_branches(preset, d, options)
-    zeroed = list(oracles.characteristic_coefficients(raw[2], preset, d))
-    zeroed[0] = 0.0
-    want = _scalar_classified(raw, preset, d, options, {2: tuple(zeroed)})
     rows = stability._characteristic_rows
 
     def zero_root_in_stack(m):
@@ -316,80 +317,39 @@ def test_zero_constant_term_goes_to_scalar_route(preset, options,
         return coeffs
 
     monkeypatch.setattr(stability, "_characteristic_rows", zero_root_in_stack)
-    calls = _spy_all_roots(monkeypatch)
+    states = np.array([branch_state(b) for b in raw])
+    args = (states, preset, d.delta1, d.delta2, options.sign)
+    roots, ok = all_roots_rows(zero_root_in_stack(
+        stability._scaled_jacobians(*args)))
+    assert ok.all()
+    assert np.array_equal(stability._eigenvalue_rows(*args), roots)
     if route == "point":
-        got = classify_branches(raw, preset, d, options)
+        got, _ = classify_branches(raw, preset, d, options)
     else:
-        (got,) = stability.solve_and_classify_grid(preset, d, "power_l",
-                                                   [d.power_l], options)
-    assert got == want
-    assert calls == [tuple(zeroed)]
+        ((got, _),) = stability.solve_and_classify_grid(
+            preset, d, "power_l", [d.power_l], options)
+    assert [b.max_re_eig for b in got] \
+        == (roots.real * preset.omega_m).max(axis=1).tolist()
 
 
-def test_failed_rescue_raises_classification_error(monkeypatch):
-    # a row all_roots cannot solve raises, carrying that row's polynomial
-    params, drive = sampling.draw_five_root_point(random.Random(3),
-                                                  SolverOptions())
-    options = SolverOptions()
-    raw = steady_branches(params, drive, options)
+def test_non_finite_jacobian_row_raises_classification_error(preset, options,
+                                                             monkeypatch):
+    # the audit rejects the row, and the eigenvalue call on its Jacobian
+    # fails
+    d = _drive(preset, **FIVE_ROOT_DRIVE)
+    raw = steady_branches(preset, d, options)
+    jacobians = stability._scaled_jacobians
 
-    def reject_row_2(coeffs):
-        roots, ok = all_roots_rows(coeffs)
-        ok[2] = False
-        return roots, ok
+    def nan_in_row_2(*args):
+        jac = jacobians(*args)
+        jac[2, 5, 4] = np.nan
+        return jac
 
-    def no_roots(p):
-        raise PolynomialError(f"no roots for {p.coeffs!r}")
-
-    monkeypatch.setattr(stability, "all_roots_rows", reject_row_2)
-    monkeypatch.setattr(stability, "all_roots", no_roots)
-    with pytest.raises(ClassificationError) as info:
-        classify_branches(raw, params, drive, options)
-    assert info.value.polynomial.coeffs \
-        == oracles.characteristic_coefficients(raw[2], params, drive)
-    assert isinstance(info.value.__cause__, PolynomialError)
-
-
-def test_failed_rescue_names_first_failing_sweep_sample(preset, options,
-                                                        monkeypatch):
-    # rows whose pump photon number passes a threshold cannot be solved;
-    # the sweep raises a SweepError at the first such sample, the error
-    # the pointwise route raises there
-    d = _drive(preset, delta1=preset.omega_m, delta2=preset.omega_m,
-               power_l=1e-13, power_r=1e-13)
-    spec = SweepSpec(axis="power_l", start=1e-13, stop=1e-11, drive=d,
-                     points=20)
-    values = axis_grid(spec).tolist()
-    n_p1 = [max(b.n_p1 for b in branches)
-            for _, branches in sweep_1d(preset, spec, options).records]
-    first = 7
-    assert n_p1 == sorted(n_p1)
-    threshold = math.sqrt(n_p1[first - 1] * n_p1[first])
-    # the scaled force row holds 4 g1 / omega_m times the pump quadratures
-    scale = 4.0 * preset.g1 / preset.omega_m
-    rows = stability._characteristic_rows
-
-    def zero_root_above_threshold(m):
-        coeffs = rows(m)
-        n1 = (m[:, 5, 0] ** 2 + m[:, 5, 1] ** 2) / scale**2
-        coeffs[n1 > threshold, 0] = 0.0
-        return coeffs
-
-    def no_roots(p):
-        raise PolynomialError("no roots")
-
-    monkeypatch.setattr(stability, "_characteristic_rows",
-                        zero_root_above_threshold)
-    monkeypatch.setattr(stability, "all_roots", no_roots)
-    with pytest.raises(SweepError) as info:
-        sweep_1d(preset, spec, options)
-    assert info.value.axis_value == values[first]
-    assert isinstance(info.value.__cause__, ClassificationError)
-    with pytest.raises(ClassificationError) as pointwise:
-        solve_and_classify(preset, d.with_value(preset, "power_l",
-                                                values[first]), options)
-    assert str(info.value) \
-        == f"solve failed at power_l={values[first]!r}: {pointwise.value}"
+    monkeypatch.setattr(stability, "_scaled_jacobians", nan_in_row_2)
+    with pytest.raises(ClassificationError,
+                       match="^Jacobian eigenvalue iteration failed: ") as info:
+        classify_branches(raw, preset, d, options)
+    assert isinstance(info.value.__cause__, np.linalg.LinAlgError)
 
 
 def test_classify_branches_of_nothing(preset):

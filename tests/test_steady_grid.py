@@ -6,7 +6,7 @@ scalar arithmetic elementwise, in the same order.
 
 import math
 import random
-from dataclasses import replace
+import sys
 
 import numpy as np
 import pytest
@@ -16,8 +16,8 @@ from hypothesis import strategies as st
 import sampling
 from twomode import continuation, polyroots, stability, steady
 from twomode.continuation import SweepSpec, _solve_grid, axis_grid, sweep_1d
-from twomode.errors import (ClassificationError, ParameterError,
-                            PolynomialError, SolverError, SweepError)
+from twomode.errors import (ParameterError, PolynomialError, SolverError,
+                            SweepError)
 from twomode.params import DrivePoint, preset_hill_params, replace_params
 from twomode.stability import solve_and_classify
 from twomode.steady import (SolverOptions, q_upper_bound, steady_branches,
@@ -161,17 +161,20 @@ def _fold_approach():
 def _rows_real_roots_changes(params, drive, values, options, monkeypatch):
     """Indices of the power_l rows where the scalar real_roots takes a
     Newton polish step or merges two roots."""
-    newton = polyroots._newton_real
+    newton = polyroots._newton
     steps = []
 
-    def spy(p, dp, x):
+    def spy(p, dp, x, target_rel):
+        if sys._getframe(1).f_code is not polyroots.real_roots.__code__:
+            # the complex rescue in all_roots
+            return newton(p, dp, x, target_rel)
         # the polish evaluates dp only to take a step
         slopes = []
-        root = newton(p, lambda y: slopes.append(y) or dp(y), x)
+        root = newton(p, lambda y: slopes.append(y) or dp(y), x, target_rel)
         steps.append(bool(slopes))
         return root
 
-    monkeypatch.setattr(polyroots, "_newton_real", spy)
+    monkeypatch.setattr(polyroots, "_newton", spy)
     rows = []
     for i, v in enumerate(values.tolist()):
         steps.clear()
@@ -210,7 +213,7 @@ def _pointwise_records(params, spec, options):
         try:
             branches, diags = solve_and_classify(
                 params, spec.drive.with_value(params, spec.axis, v), options)
-        except (PolynomialError, SolverError, ClassificationError) as exc:
+        except (PolynomialError, SolverError) as exc:
             return records, (v, exc)
         records.append((v, branches, diags))
     return records, None
@@ -333,58 +336,21 @@ def test_ceiling_breach_sweep_solves_in_one_pass(monkeypatch):
     assert isinstance(caught.value.__cause__, SolverError)
 
 
-def _fail_classify_above(monkeypatch, params, amp_sq):
-    """Make classify fail at every branch whose pump amplitude squared,
-    read back from its Jacobian, is above ``amp_sq``."""
-    rows = stability._characteristic_rows
-    om = params.omega_m
-
-    def zero_root_above(m):
-        coeffs = rows(m)
-        # the force row holds 4 g1 / omega_m times the pump quadratures
-        n1 = (m[:, 5, 0] ** 2 + m[:, 5, 1] ** 2) / (4.0 * params.g1 / om)**2
-        lorentz = (params.kappa1 / om) ** 2 + m[:, 0, 1] ** 2
-        coeffs[n1 * lorentz * om**2 / params.kappa_e1 > amp_sq, 0] = 0.0
-        return coeffs
-
-    def no_roots(p):
-        raise PolynomialError("no roots")
-
-    monkeypatch.setattr(stability, "_characteristic_rows", zero_root_above)
-    monkeypatch.setattr(stability, "all_roots", no_roots)
-
-
-def test_classify_failure_before_steady_failure_names_its_sample(monkeypatch):
-    # classify fails from sample 2 on, the steady solve at sample 4
+def test_steady_failure_block_is_not_classified(monkeypatch):
+    # the steady solve fails at the last sample: the block raises that
+    # failure before it classifies any branch
     params, drive, options = _ceiling_case()
     spec = SweepSpec(axis="power_l", start=9e-6, stop=CEILING_BREACH_POWER_L,
                      drive=drive, points=5)
-    values = axis_grid(spec).tolist()
-    amp_sq = [drive.with_value(params, "power_l", v).amp_l ** 2
-              for v in values[1:3]]
-    _fail_classify_above(monkeypatch, params, math.sqrt(amp_sq[0] * amp_sq[1]))
-    with pytest.raises(SweepError) as caught:
-        sweep_1d(params, spec, options)
-    assert caught.value.axis_value == values[2]
-    assert str(caught.value) == f"solve failed at power_l={values[2]!r}: no roots"
-    assert isinstance(caught.value.__cause__, ClassificationError)
-
-
-def test_steady_failure_before_classify_failure_names_its_sample(monkeypatch):
-    # the steady solve fails at sample 0, classify at every sample
-    params, drive, options = _ceiling_case()
-    spec = SweepSpec(axis="power_l", start=CEILING_BREACH_POWER_L, stop=9.3e-6,
-                     drive=drive, points=5)
-    _fail_classify_above(monkeypatch, params, 0.0)
-    with pytest.raises(SweepError) as later:
-        sweep_1d(params, replace(spec, start=axis_grid(spec)[1]), options)
-    assert isinstance(later.value.__cause__, ClassificationError)
+    calls = []
+    max_re_rows = stability._max_re_rows
+    monkeypatch.setattr(stability, "_max_re_rows",
+                        lambda *args: calls.append(args) or max_re_rows(*args))
     with pytest.raises(SweepError) as caught:
         sweep_1d(params, spec, options)
     assert caught.value.axis_value == CEILING_BREACH_POWER_L
-    assert str(caught.value).startswith(
-        f"solve failed at power_l={CEILING_BREACH_POWER_L!r}: ")
     assert isinstance(caught.value.__cause__, SolverError)
+    assert calls == []
 
 
 def test_sweep_past_mode_frequency_raises_parameter_error():
