@@ -13,6 +13,11 @@ the exact fold bisection: each is the scalar-solve route it replaced; and
 which is the per-branch route it replaced: one branch's Jacobian through
 the Faddeev-LeVerrier recurrence, then :func:`all_roots`.
 
+Branch counts are exact: :func:`sturm_count` counts the distinct real
+roots of :func:`fixed_point_quintic`, whose inputs are read exactly, in
+integer arithmetic, with no tolerance, grid or resolvability filter, so
+root pairs at any separation, near folds too, are resolved.
+
 Time-domain checks integrate :func:`rhs_reference` with SciPy's DOP853
 (:func:`integrate_final`); the package itself does no time integration.
 """
@@ -21,6 +26,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import replace
+from fractions import Fraction
 
 import numpy as np
 from numpy.polynomial import polynomial as P
@@ -32,9 +38,6 @@ from twomode.stability import (_characteristic_rows, _scaled_jacobians,
                                branch_state)
 from twomode.steady import (_POLISH_MAX_ITER, Verdict, residual_derivative,
                             steady_branches, steady_residual)
-
-GRID_POINTS = 1_000_000
-GRID_PAD = 1.02
 
 
 def from_roots(roots, leading=1.0):
@@ -53,12 +56,15 @@ def kappa_max(params):
     return max(params.kappa1, params.kappa2)
 
 
-def lorentzian_force_terms(params, drive, sign=1):
-    """(g_k, A_k, delta_k) triples entering the fixed-point condition."""
-    a1 = params.kappa_e1 * drive.amp_l**2
-    a2 = params.kappa_e2 * drive.amp_r**2
-    return ((params.g1, a1, drive.delta1, params.kappa1),
-            (params.g2, sign * a2, drive.delta2, params.kappa2))
+def lorentzian_force_terms(params, drive, sign=1, num=float):
+    """(g_k, A_k, delta_k, kappa_k) of each mode, A_k = s_k kappa_e_k E_k^2,
+    in ``num`` arithmetic (``Fraction`` reads every input exactly)."""
+    return tuple((num(g), s * num(ke) * num(amp) ** 2, num(delta), num(kappa))
+                 for g, ke, amp, delta, kappa, s in (
+                     (params.g1, params.kappa_e1, drive.amp_l, drive.delta1,
+                      params.kappa1, 1),
+                     (params.g2, params.kappa_e2, drive.amp_r, drive.delta2,
+                      params.kappa2, sign)))
 
 
 def residual_scalar(q, params, drive, sign=1):
@@ -77,83 +83,93 @@ def force_bound(params, drive, sign=1):
     return 2.0 / params.omega_m * total
 
 
-def residual_grid(params, drive, sign=1, n=GRID_POINTS, pad=GRID_PAD,
-                  log=False):
-    """Vectorized residual over a grid covering every real root.
+def _trim(p):
+    """Ascending coefficients without zero leads; [] is the zero polynomial."""
+    p = list(p)
+    while p and p[-1] == 0:
+        p.pop()
+    return p
 
-    With the plus convention the force sum is non-negative, so roots live
-    in [0, bound]; the minus convention admits negative roots and the
-    grid widens to [-bound, bound].  The grid is uniform, or with ``log``
-    geometric in |q| from 1e-15 * bound up (mirrored for negative q),
-    which resolves close root pairs lying decades below a loose bound: at
-    0.1 W pump power, fold pairs lie 13 decades below it.
+
+def _primitive(p):
+    """Integer coefficients over their greatest common divisor."""
+    g = math.gcd(*p) or 1
+    return [c // g for c in p]
+
+
+def _rem(a, b):
+    """A positive integer multiple of the remainder of a divided by b."""
+    lead, s = abs(b[-1]), (1 if b[-1] > 0 else -1)
+    while len(a) >= len(b):
+        f = s * a[-1]
+        a = [c * lead for c in a]
+        for i, c in enumerate(b, len(a) - len(b)):
+            a[i] -= f * c
+        a = _trim(a[:-1])
+    return a
+
+
+def fixed_point_quintic(params, drive, sign=1):
+    """Ascending exact coefficients of the cleared fixed-point condition
+
+        q L1 L2 - (2/omega_m)(g1 A1 L2 + s g2 A2 L1),
+
+    Lk = kappa_k^2 + (delta_k - g_k q)^2, from the float inputs read
+    exactly.  Lk > 0, so its real roots are exactly the zeros of f(q); an
+    uncoupled mode's Lk is a positive constant that only scales it.
     """
-    top = max(pad * force_bound(params, drive, sign), 1e-300)
-    lo = 0.0 if sign > 0 else -top
-    floor = 1e-15 * top
-    if not log:
-        q = np.linspace(lo, top, n)
-    elif sign > 0:
-        q = np.concatenate(([0.0], np.geomspace(floor, top, n - 1)))
+    two_om = 2 / Fraction(params.omega_m)
+    (l1, c1), (l2, c2) = [
+        ([kappa * kappa + delta * delta, -2 * delta * g, g * g], two_om * g * a)
+        for g, a, delta, kappa in lorentzian_force_terms(params, drive, sign,
+                                                         Fraction)]
+    p = [0, *(sum(l1[i] * l2[k - i] for i in range(3) if 0 <= k - i <= 2)
+              for k in range(5))]
+    for i in range(3):
+        p[i] -= c1 * l2[i] + c2 * l1[i]
+    return p
+
+
+def sturm_sequence(coeffs):
+    """Sturm sequence of the polynomial with ascending rational ``coeffs``:
+    p, p', then each negated remainder, every member scaled by a positive
+    factor to coprime integer coefficients, so every sign is kept."""
+    coeffs = [Fraction(c) for c in coeffs]
+    den = math.lcm(*(c.denominator for c in coeffs))
+    p = _primitive(_trim(int(c * den) for c in coeffs))
+    seq = [p, _primitive([i * c for i, c in enumerate(p)][1:])]
+    while seq[-1]:
+        seq.append(_primitive([-c for c in _rem(seq[-2], seq[-1])]))
+    return seq[:-1]
+
+
+def _sign_at(p, x):
+    """Sign of p at x or at +-inf; a finite x = num/den is read exactly and
+    p(x) den^deg summed in integers."""
+    if math.isinf(x):
+        value = p[-1] * (1 if x > 0 else -1) ** (len(p) - 1)
     else:
-        half = np.geomspace(floor, top, n // 2)
-        q = np.concatenate((-half[::-1], half))
-    total = np.zeros_like(q)
-    term = np.empty_like(q)
-    for g, a, delta, kappa in lorentzian_force_terms(params, drive, sign):
-        # g a / (kappa^2 + (delta - g q)^2), in place: the same values
-        # without a grid-sized temporary per operation
-        np.multiply(q, g, out=term)
-        np.subtract(delta, term, out=term)
-        np.square(term, out=term)
-        term += kappa**2
-        np.divide(g * a, term, out=term)
-        total += term
-    total *= -2.0 / params.omega_m
-    total += q
-    return q, total
+        num, den = Fraction(x).as_integer_ratio()
+        value = sum(c * num**i * den ** (len(p) - 1 - i)
+                    for i, c in enumerate(p))
+    return (value > 0) - (value < 0)
 
 
-def grid_zeros(params, drive, sign=1, n=GRID_POINTS, pad=GRID_PAD,
-               rel_tol=1e-12):
-    """Sign-change zeros of the scalar residual, refined by bisection.
+def sturm_count(seq, lo=-math.inf, hi=math.inf):
+    """Distinct real roots in (lo, hi] of the polynomial whose Sturm sequence
+    is ``seq``: the drop in its sign changes from lo to hi.  A finite end
+    must not be a multiple root, where every member vanishes."""
+    def changes(x):
+        signs = [s for s in (_sign_at(p, x) for p in seq) if s]
+        return sum(a != b for a, b in zip(signs, signs[1:]))
 
-    Transversal crossings only: a root pair closer than one grid cell is
-    invisible here, which is why samples are filtered for resolvability
-    (see sampling.cells_resolved) before this oracle arbitrates.
-    """
-    q, f = residual_grid(params, drive, sign, n, pad)
-    s = np.sign(f)
-    # treat exact zeros as crossings attributed to the left cell edge
-    idx = np.nonzero((s[:-1] * s[1:]) < 0)[0]
-    zeros = [float(q[i]) for i in np.nonzero(s == 0)[0]]
-    for i in idx:
-        lo, hi = float(q[i]), float(q[i + 1])
-        flo = residual_scalar(lo, params, drive, sign)
-        for _ in range(200):
-            mid = 0.5 * (lo + hi)
-            if hi - lo <= rel_tol * max(abs(lo), abs(hi), 1e-30):
-                break
-            fm = residual_scalar(mid, params, drive, sign)
-            if fm == 0.0:
-                lo = hi = mid
-                break
-            if (flo < 0) == (fm < 0):
-                lo, flo = mid, fm
-            else:
-                hi = mid
-        zeros.append(0.5 * (lo + hi))
-    return np.array(sorted(zeros))
+    return changes(lo) - changes(hi)
 
 
-def sign_change_count(params, drive, sign=1, n=GRID_POINTS, pad=GRID_PAD,
-                      log=False):
-    """Number of residual sign changes on the dense grid."""
-    _, f = residual_grid(params, drive, sign, n, pad, log)
-    s = np.sign(f)
-    if not s.all():
-        s = s[s != 0]
-    return int(np.count_nonzero(s[:-1] != s[1:]))
+def exact_count(params, drive, sign=1):
+    """Exact number of steady states: the distinct real roots of
+    :func:`fixed_point_quintic`."""
+    return sturm_count(sturm_sequence(fixed_point_quintic(params, drive, sign)))
 
 
 def scan_counts(params, drive, axis, values, options):

@@ -12,11 +12,9 @@ Two domains are used:
   anti-damping, which the library reports as diagnostics rather than
   hiding.
 
-Samples for the grid-oracle comparison are filtered for resolvability:
-the uniform million-point grid can only arbitrate roots separated by
-several grid cells, so closer pairs (fold-degenerate points) are redrawn
-and counted.  The filter is an oracle-resolution condition, not a
-property of the solver under test.
+No sample is filtered for its oracle: the branch counts are checked
+against exact Sturm counts (``oracles.exact_count``), which resolve a
+root pair at any separation, so near-fold draws are kept.
 """
 
 from __future__ import annotations
@@ -28,11 +26,8 @@ from twomode.params import HBAR, DrivePoint, preset_hill_params, replace_params
 from twomode.stability import solve_and_classify
 from twomode.steady import SolverOptions, steady_branches
 
-from oracles import GRID_PAD, GRID_POINTS, force_bound
-
 POWER_RANGE = (1e-12, 1e-1)
 DETUNING_SPAN = 2.0
-MIN_SEPARATION_CELLS = 8.0
 
 # Ordering-clean domain: the pump detuning stays a few linewidths red
 # (folds exist above sqrt(3)*kappa1 ~ 0.225 omega_m) so the upper branch
@@ -58,20 +53,6 @@ def draw_drive(rng, params, power_range=POWER_RANGE,
         power_l=log_uniform(rng, *power_range),
         power_r=log_uniform(rng, *power_range),
     )
-
-
-def grid_cell(params, drive, sign=1, n=GRID_POINTS, pad=GRID_PAD):
-    """Width of one oracle grid cell for this drive point."""
-    top = pad * force_bound(params, drive, sign)
-    span = top if sign > 0 else 2.0 * top
-    return span / (n - 1)
-
-
-def cells_resolved(values, cell, min_cells=MIN_SEPARATION_CELLS):
-    """True iff consecutive values are at least min_cells grid cells apart."""
-    values = sorted(values)
-    return all(b - a >= min_cells * cell
-               for a, b in zip(values[:-1], values[1:]))
 
 
 def draw_mild_system(rng, q_range=QUASISTATIC_Q_RANGE):

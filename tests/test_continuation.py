@@ -327,20 +327,18 @@ def test_sweep_step_across_two_folds_matches_bisection_oracle():
         params, drive, "power_l", v0, v1, options, _FOLD_REL_TOL))]
 
 
-def _assert_folds_move_the_grid_oracle_count(params, drive, axis, options):
-    """Return the power-axis folds, each checked against the grid oracle.
+def _assert_folds_move_the_exact_count(params, drive, axis, options):
+    """Return the power-axis folds, each checked against the exact oracle.
 
-    Independent of the polynomial route: the dense-grid sign-change count
-    gains or loses exactly the fold's pair across each closed-form fold.
-    The grid is geometric: under the minus convention the readout's peak
-    push puts the uniform grid's spacing above the pair's separation.
+    Independent of the polynomial route: the exact Sturm count gains or
+    loses exactly the fold's pair between P (1 - 1e-6) and P (1 + 1e-6).
     """
     folds = continuation._power_folds(params, drive, axis, options)
     for value, change, _ in folds:
         below, above = (
-            oracles.sign_change_count(
+            oracles.exact_count(
                 params, drive.with_value(params, axis, value * factor),
-                options.sign, log=True)
+                options.sign)
             for factor in (1.0 - 1e-6, 1.0 + 1e-6))
         assert above - below == change, (drive, axis, options, folds)
     return folds
@@ -349,7 +347,7 @@ def _assert_folds_move_the_grid_oracle_count(params, drive, axis, options):
 @pytest.mark.parametrize("name", POWER_DRIVES)
 def test_power_folds_move_the_grid_oracle_count(name):
     params, drive, axis, _, _, options, count = FOLD_DRIVES[name]
-    assert len(_assert_folds_move_the_grid_oracle_count(
+    assert len(_assert_folds_move_the_exact_count(
         params, drive, axis, options)) == count
 
 
@@ -363,7 +361,7 @@ def test_power_folds_move_the_grid_oracle_count_on_drawn_drives():
     params = preset_hill_params()
     folding = 0
     for k in range(N_AUDIT_POWER):
-        folding += bool(_assert_folds_move_the_grid_oracle_count(
+        folding += bool(_assert_folds_move_the_exact_count(
             params, sampling.draw_drive(rng, params), POWER_AXES[k // 2 % 2],
             SolverOptions(sign=1 if k % 2 else -1)))
     assert folding >= N_AUDIT_POWER // 2
@@ -492,7 +490,8 @@ N_AUDIT_FIVE = 100
 
 def test_detuning_fold_lists_match_the_grid_counts():
     # seeded audit: on every drawn window the branch counts the exact fold
-    # list implies equal the batched solver's at all 1024 samples
+    # list implies equal the batched solver's at all 1024 samples, and the
+    # exact Sturm count beside every fold
     rng = random.Random(0xF01D)
     windows = ([sampling.draw_detuning_window(rng)
                 for _ in range(N_AUDIT_RICH)]
@@ -510,6 +509,14 @@ def test_detuning_fold_lists_match_the_grid_counts():
         implied = counts[0] + steps[np.searchsorted(at, values, side="right")]
         assert implied.tolist() == counts.tolist(), (axis, lo, hi, drive,
                                                      options, folds)
+        # the exact count agrees at the window's start and on either side
+        # of every fold
+        sides = [float(values[0]), *(v + s * 1e-6 * abs(v)
+                                     for v in at.tolist() for s in (-1, 1))]
+        exact = [oracles.exact_count(params, drive.with_value(params, axis, v),
+                                     options.sign) for v in sides]
+        want = counts[0] + steps[np.searchsorted(at, sides, side="right")]
+        assert exact == want.tolist(), (axis, lo, hi, drive, options, folds)
         folding += bool(np.any(counts != counts[0]))
     # the audit must be rich in folds to mean anything
     assert folding >= 150

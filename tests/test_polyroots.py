@@ -181,6 +181,22 @@ def test_reconstruction_property(roots, lead):
         assert b == pytest.approx(a, rel=1e-6, abs=1e-6 * scale)
 
 
+@pytest.mark.parametrize("roots,lead,real,lo,hi,inside", [
+    ((0.5,), 1.0, 1, 0.5, 1.0, 0),                  # (lo, hi] leaves out lo
+    ((0.0, -1.0, 2.0), -2.0, 3, -1.0, 0.0, 1),      # a root at 0
+    ((1.0, 1.0, 2.0), 1.0, 2, 0.0, 1.5, 1),         # a double root, once
+    ((3 + 1j, 3 - 1j, -2.0), 0.5, 1, -3.0, 5.0, 1),  # a complex pair
+    ((1.0, 1.0, 3 + 1j, 3 - 1j, -4.0), -1.0, 2, 0.5, 10.0, 1),
+    ((-2.0, -1.0, 0.0, 1.0, 2.0), 1.0, 5, -1.5, 1.5, 3),
+])
+def test_sturm_count_on_known_roots(roots, lead, real, lo, hi, inside):
+    # the exact oracle's counter: distinct real roots, on the line and in
+    # (lo, hi]
+    seq = oracles.sturm_sequence(oracles.from_roots(roots, lead).coeffs)
+    assert oracles.sturm_count(seq) == real
+    assert oracles.sturm_count(seq, lo, hi) == inside
+
+
 def test_determinism():
     coeffs = (3.0, -2.0, 0.5, 1.0, -0.25, 0.125)
     a = all_roots(RealPolynomial.from_coeffs(coeffs))

@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import oracles
 import sampling
 from twomode import continuation, polyroots, stability, steady
 from twomode.continuation import SweepSpec, _solve_grid, axis_grid, sweep_1d
@@ -303,6 +304,20 @@ def _ceiling_case():
     drive = DrivePoint.build(params, delta1=params.omega_m,
                              delta2=params.omega_m, power_l=2e-6, power_r=1e-7)
     return params, drive, SolverOptions(sign=-1)
+
+
+def test_ceiling_breach_sample_has_one_exact_branch():
+    # the exact count at the breach is 1, and 3 just below the -2 fold
+    # under it: the root the solver rejects there is the ghost of the pair
+    # that died at that fold (ROADMAP item 7)
+    params, drive, options = _ceiling_case()
+    fold = max(value for value, change, _ in continuation._folds(
+        params, drive, "power_l", 0.0, 1.0, options)
+        if change == -2 and value < CEILING_BREACH_POWER_L)
+    assert fold == pytest.approx(CEILING_BREACH_POWER_L, rel=1e-6)
+    assert [oracles.exact_count(params, drive.with_value(params, "power_l", v),
+                                options.sign)
+            for v in (CEILING_BREACH_POWER_L, fold * (1.0 - 1e-9))] == [1, 3]
 
 
 def test_ceiling_breach_sweep_solves_in_one_pass(monkeypatch):
