@@ -6,8 +6,9 @@ Every sample of a sweep is solved and classified in one batch
 that batch, as a SweepError that names it.  Folds (branch-count changes)
 are located exactly, and no steady state is solved to find them.  Each
 call builds one fold list, ((axis value, +-2, q_f), ...), at most once:
-:func:`locate_folds` takes its scan counts from it, and sweeps build it
-only when two neighbouring samples' counts differ.  The fold lists take
+:func:`locate_folds` places each fold in its scan cell from the grid rule,
+evaluating only the samples next to it, and sweeps build it only when two
+neighbouring samples' counts differ.  The fold lists take
 each mode's Lorentzian L_k and force factor s_k c_k from
 :func:`steady._mode_terms`.  On a power axis the fixed-point polynomial is
 a(x) - P b(x), a assembled once at P = 0 and b = s_k c_k(1 W) L_j, so the
@@ -118,10 +119,42 @@ class SweepResult:
 
 def axis_grid(spec: SweepSpec) -> np.ndarray:
     """Sample values: log-uniform for wide power spans, uniform otherwise."""
-    if (spec.axis in POWER_AXES and spec.start > 0.0
-            and spec.stop / spec.start > _LOG_SPAN_RATIO):
-        return np.geomspace(spec.start, spec.stop, spec.points)
-    return np.linspace(spec.start, spec.stop, spec.points)
+    at, _ = _grid(spec.axis, spec.start, spec.stop, spec.points)
+    return at(np.arange(spec.points))
+
+
+def _grid(axis, start, stop, points):
+    """(at, cell) of the ``points``-sample grid over [start, stop]:
+    log-uniform on a power span wider than _LOG_SPAN_RATIO, else uniform.
+
+    at(index) gives the samples at an integer array of indices: sample k is
+    origin + k step, as a power of 10 on a log grid, and the two ends are
+    start and stop exactly.  That is np.geomspace's and np.linspace's
+    arithmetic term for term, so each sample is bit-identical to theirs.
+    cell(v) gives, in closed form, the index i of the cell with sample i <
+    v <= sample i + 1; rounding can leave it one off.
+    """
+    log = (axis in POWER_AXES and start > 0.0
+           and stop / start > _LOG_SPAN_RATIO)
+    lo, hi = (np.log10(start), np.log10(stop)) if log else (start, stop)
+    origin, delta = float(lo), float(np.subtract(hi, lo, dtype=float))
+    step = delta / (points - 1)
+
+    def at(index):
+        # np.linspace divides first where the step underflows to zero
+        values = (index * step if step else index / (points - 1) * delta)
+        values += origin
+        if log:
+            values = np.power(10.0, values)
+        values[index == 0] = start
+        values[index == points - 1] = stop
+        return values
+
+    def cell(v):
+        t = ((math.log10(v) if log else v) - origin) / delta * (points - 1)
+        return min(max(int(t), 0), points - 2)
+
+    return at, cell
 
 
 def _lorentz_scale(params, drive) -> float:
@@ -449,27 +482,43 @@ def locate_folds(params: SystemParams, drive: DrivePoint, axis: str,
     The ``samples`` points of :func:`axis_grid` cut [lo, hi] into cells,
     and each cell whose end counts differ reports one value: the point of
     its 1e-9 relative bisection lattice next to the count change.  The
-    counts come from one exact fold list, the cumulative sum of the folds'
-    +-2 changes, on either axis kind: the roots of one polynomial on a
-    power axis, limit-point Newton from the roots of another on a detuning
-    axis.  No steady state is solved.  A cell holding two opposite folds
-    has equal end counts and reports nothing.
+    counts come from one exact fold list, each fold's +-2 change, on
+    either axis kind: the roots of one polynomial on a power axis,
+    limit-point Newton from the roots of another on a detuning axis.  Each
+    fold in (lo, hi] is placed in its cell in closed form from the grid
+    rule and checked against the cell's two samples, so only the samples
+    next to a fold are evaluated.  No steady state is solved.  A cell
+    holding two opposite folds has equal end counts and reports nothing.
 
     Returns an empty tuple when the count never changes; that is a valid,
     converged answer, not a failure.
     """
     _check_grid(axis, lo, hi, samples, "samples", "lo", "hi")
-    scan = SweepSpec(axis=axis, start=lo, stop=hi, drive=drive, points=samples)
-    values = axis_grid(scan)
     folds = _folds(params, drive, axis, lo, hi, options)
-    at = np.array([v for v, _, _ in folds], dtype=float)
-    steps = np.cumsum([0] + [change for _, change, _ in folds])
-    counts = steps[np.searchsorted(at, values, side="right")]
-    return tuple(_refine_count_change(axis, folds, float(values[i]),
-                                      float(values[i + 1]),
-                                      int(counts[i + 1] - counts[i]),
-                                      _FOLD_SCAN_REL_TOL)
-                 for i in np.flatnonzero(counts[1:] != counts[:-1]))
+    inside = [(v, change) for v, change, _ in folds if lo < v <= hi]
+    if not inside:
+        return ()
+    at, cell = _grid(axis, lo, hi, samples)
+    guess = [cell(v) for v, _ in inside]
+    index = guess + [i + 1 for i in guess]
+    known = dict(zip(index, at(np.array(index)).tolist()))
+
+    def sample(k):
+        if k not in known:
+            known[k] = at(np.array([k])).item()
+        return known[k]
+
+    # each cell's net count change; sample 0 is lo < v and the last is hi
+    net = {}
+    for (v, change), i in zip(inside, guess):
+        while v <= sample(i):
+            i -= 1
+        while v > sample(i + 1):
+            i += 1
+        net[i] = net.get(i, 0) + change
+    return tuple(_refine_count_change(axis, folds, sample(i), sample(i + 1),
+                                      change, _FOLD_SCAN_REL_TOL)
+                 for i, change in sorted(net.items()) if change)
 
 
 def _stable(branches):

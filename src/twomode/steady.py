@@ -124,7 +124,7 @@ def steady_residual(q, params: SystemParams, drive: DrivePoint, sign: int = 1):
     """Fixed-point defect f(q); zero exactly at steady states.
 
     Vectorized over q.  The sign of f flips across every transversal
-    steady state, which is what the grid-scan oracles exploit.
+    steady state.
     """
     n1, n2, _, _ = photon_numbers_from_q(q, params, drive)
     return q - (2.0 / params.omega_m) * (params.g1 * n1 + sign * params.g2 * n2)

@@ -109,6 +109,61 @@ def test_axis_grid_spacing_rules(preset):
     assert np.all(np.abs(diffs - diffs[0]) <= 1e-9 * abs(diffs[0]))
 
 
+def _grid_windows():
+    """(axis, start, stop, points) of seeded log and linear windows, the
+    spans either side of _LOG_SPAN_RATIO, the fold bracket at 512 and 1024
+    samples, and a span of one subnormal."""
+    rng = random.Random(0x6E1D)
+    windows = [("power_l", 1e-14, 1.0, 512), ("power_r", 1e-14, 1.0, 1024),
+               # np.linspace's step underflows to zero here
+               ("power_l", 0.0, 5e-324, 4)]
+    for points in [2, 3, 2048] + [rng.randrange(2, 2049) for _ in range(40)]:
+        lo = sampling.log_uniform(rng, 1e-15, 1e-2)
+        windows += [
+            (rng.choice(POWER_AXES), lo,
+             lo * 10.0 ** rng.uniform(1.01, 14.0), points),
+            (rng.choice(POWER_AXES), rng.choice((0.0, lo)),
+             lo * rng.uniform(1.01, 9.99), points),
+            ("delta1", rng.uniform(-2e11, 1e11), rng.uniform(1.01e11, 2e11),
+             points)]
+        # the smallest stop whose span ratio exceeds _LOG_SPAN_RATIO
+        above = lo * continuation._LOG_SPAN_RATIO
+        while above / lo > continuation._LOG_SPAN_RATIO:
+            above = math.nextafter(above, 0.0)
+        while not above / lo > continuation._LOG_SPAN_RATIO:
+            above = math.nextafter(above, math.inf)
+        below = math.nextafter(above, 0.0)
+        assert below / lo <= continuation._LOG_SPAN_RATIO < above / lo
+        windows += [("power_l", lo, above, points),
+                    ("power_r", lo, below, points)]
+    return windows
+
+
+def test_grid_rule_is_numpy_geomspace_and_linspace_bit_for_bit(preset):
+    # a numpy change that moves a sample fails here rather than silently
+    # moving fold values and the golden files
+    d = _drive(preset, delta1=0.0, delta2=0.0, power_l=1e-12, power_r=0.0)
+    rng = random.Random(0x6E1E)
+    windows = _grid_windows()
+    logs = 0
+    for axis, lo, hi, points in windows:
+        log = (axis in POWER_AXES and lo > 0.0
+               and hi / lo > continuation._LOG_SPAN_RATIO)
+        logs += log
+        want = (np.geomspace if log else np.linspace)(lo, hi, points)
+        grid = axis_grid(SweepSpec(axis=axis, start=lo, stop=hi, drive=d,
+                                   points=points))
+        assert grid.tobytes() == want.tobytes(), (axis, lo, hi, points)
+        # any subset of indices, down to one, as locate_folds asks for them
+        picks = [[k] for k in rng.sample(range(points), min(points, 12))]
+        picks.append(sorted(rng.sample(range(points), min(points, 5))))
+        for index in map(np.array, picks):
+            got = continuation._grid(axis, lo, hi, points)[0](index)
+            assert got.tobytes() == want[index].tobytes(), (
+                axis, lo, hi, points, index)
+    assert 40 < logs < len(windows) - 40
+
+
 def test_sweep_records_match_pointwise_solves(preset, options):
     d = _drive(preset, delta1=preset.omega_m, delta2=0.5 * preset.omega_m,
                power_l=1e-12, power_r=2e-12)
@@ -238,24 +293,66 @@ POWER_DRIVES = [name for name, spec in FOLD_DRIVES.items()
 DETUNING_DRIVES = [name for name in FOLD_DRIVES if name not in POWER_DRIVES]
 
 
-@pytest.mark.parametrize("name", list(FOLD_DRIVES))
-def test_locate_folds_matches_scalar_scan_oracle(name, monkeypatch):
-    params, drive, axis, lo, hi, options, count = FOLD_DRIVES[name]
+SCAN_SAMPLES = (2, 3, 8, 1024)
+
+
+def _scan_cases():
+    """name -> (params, drive, axis, lo, hi, options, {samples: count}).
+
+    FOLD_DRIVES, with their count at 1024 samples, plus brackets on the
+    folds of the study_literal_angular_minus drive, whose branch count
+    goes 1, 3, 1, 3, 1 across them, with their counts at every sample
+    number.  The solve at that drive's third fold value itself already
+    counts the 3 branches past it, as the fold list does, so the scalar
+    scan can stand on it.  delta1_rounding_level (2 samples) and
+    delta2_five_branch (2, 3 and 8 samples) each put two +2 folds in one
+    cell.
+    """
+    cases = {name: (*spec[:-1], {1024: spec[-1]})
+             for name, spec in FOLD_DRIVES.items()}
+    params, drive, axis, _, _, options, _ = FOLD_DRIVES[
+        "study_literal_angular_minus"]
+    v = _folds(params, drive, axis, 0.0, 1.0, options)[2][0]
+    # v +- h are exact, so the middle of 3 samples is v itself
+    h = 2.0 ** (math.floor(math.log2(v)) - 2)
+    for name, lo, hi, counts in (
+            ("minus_plus_pair", 1e-6, 1e-5, (0, 0, 2, 2)),
+            ("fold_at_lo", v, 1e-4, (1, 1, 1, 1)),
+            ("fold_at_hi", 1e-6, v, (0, 0, 2, 2)),
+            ("fold_at_sample", v - h, v + h, (1, 1, 1, 1))):
+        cases[name] = (params, drive, axis, lo, hi, options,
+                       dict(zip(SCAN_SAMPLES, counts)))
+    return cases
+
+
+SCAN_CASES = _scan_cases()
+
+
+@pytest.mark.parametrize("name,samples", [
+    pytest.param(name, samples, id=name if samples == 1024
+                 else f"{name}-{samples}")
+    for name in SCAN_CASES for samples in SCAN_SAMPLES])
+def test_locate_folds_matches_scalar_scan_oracle(name, samples, monkeypatch):
+    params, drive, axis, lo, hi, options, counts = SCAN_CASES[name]
     values = axis_grid(SweepSpec(axis=axis, start=lo, stop=hi, drive=drive,
-                                 points=1024))
-    counts = oracles.scan_counts(params, drive, axis, values, options)
+                                 points=samples))
+    if name == "fold_at_sample" and samples == 3:
+        # the middle sample is the fold itself
+        assert values[1] == _folds(params, drive, axis, lo, hi, options)[2][0]
+    scan = oracles.scan_counts(params, drive, axis, values, options)
     expected = [
         oracles.bisect_count_change(params, drive, axis, float(v0),
                                     float(v1), options, _FOLD_SCAN_REL_TOL)
-        for v0, v1, c0, c1 in zip(values, values[1:], counts, counts[1:])
+        for v0, v1, c0, c1 in zip(values, values[1:], scan, scan[1:])
         if c0 != c1]
-    assert len(expected) == count
+    assert len(expected) == counts.get(samples, len(expected))
     # no scan sample falls back to the scalar solve
     fallbacks = []
     scalar = steady.steady_branches
     monkeypatch.setattr(steady, "steady_branches",
                         lambda *a: fallbacks.append(a) or scalar(*a))
-    folds = locate_folds(params, drive, axis, lo, hi, options)
+    folds = locate_folds(params, drive, axis, lo, hi, options,
+                         samples=samples)
     assert [repr(f) for f in folds] == [repr(f) for f in expected]
     assert fallbacks == []
 
