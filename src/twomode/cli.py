@@ -77,7 +77,8 @@ def build_parser() -> argparse.ArgumentParser:
                                  "interval")
     _add_common(folds)
     folds.add_argument("--samples", type=int, default=_FOLD_SCAN_SAMPLES,
-                       help="coarse scan resolution (default %(default)s)")
+                       help="grid points cutting the interval into cells, "
+                            "each bisected to 1e-9 (default %(default)s)")
     return parser
 
 

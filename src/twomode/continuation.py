@@ -6,7 +6,7 @@ Every sample of a sweep is solved and classified in one batch
 that batch, as a SweepError that names it.  Folds (branch-count changes)
 are located exactly, and no steady state is solved to find them.  Each
 call builds one fold list, ((axis value, +-2, q_f), ...), at most once:
-:func:`locate_folds` places each fold in its scan cell from the grid rule,
+:func:`locate_folds` places each fold in its grid cell from the grid rule,
 evaluating only the samples next to it, and sweeps build it only when two
 neighbouring samples' counts differ.  The fold lists take
 each mode's Lorentzian L_k and force factor s_k c_k from
@@ -18,7 +18,7 @@ of one polynomial seed Newton's method on the limit-point system
 f = df/dq = 0 with the exact pump.  A fold is reported on the lattice of
 a bisection that takes its counts from the fold list: 1e-9 relative in
 :func:`locate_folds` and 1e-6 in sweeps, the values a bisection that
-solved at every midpoint reports.  A bracket (a scan cell, or two
+solved at every midpoint reports.  A bracket (a grid cell, or two
 neighbouring sweep samples) whose ends have the same count reports
 nothing, even when a pair of opposite folds lies inside it; a sweep
 bracket whose folds do not add up to its count difference raises
@@ -41,7 +41,8 @@ import numpy as np
 from .errors import (NoStableBranchError, ParameterError, PolynomialError,
                      SweepError)
 from .params import AXES, POWER_AXES, DrivePoint, SystemParams, drive_amplitude
-from .polyroots import _DEDUP_REL, RealPolynomial
+from .polyroots import (_DEDUP_REL, RealPolynomial, companion_roots,
+                        merge_close)
 from .steady import (SolverOptions, Verdict, _assemble, _mode_terms,
                      photon_numbers_from_q, steady_residual)
 from .stability import Diagnostic, _no_stable_branch, solve_and_classify_grid
@@ -185,9 +186,10 @@ def _power_folds(params, drive, axis, options) -> tuple:
     P > 0.  A root counts where w changes sign (odd multiplicity); the
     branch count changes by +2 across a minimum of P(x) and by -2 across a
     maximum.  The roots are w's companion eigenvalues, from one LAPACK
-    call, and are not polished: P is stationary at a fold, so a root error
-    dx moves the fold power by O(dx^2) only.  q_f = x q_scale is the
-    fold's double root in q.  No steady state is solved.
+    call in :func:`polyroots.companion_roots`, and are not polished: P is
+    stationary at a fold, so a root error dx moves the fold power by
+    O(dx^2) only.  q_f = x q_scale is the fold's double root in q.  No
+    steady state is solved.
     """
     left = axis == "power_l"
     g = params.g1 if left else params.g2
@@ -207,22 +209,10 @@ def _power_folds(params, drive, axis, options) -> tuple:
     if w.degree < 1:
         raise PolynomialError(
             f"degree must be >= 1 to extract roots, got {w.degree}")
-    companion = np.eye(w.degree, k=-1)
-    companion[0] = [-c / w.coeffs[-1] for c in w.coeffs[-2::-1]]
-    try:
-        roots = np.linalg.eigvals(companion).tolist()
-    except np.linalg.LinAlgError as exc:
-        raise PolynomialError(
-            f"companion eigenvalue iteration failed: {exc}") from exc
-    xs = []
-    for x in sorted(r.real for r in roots
-                    if abs(r.imag) <= options.imag_tol * (1.0 + abs(r.real))):
-        if xs and x - xs[-1] <= _DEDUP_REL * (1.0 + abs(x)):
-            # one multiple root: keep the smaller residual
-            if abs(w(x)) < abs(w(xs[-1])):
-                xs[-1] = x
-        else:
-            xs.append(x)
+    # a multiple root keeps its member of smaller residual
+    xs = merge_close([r.real for r in companion_roots(w.coeffs).tolist()
+                      if abs(r.imag) <= options.imag_tol * (1.0 + abs(r.real))],
+                     w.coeffs, _DEDUP_REL)
     if not xs:
         return ()
     # the sign of dP/dx between the roots and beyond them
@@ -357,7 +347,7 @@ def _detuning_folds(params, drive, axis, lo, hi, options) -> tuple:
     fold = 4.0 * gt * gt * kt * kt * np.convolve(n3, n)
     fold[1:] -= 4.0 * gt * gt * at * np.convolve(n3, lorentz)
     fold[4:] += at * at * np.convolve(slope, slope) / q_scale**2
-    roots = np.roots(fold)
+    roots = companion_roots(fold[::-1].tolist())
     near = roots.real[np.abs(roots.imag) <= 0.1 * (1.0 + np.abs(roots.real))]
     lorentz, n, slope = (RealPolynomial(tuple(p[::-1].tolist()))
                          for p in (lorentz, n, slope))

@@ -1,12 +1,13 @@
 """Real-coefficient polynomials and deterministic root extraction.
 
 Coefficients are stored ascending (``coeffs[i]`` multiplies ``x**i``).
-Root extraction goes through the balanced companion matrix (numpy's
-eigenvalue path), followed by a residual audit; real-root selection adds a
-Newton polish and tolerance-based deduplication.  The row forms at the end
-of the module keep only the common path: a row that would need the audit's
-rescue, a polish step or a merge is left out of their ``ok`` mask for the
-caller to solve.  Identical inputs produce bit-identical outputs on a
+Roots are the eigenvalues of the companion matrix ``np.roots`` builds
+(:func:`companion_roots`), followed by a residual audit on Python complex
+numbers; real-root selection adds a Newton polish and tolerance-based
+deduplication on Python floats.  The row forms at the end of the module
+keep only the common path: a row that would need the audit's rescue, a
+polish step or a merge is left out of their ``ok`` mask for the caller
+to solve.  Identical inputs produce bit-identical outputs on a
 given platform: there is no randomness anywhere in this module, and
 results are sorted canonically before they are returned.
 """
@@ -31,32 +32,64 @@ _POLISH_MAX_ITER = 50
 _DEDUP_REL = 1e-8
 
 
+def trim_coeffs(coeffs) -> list:
+    """``coeffs`` as floats, without the leading (highest-degree) ones
+    below ``1e-14 * max|c|``, so the degree is honest."""
+    arr = list(map(float, coeffs))
+    if not arr:
+        raise PolynomialError("empty coefficient sequence")
+    if not all(map(math.isfinite, arr)):
+        raise PolynomialError(f"non-finite coefficient in {arr!r}")
+    top = max(map(abs, arr))
+    if top == 0.0:
+        raise PolynomialError("zero polynomial has no defined roots")
+    cut = _TRIM_REL * top
+    while len(arr) > 1 and abs(arr[-1]) <= cut:
+        arr.pop()
+    return arr
+
+
+def mul_coeffs(a, b) -> list:
+    """Trimmed product of two coefficient sequences, summed in ascending
+    order of a's index as :func:`mul_rows` sums (np.convolve does not)."""
+    prod = [0.0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            prod[i + j] += x * y
+    return trim_coeffs(prod)
+
+
+def _horner(coeffs, x):
+    """Ascending ``coeffs`` at x; scalars or arrays, real or complex.  A
+    (k, n, 1) stack of k coefficient columns evaluates n rows at x (n, m)."""
+    acc = x * 0.0 + coeffs[-1]
+    for c in coeffs[-2::-1]:
+        acc = acc * x + c
+    return acc
+
+
+def _residual_scale(coeffs, r) -> float:
+    """max_i |c_i| * |r|**i, the natural size of the polynomial near r."""
+    m, best, power = abs(r), 0.0, 1.0
+    for c in coeffs:
+        term = abs(c) * power
+        if term > best:
+            best = term
+        power *= m
+    return best
+
+
 @dataclass(frozen=True)
 class RealPolynomial:
-    """Polynomial with real coefficients, ascending order, trimmed."""
+    """Polynomial with real coefficients, ascending order, trimmed; the
+    root finders read ``coeffs`` with :func:`_horner`."""
 
     coeffs: tuple
 
     @classmethod
     def from_coeffs(cls, coeffs) -> "RealPolynomial":
-        """Build from any coefficient sequence, trimming negligible leads.
-
-        Leading (highest-degree) coefficients whose magnitude is below
-        ``1e-14 * max|c|`` are dropped so the stored degree is honest.
-        """
-        arr = list(map(float, coeffs))
-        if not arr:
-            raise PolynomialError("empty coefficient sequence")
-        if not all(map(math.isfinite, arr)):
-            raise PolynomialError(f"non-finite coefficient in {arr!r}")
-        top = max(map(abs, arr))
-        if top == 0.0:
-            raise PolynomialError("zero polynomial has no defined roots")
-        cut = _TRIM_REL * top
-        last = len(arr) - 1
-        while last > 0 and abs(arr[last]) <= cut:
-            last -= 1
-        return cls(coeffs=tuple(arr[:last + 1]))
+        """Build from any coefficient sequence, see :func:`trim_coeffs`."""
+        return cls(coeffs=tuple(trim_coeffs(coeffs)))
 
     @property
     def degree(self) -> int:
@@ -64,89 +97,81 @@ class RealPolynomial:
 
     def __call__(self, x):
         """Horner evaluation; accepts scalars or arrays, real or complex."""
-        acc = x * 0.0 + self.coeffs[-1]
-        for c in reversed(self.coeffs[:-1]):
-            acc = acc * x + c
-        return acc
+        return _horner(self.coeffs, x)
 
     def derivative(self) -> "RealPolynomial":
-        if self.degree == 0:
-            return RealPolynomial(coeffs=(0.0,))
         der = tuple(i * c for i, c in enumerate(self.coeffs) if i > 0)
-        return RealPolynomial(coeffs=der)
-
-    def __mul__(self, other):
-        if isinstance(other, RealPolynomial):
-            # Summed in ascending order of self's index, as mul_rows sums;
-            # np.convolve orders the sums differently.
-            prod = [0.0] * (len(self.coeffs) + len(other.coeffs) - 1)
-            for i, a in enumerate(self.coeffs):
-                for j, b in enumerate(other.coeffs):
-                    prod[i + j] += a * b
-            return RealPolynomial.from_coeffs(prod)
-        return RealPolynomial.from_coeffs([c * float(other) for c in self.coeffs])
-
-    __rmul__ = __mul__
+        return RealPolynomial(coeffs=der or (0.0,))
 
     def residual_scale(self, r) -> float:
         """max_i |c_i| * |r|**i, the natural size of p near r."""
-        m = abs(r)
-        best = 0.0
-        power = 1.0
-        for c in self.coeffs:
-            best = max(best, abs(c) * power)
-            power *= m
-        return best
+        return _residual_scale(self.coeffs, r)
+
+
+def companion_roots(coeffs) -> np.ndarray:
+    """``np.roots`` of the ascending ``coeffs``, bit for bit: its companion
+    matrix, without zero leading coefficients and with zero constant terms
+    as exact zero roots after the eigenvalues.  A failed eigenvalue
+    iteration raises PolynomialError."""
+    nonzero = [i for i, c in enumerate(coeffs) if c != 0.0] or [0]
+    low, high = nonzero[0], nonzero[-1]
+    companion = np.eye(high - low, k=-1)
+    companion[:1] = [-c / coeffs[high] for c in reversed(coeffs[low:high])]
+    try:
+        roots = np.linalg.eigvals(companion)
+    except np.linalg.LinAlgError as exc:
+        raise PolynomialError(
+            f"companion eigenvalue iteration failed: {exc}") from exc
+    return np.concatenate((roots, np.zeros(low, roots.dtype))) if low else roots
 
 
 def all_roots(p: RealPolynomial) -> np.ndarray:
     """All complex roots, exactly ``p.degree`` of them, canonically sorted.
 
-    Roots come from the balanced companion matrix.  Each is audited
-    against ``|p(r)| <= 1e-10 * scale(r)``; a failing root gets a short
+    Roots come from :func:`companion_roots`.  Each is audited against
+    ``|p(r)| <= 1e-10 * scale(r)``; a failing root gets a short
     complex-Newton rescue and a persistent failure raises
     ``PolynomialError``.  Complex roots of real polynomials arrive in
     conjugate pairs.
     """
     if p.degree < 1:
         raise PolynomialError(f"degree must be >= 1 to extract roots, got {p.degree}")
-    try:
-        roots = np.roots(np.asarray(p.coeffs[::-1], dtype=float))
-    except np.linalg.LinAlgError as exc:
-        raise PolynomialError(f"companion eigenvalue iteration failed: {exc}") from exc
+    coeffs = p.coeffs
+    roots = companion_roots(coeffs)
     if len(roots) != p.degree:
         raise PolynomialError(
             f"expected {p.degree} roots, companion path produced {len(roots)}")
-    dp = p.derivative()
     polished = []
-    for r in roots:
+    for r in roots.tolist():
         # the absolute floor keeps the bound satisfiable when the local
         # coefficient scale underflows (subnormal coefficients)
-        limit = max(_ROOT_RESIDUAL_REL * p.residual_scale(r), 1e-290)
-        if abs(p(r)) > limit:
-            r = _newton(p, dp, complex(r), _ROOT_RESIDUAL_REL)
-            limit = max(_ROOT_RESIDUAL_REL * p.residual_scale(r), 1e-290)
-            if abs(p(r)) > limit:
+        limit = max(_ROOT_RESIDUAL_REL * _residual_scale(coeffs, r), 1e-290)
+        if abs(_horner(coeffs, r)) > limit:
+            r = _newton(coeffs, p.derivative().coeffs, complex(r),
+                        _ROOT_RESIDUAL_REL)
+            limit = max(_ROOT_RESIDUAL_REL * _residual_scale(coeffs, r), 1e-290)
+            if abs(_horner(coeffs, r)) > limit:
                 raise PolynomialError(
-                    f"root {r!r} fails residual bound for {p.coeffs!r}")
+                    f"root {r!r} fails residual bound for {coeffs!r}")
         polished.append(complex(r))
     polished.sort(key=lambda z: (z.real, z.imag))
     return np.asarray(polished, dtype=complex)
 
 
-def _newton(p: RealPolynomial, dp: RealPolynomial, x, target_rel: float):
-    """Damped Newton refinement; returns the best iterate seen."""
-    best, best_res = x, abs(p(x))
+def _newton(coeffs, slope, x, target_rel: float):
+    """Damped Newton refinement of a root of ``coeffs``, whose derivative
+    has the coefficients ``slope``; returns the best iterate seen."""
+    fx = _horner(coeffs, x)
+    best, best_res = x, abs(fx)
     for _ in range(_POLISH_MAX_ITER):
-        scale = p.residual_scale(x)
-        fx = p(x)
-        if abs(fx) <= target_rel * scale:
+        if abs(fx) <= target_rel * _residual_scale(coeffs, x):
             return x
-        dfx = dp(x)
+        dfx = _horner(slope, x)
         if dfx == 0.0:
             break
         x = x - fx / dfx
-        res = abs(p(x))
+        fx = _horner(coeffs, x)
+        res = abs(fx)
         if res < best_res:
             best, best_res = x, res
     return best
@@ -162,22 +187,27 @@ def real_roots(p: RealPolynomial, imag_tol: float = 1e-7) -> np.ndarray:
     """
     if imag_tol <= 0.0:
         raise PolynomialError(f"imag_tol must be positive, got {imag_tol!r}")
-    dp = p.derivative()
+    coeffs, slope = p.coeffs, p.derivative().coeffs
     candidates = []
-    for r in all_roots(p):
+    for r in all_roots(p).tolist():
         if abs(r.imag) <= imag_tol * (1.0 + abs(r.real)):
-            x = float(_newton(p, dp, r.real, _POLISH_RESIDUAL_REL))
-            candidates.append(x)
-    candidates.sort()
-    out: list[float] = []
-    for x in candidates:
-        if out and abs(x - out[-1]) <= _DEDUP_REL * (1.0 + abs(x)):
-            # Keep whichever representative has the smaller residual.
-            if abs(p(x)) < abs(p(out[-1])):
+            candidates.append(_newton(coeffs, slope, r.real,
+                                      _POLISH_RESIDUAL_REL))
+    return np.asarray(merge_close(candidates, coeffs, _DEDUP_REL), dtype=float)
+
+
+def merge_close(xs, coeffs, rel: float) -> list:
+    """The real points ``xs`` ascending, each within ``rel * (1 + |x|)``
+    of the last one kept merged with it into whichever of the two has the
+    smaller residual of ``coeffs``."""
+    out = []
+    for x in sorted(xs):
+        if out and abs(x - out[-1]) <= rel * (1.0 + abs(x)):
+            if abs(_horner(coeffs, x)) < abs(_horner(coeffs, out[-1])):
                 out[-1] = x
         else:
             out.append(x)
-    return np.asarray(out, dtype=float)
+    return out
 
 
 # Row-wise forms of the above: each row of a (n, k) coefficient array is one
@@ -185,7 +215,7 @@ def real_roots(p: RealPolynomial, imag_tol: float = 1e-7) -> np.ndarray:
 # elementwise in the same order.
 
 def trim_rows(coeffs: np.ndarray) -> np.ndarray:
-    """:meth:`RealPolynomial.from_coeffs` over rows, keeping the shape.
+    """:func:`trim_coeffs` over rows, keeping the shape.
 
     Negligible leading coefficients become 0.0, so the degree of a row is
     the index of its last nonzero entry.  A row with a non-finite
@@ -203,33 +233,23 @@ def trim_rows(coeffs: np.ndarray) -> np.ndarray:
 
 def mul_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Row-by-row product of two coefficient arrays, summed as
-    :meth:`RealPolynomial.__mul__` sums."""
+    :func:`mul_coeffs` sums."""
     out = np.zeros((a.shape[0], a.shape[1] + b.shape[1] - 1))
     for i in range(a.shape[1]):
         out[:, i:i + b.shape[1]] += a[:, i:i + 1] * b
     return out
 
 
-def _horner_rows(coeffs, x):
-    """``RealPolynomial.__call__`` of each row at the entries of x (n, m)."""
-    acc = x * 0.0 + coeffs[:, -1:]
-    for i in range(coeffs.shape[1] - 2, -1, -1):
-        acc *= x
-        acc += coeffs[:, i:i + 1]
-    return acc
-
-
 def _scale_rows(coeffs, x):
-    """``RealPolynomial.residual_scale`` of each row at the entries of x.
+    """:func:`_residual_scale` of each row at the entries of x.
 
     The powers of |x| are the scalar form's running product, one slab of
     a (k, n, m) stack per step, so the stack is scaled and reduced once.
     """
     power = np.empty((coeffs.shape[1],) + x.shape)
     power[0] = 1.0
-    m = np.abs(x)
-    for i in range(1, coeffs.shape[1]):
-        np.multiply(power[i - 1], m, out=power[i])
+    power[1:] = np.abs(x)
+    np.multiply.accumulate(power, axis=0, out=power)
     power *= np.abs(coeffs).T[:, :, None]
     return power.max(axis=0)
 
@@ -259,7 +279,7 @@ def all_roots_rows(coeffs: np.ndarray) -> tuple:
     except np.linalg.LinAlgError:
         return np.full((n, d), np.nan + 0j), np.zeros(n, dtype=bool)
     limit = np.maximum(_ROOT_RESIDUAL_REL * _scale_rows(coeffs, roots), 1e-290)
-    ok &= (np.abs(_horner_rows(coeffs, roots)) <= limit).all(axis=1)
+    ok &= (np.abs(_horner(coeffs.T[:, :, None], roots)) <= limit).all(axis=1)
     return roots, ok
 
 
@@ -281,7 +301,7 @@ def real_roots_rows(coeffs: np.ndarray, imag_tol: float) -> tuple:
     real = np.abs(roots.imag) <= imag_tol * (1.0 + np.abs(roots.real))
     x = np.where(real, roots.real, np.nan)
     # the test real_roots' Newton polish makes before its first step
-    stays = (np.abs(_horner_rows(coeffs, x))
+    stays = (np.abs(_horner(coeffs.T[:, :, None], x))
              <= _POLISH_RESIDUAL_REL * _scale_rows(coeffs, x))
     ok &= (stays | ~real).all(axis=1)
     x.sort(axis=1)

@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -202,7 +202,8 @@ def classify_branches(branches, params: SystemParams, drive: DrivePoint,
     max_re = _max_re_rows(states, params, drive.delta1, drive.delta2,
                           options.sign).tolist()
     classified = tuple(
-        replace(b, verdict=verdict, max_re_eig=m)
+        SteadyBranch(b.q_s, b.amp1, b.amp2, b.n_p1, b.n_p2, b.delta1_eff,
+                     b.delta2_eff, verdict, m)
         for b, verdict, m in zip(branches, _verdicts(max_re, params, options),
                                  max_re))
     return classified, _ordering_diagnostics(

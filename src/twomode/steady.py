@@ -36,8 +36,8 @@ import numpy as np
 
 from .errors import ParameterError, PolynomialError, SolverError
 from .params import DrivePoint, SystemParams
-from .polyroots import (_DEDUP_REL, RealPolynomial, mul_rows, real_roots,
-                        real_roots_rows, trim_rows)
+from .polyroots import (_DEDUP_REL, RealPolynomial, mul_coeffs, mul_rows,
+                        real_roots, real_roots_rows, trim_rows)
 
 _POLISH_MAX_ITER = 12
 # Solver-level sanity ceiling on the steady-state self-consistency defect.
@@ -114,7 +114,11 @@ def photon_numbers_from_q(q, params: SystemParams, drive: DrivePoint):
 
 def steady_amplitudes(q, params: SystemParams, drive: DrivePoint):
     """Complex mode amplitudes at displacement q."""
-    d1, d2 = effective_detunings(q, params, drive)
+    return _amplitudes(*effective_detunings(q, params, drive), params, drive)
+
+
+def _amplitudes(d1, d2, params: SystemParams, drive: DrivePoint):
+    """Complex mode amplitudes at effective detunings d1, d2."""
     a1 = math.sqrt(params.kappa_e1) * drive.amp_l / (params.kappa1 + 1j * d1)
     a2 = math.sqrt(params.kappa_e2) * drive.amp_r / (params.kappa2 + 1j * d2)
     return a1, a2
@@ -132,14 +136,27 @@ def steady_residual(q, params: SystemParams, drive: DrivePoint, sign: int = 1):
 
 def residual_derivative(q, params: SystemParams, drive: DrivePoint, sign: int = 1):
     """d f / d q, used by the Newton polish."""
-    d1, d2 = effective_detunings(q, params, drive)
-    den1 = params.kappa1**2 + d1 * d1
-    den2 = params.kappa2**2 + d2 * d2
-    a_1 = params.kappa_e1 * (drive.amp_l * drive.amp_l)
-    a_2 = params.kappa_e2 * (drive.amp_r * drive.amp_r)
-    dn1 = 2.0 * a_1 * params.g1 * d1 / (den1 * den1)
-    dn2 = 2.0 * a_2 * params.g2 * d2 / (den2 * den2)
-    return 1.0 - (2.0 / params.omega_m) * (params.g1 * dn1 + sign * params.g2 * dn2)
+    return _residual_pair(params, drive, sign)(q)[1]
+
+
+def _residual_pair(params: SystemParams, drive: DrivePoint, sign: int):
+    """x -> (f(x), df/dq(x)), :func:`steady_residual` in its operations
+    and order, with the drive's constants computed once; x and the drive
+    fields may be arrays."""
+    c, g1, g2, s2 = 2.0 / params.omega_m, params.g1, params.g2, sign * params.g2
+    k1, k2 = params.kappa1**2, params.kappa2**2
+    a1 = params.kappa_e1 * (drive.amp_l * drive.amp_l)
+    a2 = params.kappa_e2 * (drive.amp_r * drive.amp_r)
+    da1, da2 = 2.0 * a1 * g1, 2.0 * a2 * g2
+
+    def pair(x):
+        d1, d2 = drive.delta1 - g1 * x, drive.delta2 - g2 * x
+        den1, den2 = k1 + d1 * d1, k2 + d2 * d2
+        return (x - c * (g1 * (a1 / den1) + s2 * (a2 / den2)),
+                1.0 - c * (g1 * (da1 * d1 / (den1 * den1))
+                           + s2 * (da2 * d2 / (den2 * den2))))
+
+    return pair
 
 
 def q_upper_bound(params: SystemParams, drive: DrivePoint) -> float:
@@ -197,18 +214,16 @@ def _mode_terms(params: SystemParams, drive: DrivePoint, sign: int,
 
 def _assemble(params: SystemParams, drive: DrivePoint, sign: int,
               q_scale: float) -> ScaledPolynomial:
-    modes = [(RealPolynomial(lorentz), force) for lorentz, force in
-             filter(None, _mode_terms(params, drive, sign, q_scale))]
-    poly = RealPolynomial((0.0, 1.0))
+    modes = list(filter(None, _mode_terms(params, drive, sign, q_scale)))
+    coeffs = [0.0, 1.0]
     for lorentz, _ in modes:
-        poly = poly * lorentz
-    coeffs = list(poly.coeffs)
+        coeffs = mul_coeffs(coeffs, lorentz)
     for k, (_, signed_c) in enumerate(modes):
-        term = RealPolynomial((1.0,))
+        term = (1.0,)
         for j, (lorentz, _) in enumerate(modes):
             if j != k:
-                term = term * lorentz
-        for i, c in enumerate(term.coeffs):
+                term = mul_coeffs(term, lorentz)
+        for i, c in enumerate(term):
             coeffs[i] -= signed_c * c
     return ScaledPolynomial(poly=RealPolynomial.from_coeffs(coeffs), q_scale=q_scale)
 
@@ -238,18 +253,18 @@ def _polish_root(q: float, lo: float, hi: float, params, drive, sign) -> float:
     there with what running to ``_POLISH_MAX_ITER`` returns.  At an exact
     zero the step is 0, so the negligible-step exit returns that iterate.
     """
-    best = q
-    best_res = abs(steady_residual(q, params, drive, sign))
+    residual = _residual_pair(params, drive, sign)
+    fx, dfx = residual(q)
+    best, best_res = q, abs(fx)
     x, last = q, math.nan
     for _ in range(_POLISH_MAX_ITER):
-        fx = steady_residual(x, params, drive, sign)
-        dfx = residual_derivative(x, params, drive, sign)
         if dfx == 0.0 or not math.isfinite(dfx):
             break
         step = fx / dfx
         before, last = last, x
         x = min(max(x - step, lo), hi)
-        res = abs(steady_residual(x, params, drive, sign))
+        fx, dfx = residual(x)
+        res = abs(fx)
         if res < best_res:
             best, best_res = x, res
         if abs(step) <= 1e-16 * (1.0 + abs(x)) or x == before:
@@ -259,7 +274,7 @@ def _polish_root(q: float, lo: float, hi: float, params, drive, sign) -> float:
 
 def _branch_at(q: float, params: SystemParams, drive: DrivePoint) -> SteadyBranch:
     n1, n2, d1, d2 = photon_numbers_from_q(q, params, drive)
-    a1, a2 = steady_amplitudes(q, params, drive)
+    a1, a2 = _amplitudes(d1, d2, params, drive)
     return SteadyBranch(q_s=q, amp1=a1, amp2=a2, n_p1=float(n1), n_p2=float(n2),
                         delta1_eff=float(d1), delta2_eff=float(d2))
 
@@ -281,16 +296,13 @@ def steady_branches(params: SystemParams, drive: DrivePoint,
     roots_x = real_roots(scaled.poly, imag_tol=options.imag_tol)
     lo = -1.05 * qb if options.sign < 0 else 0.0
     hi = 1.05 * qb
-    polished = sorted(_polish_root(float(x) * scaled.q_scale, lo, hi,
+    polished = sorted(_polish_root(x * scaled.q_scale, lo, hi,
                                    params, drive, options.sign)
-                      for x in roots_x)
-    qs: list[float] = []
+                      for x in roots_x.tolist())
+    branches: list[SteadyBranch] = []
     for q in polished:
-        if qs and abs(q - qs[-1]) <= _DEDUP_REL * (1.0 + abs(q)):
+        if branches and abs(q - branches[-1].q_s) <= _DEDUP_REL * (1.0 + abs(q)):
             continue
-        qs.append(q)
-    branches = []
-    for q in qs:
         defect = abs(steady_residual(q, params, drive, options.sign))
         if defect > _RESIDUAL_CEILING * (1.0 + abs(q)):
             raise SolverError(
@@ -354,13 +366,13 @@ def _assemble_rows(params: SystemParams, drive: DrivePoint, sign: int,
 
 def _polish_rows(q, lo, hi, params, drive, sign):
     """:func:`_polish_root` at every non-NaN entry of q (n, m)."""
+    residual = _residual_pair(params, drive, sign)
     out = np.full(q.shape, np.nan)
     x, last = q, np.full(q.shape, np.nan)
-    fx = steady_residual(x, params, drive, sign)
+    fx, dfx = residual(x)
     best, best_res = x, np.abs(fx)
     active = ~np.isnan(q)
     for _ in range(_POLISH_MAX_ITER):
-        dfx = residual_derivative(x, params, drive, sign)
         stuck = active & ((dfx == 0.0) | ~np.isfinite(dfx))
         out[stuck] = best[stuck]
         active &= ~stuck
@@ -369,7 +381,7 @@ def _polish_rows(q, lo, hi, params, drive, sign):
         step = fx / dfx
         before, last = last, x
         x = np.where(active, np.minimum(np.maximum(x - step, lo), hi), x)
-        fx = steady_residual(x, params, drive, sign)
+        fx, dfx = residual(x)
         res = np.abs(fx)
         better = active & (res < best_res)
         best = np.where(better, x, best)
@@ -398,7 +410,7 @@ def _solve_rows(params, drive, axis, values, options, out):
                         _tail_root_bound_rows(params, columns))
         q_scale = np.maximum(qb, 1.0)
         coeffs = _assemble_rows(params, columns, sign, q_scale)
-        # np.roots would strip a zero constant term: a root at exactly 0
+        # companion_roots would strip a zero constant term: a root at 0
         ok &= np.isfinite(coeffs).all(axis=1) & (coeffs[:, 0] != 0.0)
         degree = coeffs.shape[1] - 1 - np.argmax(coeffs[:, ::-1] != 0.0, axis=1)
         x = np.full(out.shape, np.nan)
@@ -439,11 +451,12 @@ def steady_q_grid(params: SystemParams, drive: DrivePoint, axis: str,
     together, block by block: one stacked companion eigenvalue call per
     polynomial degree, then the scalar solver's audit, filters, Newton
     polish on the residual and deduplication as masked array steps.  A row
-    that needs a path only the scalar solver has (rest point, a root-audit
-    rescue, a polynomial Newton polish step or root merge in
-    :func:`real_roots`, chained duplicates, a self-consistency breach, no
-    root) is re-solved by :func:`steady_branches` in :func:`_solve_rows`;
-    the first that raises stops the grid with that error.
+    that needs a path only the scalar solver has (rest point, non-finite
+    coefficient, zero root, failed eigenvalue iteration, root-audit
+    rescue, Newton polish step or root merge in :func:`real_roots`,
+    chained duplicates, self-consistency breach, no root) is re-solved by
+    :func:`steady_branches` in :func:`_solve_rows`; the first that raises
+    stops the grid with that error.
     """
     values = np.asarray(values, dtype=float)
     out = np.full((len(values), _MAX_BRANCHES), np.nan)

@@ -9,8 +9,11 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import oracles
+import sampling
+from twomode import continuation
 from twomode.errors import PolynomialError
-from twomode.polyroots import RealPolynomial, all_roots, real_roots
+from twomode.polyroots import (RealPolynomial, all_roots, companion_roots,
+                               real_roots)
 
 
 def poly(*ascending):
@@ -69,6 +72,41 @@ def test_all_roots_conjugate_pair():
 def test_all_roots_degree_and_errors():
     with pytest.raises(PolynomialError):
         all_roots(poly(3.0))
+
+
+def _companion_cases():
+    """Seeded ascending coefficient lists of degree 1 to 12, each also with
+    one and two zero constant terms, zero leading coefficients, and
+    scaled into the subnormal range; then the degenerate lists."""
+    rng = random.Random(0xC0)
+    cases = []
+    for degree in range(1, 13):
+        for _ in range(10):
+            c = [rng.uniform(-1.0, 1.0) * 10.0 ** rng.uniform(-8.0, 8.0)
+                 for _ in range(degree + 1)]
+            cases += [c, [0.0] + c, [0.0, 0.0] + c, c + [0.0], c + [0.0, 0.0],
+                      [x * 1e-300 * 1e-16 for x in c], [5e-324] + c[1:]]
+    return cases + [[0.0, 0.0], [2.0], [0.0, 3.0], [0.0, 0.0, 1.0, 0.0]]
+
+
+def test_companion_roots_are_np_roots_bit_for_bit(monkeypatch):
+    # the fold lists and all_roots build np.roots' companion themselves; a
+    # numpy change that moves np.roots shows here
+    recorded = []
+    monkeypatch.setattr(continuation, "companion_roots",
+                        lambda c: recorded.append(c) or companion_roots(c))
+    rng = random.Random(0xF01D)
+    for _ in range(5):
+        params, drive, axis, lo, hi, options = sampling.draw_detuning_window(rng)
+        continuation._detuning_folds(params, drive, axis, lo, hi, options)
+    assert {len(c) for c in recorded} == {13}     # the degree-12 fold shape
+    for coeffs in _companion_cases() + recorded:
+        got, want = companion_roots(coeffs), np.roots(coeffs[::-1])
+        assert got.dtype == want.dtype, coeffs
+        assert got.tobytes() == want.tobytes(), coeffs
+    # np.roots raises LinAlgError here
+    with pytest.raises(PolynomialError, match="eigenvalue iteration failed"):
+        companion_roots([1.0, math.inf, 1.0])
 
 
 def test_all_roots_contract_random_quintics():

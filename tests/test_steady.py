@@ -105,6 +105,12 @@ def test_residual_vectorized_matches_scalar(preset):
     vec = steady_residual(q, preset, d)
     for i, qi in enumerate(q):
         assert vec[i] == steady_residual(float(qi), preset, d)
+    # the Newton polish's hoisted residual is steady_residual bit for bit
+    for sign in (1, -1):
+        pair = steady._residual_pair(preset, d, sign)
+        want = steady_residual(q, preset, d, sign)
+        assert pair(q)[0].tobytes() == want.tobytes()
+        assert [pair(qi)[0] for qi in q.tolist()] == want.tolist()
 
 
 def test_residual_derivative_is_derivative(preset, rng):
@@ -359,12 +365,21 @@ def test_polish_rows_stop_before_the_iteration_cap(monkeypatch):
     # the fig3 red grid has entries in an exact 2-cycle, which the full
     # loop would iterate to the cap
     params, drive, values = _fig3_red()
-    derivatives = []
-    real = steady.residual_derivative
-    monkeypatch.setattr(steady, "residual_derivative",
-                        lambda *a: derivatives.append(1) or real(*a))
+    ranks = []
+    real = steady._residual_pair
+
+    def counted(*args):
+        residual = real(*args)
+
+        def evaluate(x):
+            ranks.append(np.ndim(x))
+            return residual(x)
+        return evaluate
+
+    monkeypatch.setattr(steady, "_residual_pair", counted)
     steady_q_grid(params, drive, "delta1", values, SolverOptions())
-    assert len(derivatives) < _POLISH_MAX_ITER
+    # the rows evaluate f and f' once at the start and once per step
+    assert 0 < ranks.count(2) - 1 < _POLISH_MAX_ITER
 
 
 @given(regime=st.sampled_from(REGIMES),

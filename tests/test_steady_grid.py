@@ -162,20 +162,25 @@ def _fold_approach():
 def _rows_real_roots_changes(params, drive, values, options, monkeypatch):
     """Indices of the power_l rows where the scalar real_roots takes a
     Newton polish step or merges two roots."""
-    newton = polyroots._newton
-    steps = []
+    newton, horner = polyroots._newton, polyroots._horner
+    steps, evaluated = [], []
 
-    def spy(p, dp, x, target_rel):
+    def spy(coeffs, slope, x, target_rel):
         if sys._getframe(1).f_code is not polyroots.real_roots.__code__:
             # the complex rescue in all_roots
-            return newton(p, dp, x, target_rel)
-        # the polish evaluates dp only to take a step
-        slopes = []
-        root = newton(p, lambda y: slopes.append(y) or dp(y), x, target_rel)
-        steps.append(bool(slopes))
+            return newton(coeffs, slope, x, target_rel)
+        # the polish evaluates the slope only to take a step
+        evaluated.clear()
+        root = newton(coeffs, slope, x, target_rel)
+        steps.append(any(c is slope for c in evaluated))
         return root
 
+    def watched(coeffs, x):
+        evaluated.append(coeffs)
+        return horner(coeffs, x)
+
     monkeypatch.setattr(polyroots, "_newton", spy)
+    monkeypatch.setattr(polyroots, "_horner", watched)
     rows = []
     for i, v in enumerate(values.tolist()):
         steps.clear()
