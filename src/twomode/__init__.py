@@ -16,7 +16,7 @@ from .errors import (ClassificationError, ConfigError, NoStableBranchError,
 from .figures import FIGURE_PRESETS, power_window, run_preset
 from .params import (HBAR, DrivePoint, SystemParams, drive_amplitude,
                      preset_hill_params, replace_params, to_angular)
-from .polyroots import RealPolynomial, all_roots, real_roots
+from .polyroots import RealPolynomial, real_roots
 from .stability import (Diagnostic, branch_eigenvalues, branch_state,
                         classify_branches, classify_stability, jacobian,
                         ordering_rule, solve_and_classify)
@@ -36,7 +36,7 @@ __all__ = [
     "NoStableBranchError",
     "to_angular", "drive_amplitude", "SystemParams", "DrivePoint",
     "preset_hill_params", "replace_params",
-    "RealPolynomial", "all_roots", "real_roots",
+    "RealPolynomial", "real_roots",
     "Verdict", "SolverOptions", "SteadyBranch", "ScaledPolynomial",
     "assemble_fixed_point_polynomial", "steady_branches", "steady_q_grid",
     "steady_residual",

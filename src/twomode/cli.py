@@ -20,10 +20,9 @@ import sys
 from pathlib import Path
 
 from .config import parse_config
-from .continuation import (_FOLD_SCAN_SAMPLES, hysteresis_sweep,
-                           locate_folds, sweep_1d)
+from .continuation import _FOLD_SCAN_SAMPLES, locate_folds, sweep_1d
 from .errors import (ClassificationError, ConfigError, ParameterError,
-                     PolynomialError, SolverError, SweepError)
+                     PolynomialError, SweepError)
 from .figures import FIGURE_PRESETS, run_preset
 from .io import (FORMATS, branch_row, labeled_rows, preset_rows, write_rows,
                  write_summary)
@@ -31,8 +30,7 @@ from .params import KAPPA2_INTERPRETATIONS, SIGN_CONVENTIONS
 from .stability import solve_and_classify
 from .steady import SolverOptions
 
-_NUMERIC_ERRORS = (PolynomialError, SolverError, ClassificationError,
-                   SweepError)
+_NUMERIC_ERRORS = (PolynomialError, ClassificationError, SweepError)
 
 
 def _add_common(sub, *, config_required=True):
@@ -141,10 +139,7 @@ def _cmd_sweep(args) -> int:
     config = _load_config(args)
     if config.sweep is None:
         raise ConfigError("this run needs a sweep.* section")
-    if config.sweep.direction == "both":
-        result = hysteresis_sweep(config.params, config.sweep, config.options)
-    else:
-        result = sweep_1d(config.params, config.sweep, config.options)
+    result = sweep_1d(config.params, config.sweep, config.options)
     out, fmt = _out_and_format(args, config)
     rows = labeled_rows(result)
     write_rows(rows, fmt, out)

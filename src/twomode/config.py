@@ -15,7 +15,7 @@ system     device rates, either `system = "<preset>"` or the full field set
 drive      detunings and drive powers at the operating point
 sweep      axis, endpoints, sample count, ramp direction
 flags      model conventions (see below)
-tol        numerical tolerances forwarded to the solver
+tol        the stability verdicts' marginal band
 output     destination path and format
 
 Conventions (flags.*)
@@ -350,11 +350,9 @@ def _build_sweep(ent: _Entries, params: SystemParams,
 
 def _build_options(ent: _Entries, sign: int) -> SolverOptions:
     kwargs = {"sign": sign}
-    for name in ("imag_tol", "marginal_band"):
-        key = f"tol.{name}"
-        if ent.has(key):
-            value, line = ent.take(key)
-            kwargs[name] = ent.number(key, value, line)
+    if ent.has("tol.marginal_band"):
+        value, line = ent.take("tol.marginal_band")
+        kwargs["marginal_band"] = ent.number("tol.marginal_band", value, line)
     try:
         return SolverOptions(**kwargs)
     except ParameterError as exc:
@@ -439,7 +437,6 @@ def serialize_config(config: RunConfig) -> str:
     lines.append(f'flags.sign_convention = "{sign_name}"')
     lines.append(f'flags.kappa2_interpretation = "{config.kappa2_interpretation}"')
     lines.append(f'flags.amp_convention = "{config.amp_convention}"')
-    lines.append(f"tol.imag_tol = {config.options.imag_tol!r}")
     lines.append(f"tol.marginal_band = {config.options.marginal_band!r}")
     if config.out_path is not None:
         lines.append(f'output.path = "{config.out_path}"')

@@ -41,13 +41,13 @@ import numpy as np
 from .errors import (NoStableBranchError, ParameterError, PolynomialError,
                      SweepError)
 from .params import AXES, POWER_AXES, DrivePoint, SystemParams, drive_amplitude
-from .polyroots import (_DEDUP_REL, RealPolynomial, companion_roots,
-                        merge_close)
+from .polyroots import RealPolynomial, _horner, companion_roots
 from .steady import (SolverOptions, Verdict, _assemble, _mode_terms,
                      photon_numbers_from_q, steady_residual)
 from .stability import Diagnostic, _no_stable_branch, solve_and_classify_grid
 
-#: Sweep directions: "up" solves the grid, "both" also ramps hysteresis.
+#: Sweep directions: "up" solves the grid, "both" also ramps hysteresis
+#: (in :func:`sweep_1d` as in the hysteresis sweeps).
 DIRECTIONS = ("up", "both")
 # Grids over more than a decade of power are sampled uniformly in log.
 _LOG_SPAN_RATIO = 10.0
@@ -59,6 +59,11 @@ _LP_MAX_ITER = 50
 _LP_STEP_REL = 1e-12
 # Two limit points closer than this (relative) are one fold.
 _LP_SAME_REL = 1e-9
+# A root of the power fold polynomial w counts as real when |Im| is at
+# most this times 1 + |Re|; real roots closer than _W_SAME_REL (relative)
+# are one root.
+_W_IMAG_REL = 1e-7
+_W_SAME_REL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -210,9 +215,13 @@ def _power_folds(params, drive, axis, options) -> tuple:
         raise PolynomialError(
             f"degree must be >= 1 to extract roots, got {w.degree}")
     # a multiple root keeps its member of smaller residual
-    xs = merge_close([r.real for r in companion_roots(w.coeffs).tolist()
-                      if abs(r.imag) <= options.imag_tol * (1.0 + abs(r.real))],
-                     w.coeffs, _DEDUP_REL)
+    xs = []
+    for x in sorted(r.real for r in companion_roots(w.coeffs).tolist()
+                    if abs(r.imag) <= _W_IMAG_REL * (1.0 + abs(r.real))):
+        if not (xs and abs(x - xs[-1]) <= _W_SAME_REL * (1.0 + abs(x))):
+            xs.append(x)
+        elif abs(_horner(w.coeffs, x)) < abs(_horner(w.coeffs, xs[-1])):
+            xs[-1] = x
     if not xs:
         return ()
     # the sign of dP/dx between the roots and beyond them
@@ -431,10 +440,11 @@ def _solve_grid(params, spec, options):
     return [(v, *record) for v, record in zip(values, records)]
 
 
-def _result(params, spec, options, solved, ramp=False, notes=()):
+def _result(params, spec, options, solved, notes=()):
     """The SweepResult of one solved grid: records, diagnostics, folds and,
-    with ``ramp``, both hysteresis traces.  The exact fold list is built
-    at most once, and only when some neighbouring samples' counts differ.
+    when ``spec.direction`` is ``"both"``, both hysteresis traces.  The
+    exact fold list is built at most once, and only when some
+    neighbouring samples' counts differ.
     """
     folds = functools.cache(lambda: _folds(params, spec.drive, spec.axis,
                                            spec.start, spec.stop, options))
@@ -444,7 +454,7 @@ def _result(params, spec, options, solved, ramp=False, notes=()):
                              _FOLD_REL_TOL) if len(b0) != len(b1) else None
         for (v0, b0, _), (v1, b1, _) in zip(solved, solved[1:])]
     hysteresis = None
-    if ramp:
+    if spec.direction == "both":
         slots = functools.partial(_fold_slots, params, spec, options.sign,
                                   folds)
         hysteresis = HysteresisResult(
@@ -459,7 +469,9 @@ def _result(params, spec, options, solved, ramp=False, notes=()):
 
 def sweep_1d(params: SystemParams, spec: SweepSpec,
              options: SolverOptions = SolverOptions()) -> SweepResult:
-    """Solve and classify every grid point; refine any fold in between."""
+    """Solve and classify every grid point; refine any fold in between.
+    A ``direction="both"`` spec also ramps hysteresis both ways, as
+    :func:`hysteresis_sweep` does."""
     return _result(params, spec, options, _solve_grid(params, spec, options))
 
 
@@ -592,10 +604,11 @@ def hysteresis_sweep(params: SystemParams, spec: SweepSpec,
     to the high-axis limit (largest q_s).  Jump locations are the fold
     locations, on the 1e-6 bisection lattice.  Raises NoStableBranchError when a
     grid sample has no stable branch at all; see
-    :func:`clamped_hysteresis_sweep` for the forgiving variant.
+    :func:`clamped_hysteresis_sweep` for the forgiving variant.  The
+    result's spec has ``direction="both"``, whatever ``spec`` says.
     """
-    return _result(params, spec, options, _solve_grid(params, spec, options),
-                   ramp=True)
+    spec = replace(spec, direction="both")
+    return _result(params, spec, options, _solve_grid(params, spec, options))
 
 
 def clamped_hysteresis_sweep(params: SystemParams, spec: SweepSpec,
@@ -613,20 +626,21 @@ def clamped_hysteresis_sweep(params: SystemParams, spec: SweepSpec,
     have a stable branch, or the truncated grid still has a sample with
     none, the first grid is returned as the plain ``direction="up"``
     sweep, with a ``"ramp_truncated"`` note per attempt and a final
-    ``"no_ramp_fits"`` note.  At most two grids are solved.
+    ``"no_ramp_fits"`` note.  At most two grids are solved.  A ramped
+    result's spec has ``direction="both"``, whatever ``spec`` says.
     """
+    spec = replace(spec, direction="both")
     solved = _solve_grid(params, spec, options)
     first = _first_without_stable(solved)
     if first is None:
-        return _result(params, spec, options, solved, ramp=True)
+        return _result(params, spec, options, solved)
     notes = (Diagnostic("ramp_truncated", (spec.axis, solved[first][0])),)
     if first >= 2:
         trial = replace(spec, stop=solved[first - 1][0])
         retry = _solve_grid(params, trial, options)
         unstable = _first_without_stable(retry)
         if unstable is None:
-            return _result(params, trial, options, retry, ramp=True,
-                           notes=notes)
+            return _result(params, trial, options, retry, notes=notes)
         notes += (Diagnostic("ramp_truncated",
                              (spec.axis, retry[unstable][0])),)
     notes += (Diagnostic("no_ramp_fits"),)

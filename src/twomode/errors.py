@@ -32,7 +32,9 @@ class PolynomialError(RuntimeError):
 
 
 class SolverError(RuntimeError):
-    """The steady-state solve produced an inconsistent result."""
+    """The steady-state solve produced an inconsistent result.  Nothing in
+    the package raises it: the steady solve has no self-consistency
+    ceiling, and every solve finds at least one branch."""
 
 
 class ClassificationError(RuntimeError):

@@ -2,14 +2,17 @@
 
 Coefficients are stored ascending (``coeffs[i]`` multiplies ``x**i``).
 Roots are the eigenvalues of the companion matrix ``np.roots`` builds
-(:func:`companion_roots`), followed by a residual audit on Python complex
-numbers; real-root selection adds a Newton polish and tolerance-based
-deduplication on Python floats.  The row forms at the end of the module
-keep only the common path: a row that would need the audit's rescue, a
-polish step or a merge is left out of their ``ok`` mask for the caller
-to solve.  Identical inputs produce bit-identical outputs on a
-given platform: there is no randomness anywhere in this module, and
-results are sorted canonically before they are returned.
+(:func:`companion_roots`).  :func:`real_roots` picks the real roots in
+an interval by one rule: a real eigenvalue is a root exactly when the
+polynomial changes sign across its bracket, the span between the
+midpoints with its neighbouring eigenvalue positions.  It returns each
+root with its bracket for a polish, and nothing is merged or filtered
+by a tolerance.  The row forms at the end of the module share one
+stacked companion builder: :func:`real_roots_rows` leaves a row that
+needs a path only the scalar form has out of its ``ok`` mask for the
+caller to solve, and :func:`all_roots_rows` audits the residual of every
+eigenvalue.  Identical inputs produce bit-identical outputs on a given
+platform: there is no randomness anywhere in this module.
 """
 
 from __future__ import annotations
@@ -23,13 +26,9 @@ from .errors import PolynomialError
 
 # Relative magnitude below which a leading coefficient is treated as zero.
 _TRIM_REL = 1e-14
-# Residual acceptance for all_roots, relative to the local coefficient scale.
+# Residual acceptance of all_roots_rows, relative to the local coefficient
+# scale.
 _ROOT_RESIDUAL_REL = 1e-10
-# Newton polish targets for real_roots.
-_POLISH_RESIDUAL_REL = 1e-13
-_POLISH_MAX_ITER = 50
-# Real roots closer than this (relative) are collapsed into one.
-_DEDUP_REL = 1e-8
 
 
 def trim_coeffs(coeffs) -> list:
@@ -125,89 +124,43 @@ def companion_roots(coeffs) -> np.ndarray:
     return np.concatenate((roots, np.zeros(low, roots.dtype))) if low else roots
 
 
-def all_roots(p: RealPolynomial) -> np.ndarray:
-    """All complex roots, exactly ``p.degree`` of them, canonically sorted.
+def real_roots(p: RealPolynomial, lo: float, hi: float) -> list:
+    """The real roots of p in (lo, hi), by one sign-change rule.
 
-    Roots come from :func:`companion_roots`.  Each is audited against
-    ``|p(r)| <= 1e-10 * scale(r)``; a failing root gets a short
-    complex-Newton rescue and a persistent failure raises
-    ``PolynomialError``.  Complex roots of real polynomials arrive in
-    conjugate pairs.
+    The positions are the real parts of p's companion eigenvalues inside
+    (lo, hi), ascending.  Each position's bracket runs from the midpoint
+    with the position below it to the midpoint with the one above, with
+    lo and hi closing the end brackets.  A real eigenvalue is a root
+    exactly when p changes sign across its bracket; a zero value counts
+    as negative, so a root on a shared end is claimed once.  A complex
+    position splits its bracket at itself: a sign change in a half is a
+    close real pair that came back as complex, and that half is the root's
+    bracket, started from its midpoint, as (lo, hi) is when it holds no
+    position.  Returns ``[(start, left, right), ...]`` ascending, for a
+    polish clamped to [left, right].
     """
-    if p.degree < 1:
-        raise PolynomialError(f"degree must be >= 1 to extract roots, got {p.degree}")
     coeffs = p.coeffs
-    roots = companion_roots(coeffs)
-    if len(roots) != p.degree:
-        raise PolynomialError(
-            f"expected {p.degree} roots, companion path produced {len(roots)}")
-    polished = []
-    for r in roots.tolist():
-        # the absolute floor keeps the bound satisfiable when the local
-        # coefficient scale underflows (subnormal coefficients)
-        limit = max(_ROOT_RESIDUAL_REL * _residual_scale(coeffs, r), 1e-290)
-        if abs(_horner(coeffs, r)) > limit:
-            r = _newton(coeffs, p.derivative().coeffs, complex(r),
-                        _ROOT_RESIDUAL_REL)
-            limit = max(_ROOT_RESIDUAL_REL * _residual_scale(coeffs, r), 1e-290)
-            if abs(_horner(coeffs, r)) > limit:
-                raise PolynomialError(
-                    f"root {r!r} fails residual bound for {coeffs!r}")
-        polished.append(complex(r))
-    polished.sort(key=lambda z: (z.real, z.imag))
-    return np.asarray(polished, dtype=complex)
-
-
-def _newton(coeffs, slope, x, target_rel: float):
-    """Damped Newton refinement of a root of ``coeffs``, whose derivative
-    has the coefficients ``slope``; returns the best iterate seen."""
-    fx = _horner(coeffs, x)
-    best, best_res = x, abs(fx)
-    for _ in range(_POLISH_MAX_ITER):
-        if abs(fx) <= target_rel * _residual_scale(coeffs, x):
-            return x
-        dfx = _horner(slope, x)
-        if dfx == 0.0:
-            break
-        x = x - fx / dfx
-        fx = _horner(coeffs, x)
-        res = abs(fx)
-        if res < best_res:
-            best, best_res = x, res
-    return best
-
-
-def real_roots(p: RealPolynomial, imag_tol: float = 1e-7) -> np.ndarray:
-    """Distinct real roots of p, ascending.
-
-    A complex root is accepted as real when ``|Im r| <= imag_tol * (1 +
-    |Re r|)``.  Survivors are polished by real Newton iteration (at most
-    50 steps, stopping at ``|p| <= 1e-13 * scale``) and deduplicated at
-    relative distance 1e-8; a collapsed multiple root appears once.
-    """
-    if imag_tol <= 0.0:
-        raise PolynomialError(f"imag_tol must be positive, got {imag_tol!r}")
-    coeffs, slope = p.coeffs, p.derivative().coeffs
-    candidates = []
-    for r in all_roots(p).tolist():
-        if abs(r.imag) <= imag_tol * (1.0 + abs(r.real)):
-            candidates.append(_newton(coeffs, slope, r.real,
-                                      _POLISH_RESIDUAL_REL))
-    return np.asarray(merge_close(candidates, coeffs, _DEDUP_REL), dtype=float)
-
-
-def merge_close(xs, coeffs, rel: float) -> list:
-    """The real points ``xs`` ascending, each within ``rel * (1 + |x|)``
-    of the last one kept merged with it into whichever of the two has the
-    smaller residual of ``coeffs``."""
-    out = []
-    for x in sorted(xs):
-        if out and abs(x - out[-1]) <= rel * (1.0 + abs(x)):
-            if abs(_horner(coeffs, x)) < abs(_horner(coeffs, out[-1])):
-                out[-1] = x
-        else:
-            out.append(x)
-    return out
+    inside = sorted((z.real, z.imag != 0.0)
+                    for z in companion_roots(coeffs).tolist()
+                    if lo < z.real < hi)
+    xs = [x for x, _ in inside]
+    edges = [lo] + [0.5 * (a + b) for a, b in zip(xs, xs[1:])] + [hi]
+    above = [_horner(coeffs, e) > 0.0 for e in edges]
+    if not inside:
+        return [(0.5 * (lo + hi), lo, hi)] if above[0] != above[1] else []
+    found = []
+    for (x, complex_), a, b, pa, pb in zip(inside, edges, edges[1:], above,
+                                           above[1:]):
+        if not complex_:
+            if pa != pb:
+                found.append((x, a, b))
+            continue
+        px = _horner(coeffs, x) > 0.0
+        if pa != px:
+            found.append((0.5 * (a + x), a, x))
+        if px != pb:
+            found.append((0.5 * (x + b), x, b))
+    return found
 
 
 # Row-wise forms of the above: each row of a (n, k) coefficient array is one
@@ -254,17 +207,16 @@ def _scale_rows(coeffs, x):
     return power.max(axis=0)
 
 
-def all_roots_rows(coeffs: np.ndarray) -> tuple:
-    """:func:`all_roots` of many polynomials of one degree d at once.
+def _companion_rows(coeffs: np.ndarray) -> tuple:
+    """Companion eigenvalues of many polynomials of one degree d at once.
 
     ``coeffs`` is (n, d + 1), ascending, with a nonzero last column.
-    Returns ``(roots, ok)``: the (n, d) complex companion eigenvalues of
-    each row, unsorted, and a mask of the rows whose roots all pass the
-    residual audit.  On a row in the mask with a nonzero constant term,
-    :func:`all_roots` returns these roots unchanged (it strips a zero
-    constant term into a smaller companion matrix).  A row outside the
-    mask failed the audit or its eigenvalue iteration; each caller says
-    what solves it.
+    Returns ``(roots, ok)``: the (n, d) complex eigenvalues of each row's
+    companion matrix, unsorted, and a mask of the rows with a finite
+    companion matrix.  On a row in the mask with a nonzero constant term
+    they are :func:`companion_roots` of the row, bit for bit (that strips
+    a zero constant term into a smaller matrix).  A failed eigenvalue
+    iteration leaves every row out of the mask.
     """
     n, d = coeffs.shape[0], coeffs.shape[1] - 1
     desc = coeffs[:, ::-1]
@@ -278,33 +230,50 @@ def all_roots_rows(coeffs: np.ndarray) -> tuple:
         roots = np.linalg.eigvals(companion).astype(complex, copy=False)
     except np.linalg.LinAlgError:
         return np.full((n, d), np.nan + 0j), np.zeros(n, dtype=bool)
+    return roots, ok
+
+
+def all_roots_rows(coeffs: np.ndarray) -> tuple:
+    """:func:`_companion_rows` with a residual audit: ``ok`` keeps only
+    the rows whose roots r all satisfy ``|p(r)| <= 1e-10 * scale(r)``
+    (at least 1e-290, for subnormal coefficients).  A row outside the
+    mask failed the audit or its eigenvalue iteration; each caller says
+    what solves it.
+    """
+    roots, ok = _companion_rows(coeffs)
     limit = np.maximum(_ROOT_RESIDUAL_REL * _scale_rows(coeffs, roots), 1e-290)
     ok &= (np.abs(_horner(coeffs.T[:, :, None], roots)) <= limit).all(axis=1)
     return roots, ok
 
 
-def real_roots_rows(coeffs: np.ndarray, imag_tol: float) -> tuple:
+def real_roots_rows(coeffs: np.ndarray, lo: np.ndarray,
+                    hi: np.ndarray) -> tuple:
     """:func:`real_roots` of many polynomials of one degree d at once.
 
-    ``coeffs`` is (n, d + 1), ascending, trimmed (nonzero last column), with
-    a nonzero constant term.  Returns ``(roots, ok)``: the real roots of each
-    row, ascending and NaN-padded to (n, d), and a mask of the rows whose
-    roots are exactly what :func:`real_roots` computes.  The roots are not
-    polished or merged, so the mask holds only rows where neither path
-    would act.  A row outside the mask needs a path only the scalar form
-    has: the complex-Newton rescue of a root failing the residual audit, a
-    Newton polish step (a real root with ``|p| > 1e-13 * scale``), the
-    merge of two real roots within 1e-8 relative, or a failed eigenvalue
-    iteration.
+    ``coeffs`` is (n, d + 1), ascending, trimmed (nonzero last column),
+    with a nonzero constant term; ``lo`` and ``hi`` are (n, 1) columns.
+    Returns ``(start, left, right, ok)``: (n, d) arrays that hold each
+    row's roots as :func:`real_roots` gives them, one column per position
+    and NaN where a position is not a root, and a mask of the rows where
+    that is all :func:`real_roots` returns.  A row outside the mask has a
+    failed eigenvalue iteration, no position inside (lo, hi), or a sign
+    change in a half bracket of a complex position.
     """
-    roots, ok = all_roots_rows(coeffs)
-    real = np.abs(roots.imag) <= imag_tol * (1.0 + np.abs(roots.real))
-    x = np.where(real, roots.real, np.nan)
-    # the test real_roots' Newton polish makes before its first step
-    stays = (np.abs(_horner(coeffs.T[:, :, None], x))
-             <= _POLISH_RESIDUAL_REL * _scale_rows(coeffs, x))
-    ok &= (stays | ~real).all(axis=1)
-    x.sort(axis=1)
-    close = np.abs(x[:, 1:] - x[:, :-1]) <= _DEDUP_REL * (1.0 + np.abs(x[:, 1:]))
-    ok &= ~close.any(axis=1)
-    return x, ok
+    roots, ok = _companion_rows(coeffs)
+    x = np.where((lo < roots.real) & (roots.real < hi), roots.real, np.nan)
+    order = np.argsort(x, axis=1)
+    x = np.take_along_axis(x, order, axis=1)
+    complex_ = np.take_along_axis(roots.imag != 0.0, order, axis=1)
+    inside = ~np.isnan(x)
+    mid = 0.5 * (x[:, :-1] + x[:, 1:])
+    left = np.concatenate((lo, mid), axis=1)
+    right = np.concatenate((mid, np.full_like(lo, np.nan)), axis=1)
+    right = np.where(inside & np.isnan(right), hi, right)
+    above = _horner(coeffs.T[:, :, None],
+                    np.concatenate((left, right, x), axis=1)) > 0.0
+    pl, pr, px = np.split(above, 3, axis=1)
+    halves = complex_ & ((pl != px) | (px != pr))
+    ok &= inside[:, 0] & ~(inside & halves).any(axis=1)
+    root = inside & ~complex_ & (pl != pr)
+    return (np.where(root, x, np.nan), np.where(root, left, np.nan),
+            np.where(root, right, np.nan), ok)

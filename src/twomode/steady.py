@@ -34,14 +34,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ParameterError, PolynomialError, SolverError
+from .errors import ParameterError, PolynomialError
 from .params import DrivePoint, SystemParams
-from .polyroots import (_DEDUP_REL, RealPolynomial, mul_coeffs, mul_rows,
-                        real_roots, real_roots_rows, trim_rows)
+from .polyroots import (RealPolynomial, mul_coeffs, mul_rows, real_roots,
+                        real_roots_rows, trim_rows)
 
 _POLISH_MAX_ITER = 12
-# Solver-level sanity ceiling on the steady-state self-consistency defect.
-_RESIDUAL_CEILING = 1e-6
 # Rows per block of steady_q_grid and solve_and_classify_grid: a default
 # 400-point sweep is one block, and its temporaries stay near 0.6 MB.
 _GRID_BLOCK = 512
@@ -58,17 +56,16 @@ class Verdict(enum.IntEnum):
 
 @dataclass(frozen=True)
 class SolverOptions:
-    """Numerical knobs shared by the solve, classify, and sweep layers."""
+    """Options shared by the solve, classify, and sweep layers: the sign
+    convention of the second mode's force and the stability verdicts'
+    marginal band.  The steady solve itself has no tolerance to set."""
 
     sign: int = 1
-    imag_tol: float = 1e-7
     marginal_band: float = 1e-9   # fraction of omega_m
 
     def __post_init__(self):
         if self.sign not in (1, -1):
             raise ParameterError(f"sign convention must be +1 or -1, got {self.sign!r}")
-        if not 0.0 < self.imag_tol <= 1e-2:
-            raise ParameterError(f"imag_tol out of range (0, 1e-2]: {self.imag_tol!r}")
         if not 0.0 < self.marginal_band <= 1e-3:
             raise ParameterError(
                 f"marginal_band out of range (0, 1e-3]: {self.marginal_band!r}")
@@ -283,35 +280,28 @@ def steady_branches(params: SystemParams, drive: DrivePoint,
                     options: SolverOptions = SolverOptions()) -> tuple:
     """All steady-state branches at one drive point, ascending in q_s.
 
-    Stability verdicts are not filled in here; see the stability module.
-    An undriven point short-circuits to the exact rest branch q = 0.
+    The fixed-point polynomial's real roots in (lo, hi) = (0 or -1.05 qb,
+    1.05 qb), qb the tightest bound on |q|, come from
+    :func:`polyroots.real_roots`; each is polished on the residual inside
+    its bracket.  The residual is negative at lo and positive at hi, so
+    there is at least one.  Stability verdicts are not filled in here;
+    see the stability module.  A point where no coupled mode is driven
+    feels no force: its one branch is the rest point q = 0, exactly.
     """
-    if not drive.driven:
-        return (_branch_at(0.0, params, drive),)
     # Solve on the tightest valid root bound: at strong drive the peak
     # bound is decades above the actual roots and would wreck the
     # conditioning of the scaled polynomial.
     qb = min(q_upper_bound(params, drive), _tail_root_bound(params, drive))
-    scaled = _assemble(params, drive, options.sign, max(qb, 1.0))
-    roots_x = real_roots(scaled.poly, imag_tol=options.imag_tol)
+    if qb == 0.0:
+        return (_branch_at(0.0, params, drive),)
+    q_scale = max(qb, 1.0)
+    scaled = _assemble(params, drive, options.sign, q_scale)
     lo = -1.05 * qb if options.sign < 0 else 0.0
     hi = 1.05 * qb
-    polished = sorted(_polish_root(x * scaled.q_scale, lo, hi,
-                                   params, drive, options.sign)
-                      for x in roots_x.tolist())
-    branches: list[SteadyBranch] = []
-    for q in polished:
-        if branches and abs(q - branches[-1].q_s) <= _DEDUP_REL * (1.0 + abs(q)):
-            continue
-        defect = abs(steady_residual(q, params, drive, options.sign))
-        if defect > _RESIDUAL_CEILING * (1.0 + abs(q)):
-            raise SolverError(
-                f"steady-state root q={q!r} fails self-consistency "
-                f"(|f|={defect!r}) for drive {drive!r}")
-        branches.append(_branch_at(q, params, drive))
-    if not branches:
-        raise SolverError(f"no steady-state branch found for drive {drive!r}")
-    return tuple(branches)
+    return tuple(
+        _branch_at(_polish_root(x * q_scale, a * q_scale, b * q_scale,
+                                params, drive, options.sign), params, drive)
+        for x, a, b in real_roots(scaled.poly, lo / q_scale, hi / q_scale))
 
 
 # Grid solver: steady_branches over many drives at once.  Every helper
@@ -395,48 +385,43 @@ def _polish_rows(q, lo, hi, params, drive, sign):
 
 
 def _solve_rows(params, drive, axis, values, options, out):
-    """Write the steady_q_grid rows of ``values`` into ``out``; a row the
-    masked steps reject, such as one :func:`real_roots_rows` leaves out of
-    its mask, is rescued by :func:`steady_branches`.
+    """Write the steady_q_grid rows of ``values`` into ``out``; a row
+    :func:`real_roots_rows` or the masks before it leave out is solved by
+    :func:`steady_branches`.
 
-    Returns None, or ``(i, exc)`` for the first row whose rescue raises;
-    rows after it are not rescued, since every caller raises it.
+    Returns None, or ``(i, exc)`` for the first row whose scalar solve
+    raises; rows after it are not solved, since every caller raises it.
     """
     columns, ok = drive.with_values(params, axis, values[:, None])
-    ok = ok.ravel() & np.ravel((columns.power_l > 0.0) | (columns.power_r > 0.0))
     sign = options.sign
     with np.errstate(all="ignore"):
         qb = np.minimum(q_upper_bound(params, columns),
                         _tail_root_bound_rows(params, columns))
+        ok = ok.ravel() & (qb.ravel() > 0.0)
         q_scale = np.maximum(qb, 1.0)
         coeffs = _assemble_rows(params, columns, sign, q_scale)
         # companion_roots would strip a zero constant term: a root at 0
         ok &= np.isfinite(coeffs).all(axis=1) & (coeffs[:, 0] != 0.0)
         degree = coeffs.shape[1] - 1 - np.argmax(coeffs[:, ::-1] != 0.0, axis=1)
-        x = np.full(out.shape, np.nan)
+        lo = (-1.05 * qb if sign < 0 else np.zeros_like(qb)) / q_scale
+        hi = 1.05 * qb / q_scale
+        start, left, right = (np.full(out.shape, np.nan) for _ in range(3))
         for d in range(1, _MAX_BRANCHES + 1):
             rows = np.flatnonzero(ok & (degree == d))
             if len(rows):
-                x[rows, :d], solved = real_roots_rows(coeffs[rows, :d + 1],
-                                                      options.imag_tol)
+                (start[rows, :d], left[rows, :d], right[rows, :d],
+                 solved) = real_roots_rows(coeffs[rows, :d + 1], lo[rows],
+                                           hi[rows])
                 ok[rows[~solved]] = False
-        lo = -1.05 * qb if sign < 0 else 0.0
-        q = np.sort(_polish_rows(x * q_scale, lo, 1.05 * qb, params, columns,
-                                 sign), axis=1)
-        close = (np.abs(q[:, 1:] - q[:, :-1])
-                 <= _DEDUP_REL * (1.0 + np.abs(q[:, 1:])))
-        ok &= close.sum(axis=1) <= 1
-        q[:, 1:][close] = np.nan
-        q.sort(axis=1)
-        defect = np.abs(steady_residual(q, params, columns, sign))
-        ok &= ~(defect > _RESIDUAL_CEILING * (1.0 + np.abs(q))).any(axis=1)
-        ok &= ~np.isnan(q[:, 0])
+        q = np.sort(_polish_rows(start * q_scale, left * q_scale,
+                                 right * q_scale, params, columns, sign),
+                    axis=1)
     out[ok] = q[ok]
     for i in np.flatnonzero(~ok).tolist():
         try:
             point = drive.with_value(params, axis, float(values[i]))
             qs = [b.q_s for b in steady_branches(params, point, options)]
-        except (ParameterError, PolynomialError, SolverError) as exc:
+        except (ParameterError, PolynomialError) as exc:
             return i, exc
         out[i, :len(qs)] = qs
     return None
@@ -449,13 +434,13 @@ def steady_q_grid(params: SystemParams, drive: DrivePoint, axis: str,
     Row i holds what ``steady_branches`` gives at ``values[i]``: the q_s of
     each branch, ascending, NaN-padded to 5 columns.  Rows are solved
     together, block by block: one stacked companion eigenvalue call per
-    polynomial degree, then the scalar solver's audit, filters, Newton
-    polish on the residual and deduplication as masked array steps.  A row
-    that needs a path only the scalar solver has (rest point, non-finite
-    coefficient, zero root, failed eigenvalue iteration, root-audit
-    rescue, Newton polish step or root merge in :func:`real_roots`,
-    chained duplicates, self-consistency breach, no root) is re-solved by
-    :func:`steady_branches` in :func:`_solve_rows`; the first that raises
+    polynomial degree, then the sign-change rule of :func:`real_roots` and
+    the Newton polish on the residual as masked array steps.  A row that
+    needs a path only the scalar solver has (no coupled mode driven,
+    non-finite coefficient, zero root, failed eigenvalue iteration, no
+    eigenvalue position inside the root bounds, or a sign change beside a
+    complex position) is solved by :func:`steady_branches` in
+    :func:`_solve_rows`; the first that raises
     stops the grid with that error.
     """
     values = np.asarray(values, dtype=float)

@@ -11,7 +11,7 @@ the exact fold bisection: each is the scalar-solve route it replaced; and
 2-cycle, which runs the same loop to its iteration cap; and
 :func:`classify_branch`, the reference for the stacked classify kernel,
 which is the per-branch route it replaced: one branch's Jacobian through
-the Faddeev-LeVerrier recurrence, then :func:`all_roots`.
+the Faddeev-LeVerrier recurrence, then ``np.roots``.
 
 Branch counts are exact: :func:`sturm_count` counts the distinct real
 roots of :func:`fixed_point_quintic`, whose inputs are read exactly, in
@@ -33,7 +33,7 @@ from numpy.polynomial import polynomial as P
 from scipy.integrate import solve_ivp
 
 from twomode.errors import PolynomialError
-from twomode.polyroots import RealPolynomial, all_roots
+from twomode.polyroots import RealPolynomial
 from twomode.stability import (_characteristic_rows, _scaled_jacobians,
                                branch_state)
 from twomode.steady import (_POLISH_MAX_ITER, Verdict, residual_derivative,
@@ -237,9 +237,9 @@ def characteristic_coefficients(branch, params, drive, sign=1):
 
 def classify_branch(branch, params, drive, options):
     """The branch with the verdict and max Re(eig) of the per-branch route:
-    :func:`all_roots` of :func:`characteristic_coefficients`."""
+    ``np.roots`` of :func:`characteristic_coefficients`."""
     coeffs = characteristic_coefficients(branch, params, drive, options.sign)
-    lam = all_roots(RealPolynomial(coeffs=coeffs)) * params.omega_m
+    lam = np.roots(coeffs[::-1]) * params.omega_m
     max_re = float(np.max(lam.real))
     eps = options.marginal_band * params.omega_m
     if max_re < -eps:

@@ -8,7 +8,8 @@ study, and the sub-unity-photon bistable configuration.  Every
 criterion's test prints a single PASS line with the measured margins, and
 wall-clock budgets are asserted where the criterion fixes one.  AC1 also
 has near-fold audits against the exact oracle, and two mutant checks that
-show its comparisons fail on a dropped root and on merged close pairs.
+show its comparisons fail on a dropped root and on roots taken without
+a sign change.
 """
 
 import collections
@@ -24,10 +25,9 @@ import sampling
 from twomode import polyroots, steady
 from twomode.continuation import (SweepSpec, _folds, hysteresis_sweep,
                                   locate_folds, sweep_1d)
-from twomode.errors import SolverError
 from twomode.params import (POWER_AXES, DrivePoint, preset_hill_params,
                             replace_params)
-from twomode.stability import branch_state, jacobian
+from twomode.stability import branch_state, jacobian, solve_and_classify
 from twomode.steady import SolverOptions, Verdict, steady_branches
 from twomode.studies import fold_power_study, subunity_search
 
@@ -142,10 +142,11 @@ def _assert_near_fold_counts(sign, drives, known=()):
     """Probe every exact power fold of every drive on both power axes at
     fold (1 -+ offset); the probes where the branch count of
     steady_branches differs from the exact count must be ``known``, each
-    (draw, axis, signed offset, solver count or error, exact count)."""
+    (draw, axis, signed offset, solver count, exact count).  Every
+    reported root must lie within 1e-6 (1 + |q|) of an exact root."""
     options = SolverOptions(sign=sign)
     offsets = sorted(s * o for s in (-1, 1) for o in NEAR_FOLD_OFFSETS)
-    mismatches = []
+    mismatches, far = [], []
     probes = 0
     for k, (params, drive) in enumerate(drives):
         for axis in POWER_AXES:
@@ -153,26 +154,27 @@ def _assert_near_fold_counts(sign, drives, known=()):
                 for offset in offsets:
                     point = drive.with_value(params, axis,
                                              fold * (1.0 + offset))
-                    try:
-                        got = len(steady.steady_branches(params, point,
-                                                         options))
-                    except SolverError:
-                        got = "SolverError"
-                    want = oracles.exact_count(params, point, sign)
+                    roots = _solve_q(params, point, options)
+                    seq = oracles.sturm_sequence(
+                        oracles.fixed_point_quintic(params, point, sign))
+                    want = oracles.sturm_count(seq)
                     probes += 1
-                    if got != want:
-                        mismatches.append((k, axis, offset, got, want))
+                    if len(roots) != want:
+                        mismatches.append((k, axis, offset, len(roots), want))
+                    for q in roots:
+                        tol = 1e-6 * (1.0 + abs(q))
+                        if oracles.sturm_count(seq, q - tol, q + tol) < 1:
+                            far.append((k, axis, offset, q))
     assert mismatches == list(known), (
         f"{len(mismatches)} of {probes} near-fold probes disagree with the "
         f"exact count: {mismatches[:20]}")
+    assert not far, (f"{len(far)} near-fold roots have no exact root within "
+                     f"1e-6 (1 + |q|): {far[:20]}")
     return probes
 
 
-# At fold (1 + 1e-11) of draw 71 (a five-root drive), a complex pair lies
-# 9.0e-8 (1 + |Re x|) off the real axis, inside imag_tol = 1e-7: real_roots
-# takes it as real, both members polish to one point, and a ghost branch
-# joins the 3 real ones (ROADMAP item 7).
-KNOWN_PLUS_SIGN_GHOSTS = ((71, "power_l", 1e-11, 4, 3),)
+# Probes whose count under sign +1 is known to differ from the exact one.
+KNOWN_PLUS_SIGN_GHOSTS = ()
 
 
 def test_ac1_near_fold_counts_match_exact_oracle():
@@ -182,14 +184,40 @@ def test_ac1_near_fold_counts_match_exact_oracle():
           f"{len(KNOWN_PLUS_SIGN_GHOSTS)} known ghost")
 
 
-@pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
-    "under sign -1 near-fold probes miscount: real_roots merges real roots "
-    "within _DEDUP_REL (1 + |x|), an absolute 1e-8 in x = q / q_scale when "
-    "|x| << 1, and takes nearly real complex pairs as ghost roots, which "
-    "add a branch or breach the self-consistency ceiling (SolverError); "
-    "ROADMAP item 7"))
 def test_ac1_near_fold_counts_match_exact_oracle_minus_sign():
-    _assert_near_fold_counts(-1, _near_fold_drives())
+    probes = _assert_near_fold_counts(-1, _near_fold_drives())
+    print(f"AC1 PASS: {probes} near-fold probes under sign -1 match the "
+          f"exact count")
+
+
+# Two points of the benchmark's point cloud with three branches under
+# sign -1, where the force terms nearly cancel (at point 637 they are
+# about 1.2e13 each and cancel to q = -797), so rounding leaves |f| above
+# 1e-6 (1 + |q|) at a root: (g1, g2, q_m) of the device around the preset
+# and (delta1, delta2, power_l, power_r) of the drive.
+MINUS_SIGN_POOL_POINTS = {
+    637: ((11765481.937823577, 2322370.906913836, 118.72093342982947),
+          (-6570171763.953151, -30350140256.848507, 0.007546998646377047,
+           0.07810669700523619)),
+    824: ((3215923.5804180815, 6045765.0626631165, 5165.928198765406),
+          (395511667.38598204, -15781659401.709372, 0.02072004380851844,
+           0.0032649096632706297)),
+}
+
+
+@pytest.mark.parametrize("index", sorted(MINUS_SIGN_POOL_POINTS))
+def test_ac1_minus_sign_pool_point_solves_to_its_exact_count(index):
+    (g1, g2, q_m), (delta1, delta2, power_l, power_r) = (
+        MINUS_SIGN_POOL_POINTS[index])
+    params = replace_params(preset_hill_params(), g1=g1, g2=g2, q_m=q_m)
+    drive = DrivePoint.build(params, delta1=delta1, delta2=delta2,
+                             power_l=power_l, power_r=power_r)
+    options = SolverOptions(sign=-1)
+    roots = _solve_q(params, drive, options)
+    _assert_exact_roots(params, drive, -1, roots)
+    assert len(roots) == 3
+    branches, _ = solve_and_classify(params, drive, options)
+    assert [b.q_s for b in branches] == roots
 
 
 def test_exact_oracle_fails_a_dropped_root(options, monkeypatch):
@@ -200,10 +228,21 @@ def test_exact_oracle_fails_a_dropped_root(options, monkeypatch):
         _check_five_root_set(options)
 
 
-def test_exact_oracle_fails_merged_close_pairs(monkeypatch):
+def _no_sign_test(p, lo, hi):
+    """real_roots without its sign test: every eigenvalue inside (lo, hi)
+    within 1e-7 (1 + |Re|) of the real axis is a root, with its bracket.
+    Every strictly real eigenvalue at the audited offsets has a sign
+    change, so the mutant must also let nearly real pairs in to show."""
+    xs = sorted(z.real for z in polyroots.companion_roots(p.coeffs).tolist()
+                if lo < z.real < hi and abs(z.imag) <= 1e-7 * (1.0 + abs(z.real)))
+    edges = [lo] + [0.5 * (a + b) for a, b in zip(xs, xs[1:])] + [hi]
+    return list(zip(xs, edges, edges[1:]))
+
+
+def test_exact_oracle_fails_roots_without_a_sign_change(monkeypatch):
     drives = _near_fold_drives()[:6]
     _assert_near_fold_counts(1, drives)
-    monkeypatch.setattr(polyroots, "_DEDUP_REL", 1e-4)
+    monkeypatch.setattr(steady, "real_roots", _no_sign_test)
     with pytest.raises(AssertionError, match="near-fold probes disagree"):
         _assert_near_fold_counts(1, drives)
 

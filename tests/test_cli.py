@@ -210,6 +210,15 @@ def test_sweep_direction_down_exits_2(tmp_path, capsys):
     assert err.startswith("error: line 10: sweep.direction must be one of")
 
 
+def test_removed_imag_tol_key_exits_2(tmp_path, capsys):
+    # the steady solve has no tolerance: its old knob is an unknown key
+    cfg = _write(tmp_path, BASE + 'tol.imag_tol = 1e-7\n')
+    assert main(["solve", "--config", cfg]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: line 2: ")
+    assert "'tol.imag_tol'" in err
+
+
 def test_sweep_endpoint_past_mode_frequency_exits_2(tmp_path, capsys):
     # pump 1 sits at 205.3 THz; a detuning of 300 THz puts the laser
     # frequency below zero at the top of the sweep

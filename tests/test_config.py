@@ -249,16 +249,18 @@ def test_amp_convention_reaches_drive(preset):
 
 def test_tolerance_section():
     doc = ('system = "hill2012"\n'
-           'tol.imag_tol = 1e-6\n'
            'tol.marginal_band = 1e-8\n')
     cfg = parse_config(doc)
-    assert cfg.options.imag_tol == 1e-6
     assert cfg.options.marginal_band == 1e-8
     with pytest.raises(ConfigError) as err:
         parse_config(doc + 'tol.ode_rel_tol = 1e-7\n')
     assert err.value.key == "tol.ode_rel_tol"
+    # the steady solve has no tolerance: its old knob is an unknown key
     with pytest.raises(ConfigError) as err:
-        parse_config('system = "hill2012"\ntol.imag_tol = 5\n')
+        parse_config(doc + 'tol.imag_tol = 1e-7\n')
+    assert (err.value.key, err.value.line) == ("tol.imag_tol", 3)
+    with pytest.raises(ConfigError) as err:
+        parse_config('system = "hill2012"\ntol.marginal_band = 5\n')
     assert "bad tolerance" in str(err.value)
 
 

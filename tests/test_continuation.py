@@ -20,6 +20,7 @@ from twomode.continuation import (_FOLD_REL_TOL, _FOLD_SCAN_REL_TOL,
                                   hysteresis_sweep, locate_folds, sweep_1d)
 from twomode.errors import NoStableBranchError, ParameterError, SweepError
 from twomode.figures import run_preset
+from twomode.io import summarize
 from twomode.params import (POWER_AXES, DrivePoint, preset_hill_params,
                             replace_params)
 from twomode.stability import Diagnostic, solve_and_classify
@@ -944,7 +945,7 @@ def test_high_q_device_cannot_ramp_past_fold(preset, options, monkeypatch):
                      direction="both")
     with pytest.raises(NoStableBranchError):
         hysteresis_sweep(preset, spec, options)
-    records = sweep_1d(preset, spec, options).records
+    records = sweep_1d(preset, replace(spec, direction="up"), options).records
     first = next(i for i, (_, branches) in enumerate(records)
                  if not _has_stable(branches))
     assert first >= 2
@@ -974,6 +975,26 @@ def test_clamped_ramp_that_fits_is_the_strict_sweep(heavy, options,
     solves = _count_grid_solves(monkeypatch)
     assert clamped_hysteresis_sweep(heavy, spec, options) == want
     assert len(solves) == 1
+
+
+def test_sweep_results_name_the_direction_they_computed(heavy, options):
+    # a "both" spec ramps in sweep_1d as in hysteresis_sweep, and the
+    # hysteresis sweeps record "both" whatever their spec says, so the
+    # summary's direction line reads what was computed
+    both = SweepSpec(axis="power_l", start=LOOP_FOLDS[0] / 2.0,
+                     stop=LOOP_FOLDS[1] * 1.8, drive=_loop_drive(heavy),
+                     points=60, direction="both")
+    up = replace(both, direction="up")
+    ramped = sweep_1d(heavy, both, options)
+    assert ramped.hysteresis is not None
+    assert sweep_1d(heavy, up, options).hysteresis is None
+    for sweep in (hysteresis_sweep, clamped_hysteresis_sweep):
+        for spec in (both, up):
+            res = sweep(heavy, spec, options)
+            assert res == ramped
+            assert "  points: 60  direction: both\n" in summarize(res)
+    assert "  points: 60  direction: up\n" in summarize(
+        sweep_1d(heavy, up, options))
 
 
 @pytest.mark.parametrize("start, stop, points, first", [

@@ -7,18 +7,16 @@ the diagnostics became typed records, the Newton polish stopped on exact
 2-cycles and CSV lines were formatted in one call.  They pin the note
 text, the ``repr`` cells and the polished roots.
 
-``golden/scalar_paths.json`` pins the paths of the root finder that only
-the scalar solve takes, recorded before the solve moved to plain-float
-polynomials: the grid solvers hand such rows to ``steady_branches``, so
-comparing the two cannot pin them.  Its ``steady_branches`` entries are
-drives where ``real_roots`` takes a Newton polish step or merges two real
-roots (``paths``), each with the ``repr`` of ``steady_branches`` or the
-type of the error it raises: the five-branch fold approach of the grid
-tests under a tightened polish target or merge distance (``constants``),
-and near-fold probes of the AC1 audit under both signs, the known ghost
-of draw 71 among them.  No steady drive found takes the complex rescue of
-``all_roots``, so its ``roots`` entries are wildly scaled polynomials
-that do, with the ``repr`` of ``all_roots`` and ``real_roots``.
+``golden/scalar_paths.json`` pins steady solves, each with the ``repr``
+of ``steady_branches``, and the route of ``real_roots`` it takes
+(``paths``): ``sign`` where every root is a real companion eigenvalue
+with a sign change across its bracket, ``half`` where a root is found in
+a half bracket beside a complex position, which only the scalar solve
+takes.  The ``sign`` entries are near-fold probes of the AC1 audit under
+both signs, the known ghost of draw 71 among them, recorded when their
+roots were polished and merged by tolerances and re-recorded under the
+sign rule; the ``half`` entries are the five-branch fold approach of the
+grid tests.  Every recorded branch count equals the exact Sturm count.
 """
 
 import contextlib
@@ -28,10 +26,8 @@ from pathlib import Path
 
 import pytest
 
-from twomode import cli, polyroots
-from twomode.errors import PolynomialError, SolverError
+from twomode import cli
 from twomode.params import DrivePoint, SystemParams
-from twomode.polyroots import RealPolynomial, all_roots, real_roots
 from twomode.steady import SolverOptions, steady_branches
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -58,30 +54,10 @@ def test_cli_files_equal_golden_bytes(name, tmp_path):
 SCALAR_PATHS = json.loads((GOLDEN / "scalar_paths.json").read_text())
 
 
-def _outcome(call):
-    """``repr`` of ``call()``, or the type name of the error it raises."""
-    try:
-        return repr(call())
-    except (PolynomialError, SolverError) as exc:
-        return type(exc).__name__
-
-
-def test_scalar_only_steady_solves_equal_golden(monkeypatch):
-    differ = []
-    for row in SCALAR_PATHS["steady_branches"]:
-        with monkeypatch.context() as patch:
-            for name, value in row["constants"].items():
-                patch.setattr(polyroots, name, value)
-            got = _outcome(lambda: steady_branches(
-                SystemParams(**row["params"]), DrivePoint(**row["drive"]),
-                SolverOptions(sign=row["sign"])))
-        if got != row["result"]:
-            differ.append(row["label"])
+def test_scalar_only_steady_solves_equal_golden():
+    differ = [row["label"] for row in SCALAR_PATHS["steady_branches"]
+              if repr(steady_branches(SystemParams(**row["params"]),
+                                      DrivePoint(**row["drive"]),
+                                      SolverOptions(sign=row["sign"])))
+              != row["result"]]
     assert not differ
-
-
-def test_complex_rescue_roots_equal_golden():
-    for row in SCALAR_PATHS["roots"]:
-        p = RealPolynomial.from_coeffs(row["coeffs"])
-        assert _outcome(lambda: all_roots(p).tolist()) == row["all_roots"]
-        assert _outcome(lambda: real_roots(p).tolist()) == row["real_roots"]

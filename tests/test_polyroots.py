@@ -1,4 +1,4 @@
-"""Root-finder contracts: residual bounds, pairing, polish, determinism."""
+"""Root-finder contracts: residual bounds, pairing, the sign rule, determinism."""
 
 import math
 import random
@@ -12,8 +12,7 @@ import oracles
 import sampling
 from twomode import continuation
 from twomode.errors import PolynomialError
-from twomode.polyroots import (RealPolynomial, all_roots, companion_roots,
-                               real_roots)
+from twomode.polyroots import RealPolynomial, companion_roots, real_roots
 
 
 def poly(*ascending):
@@ -57,21 +56,25 @@ def test_derivative():
 
 
 def test_all_roots_factorable_pair():
-    roots = all_roots(poly(-1.0, 0.0, 1.0))
+    roots = companion_roots(poly(-1.0, 0.0, 1.0).coeffs)
     assert np.allclose(sorted(roots.real), [-1.0, 1.0])
     assert np.allclose(roots.imag, 0.0)
 
 
 def test_all_roots_conjugate_pair():
-    roots = all_roots(poly(1.0, 0.0, 1.0))   # x^2 + 1
+    roots = companion_roots(poly(1.0, 0.0, 1.0).coeffs)   # x^2 + 1
     assert len(roots) == 2
     assert np.allclose(sorted(roots.imag), [-1.0, 1.0])
     assert np.allclose(roots.real, 0.0)
+    # both members share one real part, exactly: the sign rule's halves
+    assert roots[0].real == roots[1].real
 
 
 def test_all_roots_degree_and_errors():
+    assert len(companion_roots(poly(3.0).coeffs)) == 0
+    assert real_roots(poly(3.0), -1.0, 1.0) == []
     with pytest.raises(PolynomialError):
-        all_roots(poly(3.0))
+        real_roots(poly(1.0, math.inf, 1.0), -1.0, 1.0)
 
 
 def _companion_cases():
@@ -90,7 +93,7 @@ def _companion_cases():
 
 
 def test_companion_roots_are_np_roots_bit_for_bit(monkeypatch):
-    # the fold lists and all_roots build np.roots' companion themselves; a
+    # the fold lists and real_roots build np.roots' companion themselves; a
     # numpy change that moves np.roots shows here
     recorded = []
     monkeypatch.setattr(continuation, "companion_roots",
@@ -119,14 +122,16 @@ def test_all_roots_contract_random_quintics():
             continue
         lead = rng.choice([-1.0, 1.0]) * rng.uniform(0.5, 2.0)
         p = oracles.from_roots(known, leading=lead)
-        roots = all_roots(p)
+        roots = companion_roots(p.coeffs)
         assert len(roots) == 5
         got = sorted(roots.real)
         for a, b in zip(known, got):
             assert b == pytest.approx(a, rel=1e-7, abs=1e-7)
-        # residual bound from the operation contract
+        # the residual bound of the stacked root audit
         for r in roots:
             assert abs(p(r)) <= 1e-10 * p.residual_scale(r)
+        got = [x for x, _, _ in real_roots(p, -11.0, 11.0)]
+        assert got == sorted(roots.real.tolist())
 
 
 def test_conjugate_symmetry_random():
@@ -138,43 +143,73 @@ def test_conjugate_symmetry_random():
         p = RealPolynomial.from_coeffs(coeffs)
         if p.degree < 1:
             continue
-        roots = list(all_roots(p))
+        roots = list(companion_roots(p.coeffs))
         for r in roots:
             if abs(r.imag) > 1e-9 * (1.0 + abs(r)):
                 partner = min(roots, key=lambda z: abs(z - r.conjugate()))
                 assert abs(partner - r.conjugate()) <= 1e-9 * (1.0 + abs(r))
 
 
+def _starts(p, lo, hi):
+    return [x for x, _, _ in real_roots(p, lo, hi)]
+
+
 def test_real_roots_factorable_cubic():
-    got = real_roots(poly(0.0, -1.0, 0.0, 1.0))    # x^3 - x
-    assert np.allclose(got, [-1.0, 0.0, 1.0], atol=1e-12)
+    p = poly(0.0, -1.0, 0.0, 1.0)                   # x^3 - x
+    assert np.allclose(_starts(p, -2.0, 2.0), [-1.0, 0.0, 1.0], atol=1e-12)
+    # each root comes with its bracket: the midpoints with its neighbours
+    assert [(a, b) for _, a, b in real_roots(p, -2.0, 2.0)] == pytest.approx(
+        [(-2.0, -0.5), (-0.5, 0.5), (0.5, 2.0)], abs=1e-12)
+    # only the positions inside (lo, hi) count
+    assert np.allclose(_starts(p, -0.5, 2.0), [0.0, 1.0], atol=1e-12)
 
 
 def test_real_roots_none():
-    assert len(real_roots(poly(1.0, 0.0, 1.0))) == 0
+    assert real_roots(poly(1.0, 0.0, 1.0), -5.0, 5.0) == []
 
 
 def test_real_roots_double_root_cluster():
-    # (x-2)^2 (x+1): the fold-like double root may surface as one value
-    # or as an eps-split pair; either way everything clusters at 2 and
-    # the simple root stays put
+    # (x-2)^2 (x+1): p touches zero at the double root without changing
+    # sign.  Its eigenvalues split into a close pair, and the sign p takes
+    # between them decides whether the rule reports the double root
+    # twice or not at all; the simple root stays put, and the parity of
+    # the count is the parity of the sign change across (lo, hi)
     p = oracles.from_roots([2.0, 2.0, -1.0])
-    got = real_roots(p)
-    assert 2 <= len(got) <= 3
+    got = _starts(p, -3.0, 5.0)
+    assert len(got) in (1, 3)
     assert got[0] == pytest.approx(-1.0, rel=1e-9)
     for r in got[1:]:
         assert r == pytest.approx(2.0, rel=1e-6)
 
 
 def test_real_roots_polish_hits_tight_residual():
+    # the starts are companion eigenvalues; on well-separated roots they
+    # already meet a tight residual, so the polish starts at a root
     p = oracles.from_roots([1.0, 3.0, 7.0], leading=2.5)
-    for r in real_roots(p):
+    for r in _starts(p, 0.0, 10.0):
         assert abs(p(r)) <= 1e-12 * p.residual_scale(r)
 
 
-def test_real_roots_rejects_bad_tolerance():
-    with pytest.raises(PolynomialError):
-        real_roots(poly(-1.0, 1.0), imag_tol=0.0)
+def test_real_roots_close_pair_in_a_complex_half():
+    # roots 1 and 1 + 2e-9 whose eigenvalues may come back as a complex
+    # pair: then each half beside the pair's position holds one root,
+    # started from its midpoint; either way two roots are reported, each
+    # in a bracket that holds exactly one exact root
+    p = oracles.from_roots([1.0, 1.0 + 2e-9, 3.0])
+    seq = oracles.sturm_sequence(p.coeffs)
+    found = real_roots(p, 0.0, 5.0)
+    assert len(found) == oracles.sturm_count(seq) == 3
+    for x, a, b in found:
+        assert a <= x <= b
+        assert oracles.sturm_count(seq, a, b) == 1
+
+
+def test_real_roots_without_a_position_inside():
+    # x - 1 on (1, 3): the eigenvalue 1 is not inside, yet p changes sign
+    # from p(lo) = 0, which counts as negative, to p(hi) > 0; the whole
+    # interval is the bracket, started from its midpoint
+    assert real_roots(poly(-1.0, 1.0), 1.0, 3.0) == [(2.0, 1.0, 3.0)]
+    assert real_roots(poly(-1.0, 1.0), 2.0, 3.0) == []
 
 
 def test_real_roots_count_parity():
@@ -184,16 +219,17 @@ def test_real_roots_count_parity():
         p = RealPolynomial.from_coeffs(coeffs)
         if p.degree < 1:
             continue
-        got = real_roots(p)
+        bound = 1.0 + max(abs(c / p.coeffs[-1]) for c in p.coeffs)
+        got = real_roots(p, -bound, bound)
         assert len(got) <= p.degree
-        # transversal-count parity: odd iff the tail signs differ
+        # the sign changes across [-bound, bound], which holds every
+        # root: odd iff the tail signs differ, and the exact count
         lead = p.coeffs[-1]
         sign_pos = math.copysign(1.0, lead)
         sign_neg = sign_pos * (-1.0) ** p.degree
-        # skip near-tangential cases where parity is genuinely ambiguous
-        if got.size and min(abs(p.derivative()(r)) for r in got) < 1e-6:
-            continue
         assert (len(got) % 2 == 1) == (sign_pos != sign_neg)
+        seq = oracles.sturm_sequence(p.coeffs)
+        assert len(got) == oracles.sturm_count(seq), p.coeffs
 
 
 @given(st.lists(st.floats(min_value=-1e3, max_value=1e3,
@@ -211,7 +247,7 @@ def test_reconstruction_property(roots, lead):
         # coefficient spread reached the documented 1e-14 lead trim;
         # such instances are outside the condition-bounded contract
         return
-    got = all_roots(p)
+    got = companion_roots(p.coeffs)
     rebuilt = oracles.from_roots(sorted(got.real), leading=lead)
     scale = max(abs(c) for c in p.coeffs)
     assert len(rebuilt.coeffs) == len(p.coeffs)
@@ -237,9 +273,9 @@ def test_sturm_count_on_known_roots(roots, lead, real, lo, hi, inside):
 
 def test_determinism():
     coeffs = (3.0, -2.0, 0.5, 1.0, -0.25, 0.125)
-    a = all_roots(RealPolynomial.from_coeffs(coeffs))
-    b = all_roots(RealPolynomial.from_coeffs(coeffs))
+    a = companion_roots(RealPolynomial.from_coeffs(coeffs).coeffs)
+    b = companion_roots(RealPolynomial.from_coeffs(coeffs).coeffs)
     assert np.array_equal(a, b)
-    ra = real_roots(RealPolynomial.from_coeffs(coeffs))
-    rb = real_roots(RealPolynomial.from_coeffs(coeffs))
-    assert np.array_equal(ra, rb)
+    ra = real_roots(RealPolynomial.from_coeffs(coeffs), -10.0, 10.0)
+    rb = real_roots(RealPolynomial.from_coeffs(coeffs), -10.0, 10.0)
+    assert ra == rb

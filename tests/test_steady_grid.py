@@ -6,7 +6,6 @@ scalar arithmetic elementwise, in the same order.
 
 import math
 import random
-import sys
 
 import numpy as np
 import pytest
@@ -17,16 +16,15 @@ import oracles
 import sampling
 from twomode import continuation, polyroots, stability, steady
 from twomode.continuation import SweepSpec, _solve_grid, axis_grid, sweep_1d
-from twomode.errors import (ParameterError, PolynomialError, SolverError,
-                            SweepError)
+from twomode.errors import ParameterError, PolynomialError, SweepError
 from twomode.params import DrivePoint, preset_hill_params, replace_params
 from twomode.stability import solve_and_classify
 from twomode.steady import (SolverOptions, q_upper_bound, steady_branches,
                             steady_q_grid)
 
 # The fig2b drive under --sign minus --kappa2 literal, and the bisection
-# midpoint of its fold scan where the scalar solve breaches the
-# self-consistency ceiling.
+# midpoint of its fold scan where the scalar solve used to breach a
+# self-consistency ceiling on a ghost root and raise; its exact count is 1.
 CEILING_BREACH_POWER_L = 9.181158464634483e-06
 
 REGIMES = ("full", "cubic", "decoupled", "three", "five", "quartic")
@@ -39,7 +37,7 @@ def _scalar_rows(params, drive, axis, values, options):
         point = drive.with_value(params, axis, float(v))
         try:
             rows.append([b.q_s for b in steady_branches(params, point, options)])
-        except (PolynomialError, SolverError) as exc:
+        except PolynomialError as exc:
             rows.append(type(exc))
     return rows
 
@@ -139,76 +137,68 @@ def test_undriven_row_takes_the_scalar_rest_branch():
     assert grid[0, 0] == 0.0
 
 
+def _exact_counts(params, drive, axis, values, options):
+    return [oracles.exact_count(params, drive.with_value(params, axis, float(v)),
+                                options.sign) for v in values]
+
+
 def test_ceiling_breach_raises_like_the_scalar_solver():
-    params = preset_hill_params("literal")
-    drive = DrivePoint.build(params, delta1=params.omega_m,
-                             delta2=params.omega_m, power_l=2e-6, power_r=1e-7)
-    options = SolverOptions(sign=-1)
+    # the breach row used to raise in the grid as in the scalar solver;
+    # now both solve it, to its exact count of 1
+    params, drive, options = _ceiling_case()
     values = np.array([9e-6, CEILING_BREACH_POWER_L, 9.3e-6])
-    assert _scalar_rows(params, drive, "power_l", values, options)[1] is SolverError
-    _assert_rows_match(params, drive, "power_l", values, options)
+    grid = _assert_rows_match(params, drive, "power_l", values, options)
+    counts = np.count_nonzero(~np.isnan(grid), axis=1).tolist()
+    assert counts == _exact_counts(params, drive, "power_l", values, options)
+    assert counts[1] == 1
 
 
 def _fold_approach():
-    """A five-branch drive and twelve power_l values from 1e-8 to 0.1
-    relative above its lowest fold, where its two new roots close in."""
+    """A five-branch drive and 24 power_l values from 1e-16 to 1e-12
+    relative on either side of its third fold, where a close root pair
+    can come back from the companion matrix as a complex pair."""
     options = SolverOptions()
     params, drive = sampling.draw_five_root_point(random.Random(0), options)
-    (fold, _, _), *_ = continuation._folds(params, drive, "power_l", 0.0,
-                                           1.0, options)
-    return params, drive, fold * (1.0 + np.geomspace(1e-8, 0.1, 12)), options
+    fold = continuation._folds(params, drive, "power_l", 0.0, 1.0,
+                               options)[2][0]
+    offsets = np.geomspace(1e-16, 1e-12, 12)
+    values = fold * np.concatenate((1.0 - offsets, 1.0 + offsets))
+    return params, drive, values, options
 
 
-def _rows_real_roots_changes(params, drive, values, options, monkeypatch):
-    """Indices of the power_l rows where the scalar real_roots takes a
-    Newton polish step or merges two roots."""
-    newton, horner = polyroots._newton, polyroots._horner
-    steps, evaluated = [], []
-
-    def spy(coeffs, slope, x, target_rel):
-        if sys._getframe(1).f_code is not polyroots.real_roots.__code__:
-            # the complex rescue in all_roots
-            return newton(coeffs, slope, x, target_rel)
-        # the polish evaluates the slope only to take a step
-        evaluated.clear()
-        root = newton(coeffs, slope, x, target_rel)
-        steps.append(any(c is slope for c in evaluated))
-        return root
-
-    def watched(coeffs, x):
-        evaluated.append(coeffs)
-        return horner(coeffs, x)
-
-    monkeypatch.setattr(polyroots, "_newton", spy)
-    monkeypatch.setattr(polyroots, "_horner", watched)
+def _rows_with_a_half_bracket(params, drive, values, options):
+    """Indices of the power_l rows where the scalar real_roots reports a
+    root that is not a real companion eigenvalue: one found in a half
+    bracket beside a complex position."""
     rows = []
     for i, v in enumerate(values.tolist()):
-        steps.clear()
-        p = _solver_poly(params, drive.with_value(params, "power_l", v), options)
-        # one polish per real root: fewer roots out means a merge
-        if len(polyroots.real_roots(p, options.imag_tol)) < len(steps) or any(steps):
+        point = drive.with_value(params, "power_l", v)
+        qb = min(q_upper_bound(params, point),
+                 steady._tail_root_bound(params, point))
+        q_scale = max(qb, 1.0)
+        p = steady._assemble(params, point, options.sign, q_scale).poly
+        real = {z.real for z in polyroots.companion_roots(p.coeffs).tolist()
+                if z.imag == 0.0}
+        found = polyroots.real_roots(p, 0.0, 1.05 * qb / q_scale)
+        if any(x not in real for x, _, _ in found):
             rows.append(i)
     return rows
 
 
-@pytest.mark.parametrize("constant,value", [("_POLISH_RESIDUAL_REL", 1e-16),
-                                            ("_DEDUP_REL", 1e-4)])
-def test_rows_real_roots_would_change_go_to_steady_branches(
-        constant, value, monkeypatch):
-    # the row kernel neither polishes nor merges real roots: a row where
-    # the scalar form does is solved by steady_branches, and no other row
+def test_rows_with_a_half_bracket_go_to_steady_branches(monkeypatch):
+    # the row kernel takes only roots at real eigenvalues: a row with a
+    # sign change in a half bracket beside a complex position is solved
+    # by steady_branches, and no other row.  This close to a fold the rule
+    # can miss the exact count (ROADMAP item 7), so counts are not checked
     params, drive, values, options = _fold_approach()
-    monkeypatch.setattr(polyroots, constant, value)
-    changed = _rows_real_roots_changes(params, drive, values, options,
-                                       monkeypatch)
-    assert changed
+    halves = _rows_with_a_half_bracket(params, drive, values, options)
+    assert halves
     rescued = []
     scalar = steady.steady_branches
     monkeypatch.setattr(steady, "steady_branches", lambda p, point, o: (
         rescued.append(point.power_l) or scalar(p, point, o)))
-    assert _assert_rows_match(params, drive, "power_l", values,
-                              options) is not None
-    assert rescued == [values.tolist()[i] for i in changed]
+    _assert_rows_match(params, drive, "power_l", values, options)
+    assert rescued == [values.tolist()[i] for i in halves]
 
 
 def _pointwise_records(params, spec, options):
@@ -219,7 +209,7 @@ def _pointwise_records(params, spec, options):
         try:
             branches, diags = solve_and_classify(
                 params, spec.drive.with_value(params, spec.axis, v), options)
-        except (PolynomialError, SolverError) as exc:
+        except PolynomialError as exc:
             return records, (v, exc)
         records.append((v, branches, diags))
     return records, None
@@ -289,32 +279,37 @@ def test_sweep_records_where_pow_and_product_round_apart():
         _assert_sweep_matches_pointwise(params, spec, SolverOptions())
 
 
-def test_sweep_through_ceiling_breach_names_the_sample():
-    params = preset_hill_params("literal")
-    drive = DrivePoint.build(params, delta1=params.omega_m,
-                             delta2=params.omega_m, power_l=2e-6, power_r=1e-7)
-    spec = SweepSpec(axis="power_l", start=9e-6, stop=CEILING_BREACH_POWER_L,
-                     drive=drive, points=5)
-    assert axis_grid(spec)[-1] == CEILING_BREACH_POWER_L
-    with pytest.raises(SweepError) as caught:
-        sweep_1d(params, spec, SolverOptions(sign=-1))
-    assert caught.value.axis_value == CEILING_BREACH_POWER_L
-    assert str(caught.value).startswith(
-        f"solve failed at power_l={CEILING_BREACH_POWER_L!r}: ")
-
-
 def _ceiling_case():
-    """The drive and options of the ceiling-breach tests above."""
+    """The drive and options of the ceiling-breach tests."""
     params = preset_hill_params("literal")
     drive = DrivePoint.build(params, delta1=params.omega_m,
                              delta2=params.omega_m, power_l=2e-6, power_r=1e-7)
     return params, drive, SolverOptions(sign=-1)
 
 
+def _ceiling_sweep():
+    params, drive, options = _ceiling_case()
+    spec = SweepSpec(axis="power_l", start=9e-6, stop=CEILING_BREACH_POWER_L,
+                     drive=drive, points=5)
+    return params, spec, options
+
+
+def test_sweep_through_ceiling_breach_names_the_sample():
+    # the sweep used to fail there, naming the sample; now its last
+    # record is that sample, solved to its exact count of 1
+    params, spec, options = _ceiling_sweep()
+    assert axis_grid(spec)[-1] == CEILING_BREACH_POWER_L
+    value, branches = sweep_1d(params, spec, options).records[-1]
+    assert value == CEILING_BREACH_POWER_L
+    assert len(branches) == oracles.exact_count(
+        params, spec.drive.with_value(params, "power_l", value),
+        options.sign) == 1
+
+
 def test_ceiling_breach_sample_has_one_exact_branch():
     # the exact count at the breach is 1, and 3 just below the -2 fold
-    # under it: the root the solver rejects there is the ghost of the pair
-    # that died at that fold (ROADMAP item 7)
+    # under it: the root the solver used to reject there was the ghost of
+    # the pair that died at that fold
     params, drive, options = _ceiling_case()
     fold = max(value for value, change, _ in continuation._folds(
         params, drive, "power_l", 0.0, 1.0, options)
@@ -325,15 +320,9 @@ def test_ceiling_breach_sample_has_one_exact_branch():
             for v in (CEILING_BREACH_POWER_L, fold * (1.0 - 1e-9))] == [1, 3]
 
 
-def test_ceiling_breach_sweep_solves_in_one_pass(monkeypatch):
-    # the failing sample is named by the grid itself: no sample is solved
-    # again point by point
-    params, drive, options = _ceiling_case()
-    spec = SweepSpec(axis="power_l", start=9e-6, stop=CEILING_BREACH_POWER_L,
-                     drive=drive, points=5)
-    with pytest.raises(SolverError) as scalar:
-        steady_branches(params, drive.with_value(
-            params, "power_l", CEILING_BREACH_POWER_L), options)
+def _counted_solves(monkeypatch):
+    """Count the steady_branches and solve_and_classify calls, under every
+    name they are reached by."""
     calls = {"steady_branches": 0, "solve_and_classify": 0}
 
     def counted(name, real):
@@ -347,29 +336,40 @@ def test_ceiling_breach_sweep_solves_in_one_pass(monkeypatch):
             if hasattr(module, name):
                 monkeypatch.setattr(module, name,
                                     counted(name, getattr(module, name)))
-    with pytest.raises(SweepError) as caught:
-        sweep_1d(params, spec, options)
-    assert calls == {"steady_branches": 1, "solve_and_classify": 0}
-    assert caught.value.axis_value == CEILING_BREACH_POWER_L
-    assert str(caught.value) == (
-        f"solve failed at power_l={CEILING_BREACH_POWER_L!r}: {scalar.value}")
-    assert isinstance(caught.value.__cause__, SolverError)
+    return calls
+
+
+def test_ceiling_breach_sweep_solves_in_one_pass(monkeypatch):
+    # every sample, the breach included, is solved by the grid itself: no
+    # sample is solved again point by point, and each has its exact count
+    params, spec, options = _ceiling_sweep()
+    calls = _counted_solves(monkeypatch)
+    records = sweep_1d(params, spec, options).records
+    assert calls == {"steady_branches": 0, "solve_and_classify": 0}
+    assert [len(b) for _, b in records] == _exact_counts(
+        params, spec.drive, "power_l", axis_grid(spec), options)
+    assert len(records[-1][1]) == 1
 
 
 def test_steady_failure_block_is_not_classified(monkeypatch):
-    # the steady solve fails at the last sample: the block raises that
-    # failure before it classifies any branch
-    params, drive, options = _ceiling_case()
-    spec = SweepSpec(axis="power_l", start=9e-6, stop=CEILING_BREACH_POWER_L,
-                     drive=drive, points=5)
+    # the ceiling-breach block is classified, to its exact count; a block
+    # whose steady solve fails at a sample (an overflowing drive power
+    # gives non-finite coefficients) raises that failure before it
+    # classifies any branch
+    params, spec, options = _ceiling_sweep()
     calls = []
     max_re_rows = stability._max_re_rows
     monkeypatch.setattr(stability, "_max_re_rows",
                         lambda *args: calls.append(args) or max_re_rows(*args))
+    assert len(sweep_1d(params, spec, options).records[-1][1]) == 1
+    assert len(calls) == 1
+    calls.clear()
+    overflow = SweepSpec(axis="power_l", start=9e-6, stop=1e300,
+                         drive=spec.drive, points=5)
     with pytest.raises(SweepError) as caught:
-        sweep_1d(params, spec, options)
-    assert caught.value.axis_value == CEILING_BREACH_POWER_L
-    assert isinstance(caught.value.__cause__, SolverError)
+        sweep_1d(params, overflow, options)
+    assert caught.value.axis_value in axis_grid(overflow).tolist()
+    assert isinstance(caught.value.__cause__, PolynomialError)
     assert calls == []
 
 
