@@ -19,7 +19,7 @@ from .params import (HBAR, DrivePoint, SystemParams, drive_amplitude,
 from .polyroots import RealPolynomial, real_roots
 from .stability import (Diagnostic, branch_eigenvalues, branch_state,
                         classify_branches, classify_stability, jacobian,
-                        ordering_rule, solve_and_classify)
+                        solve_and_classify)
 from .steady import (ScaledPolynomial, SolverOptions, SteadyBranch, Verdict,
                      assemble_fixed_point_polynomial, effective_detunings,
                      photon_numbers_from_q, q_upper_bound, steady_amplitudes,
@@ -44,7 +44,7 @@ __all__ = [
     "q_upper_bound",
     "branch_state", "jacobian",
     "branch_eigenvalues", "classify_stability", "classify_branches",
-    "ordering_rule", "solve_and_classify", "Diagnostic",
+    "solve_and_classify", "Diagnostic",
     "SweepSpec", "Trace", "HysteresisResult", "SweepResult", "axis_grid",
     "sweep_1d", "hysteresis_sweep", "clamped_hysteresis_sweep",
     "locate_folds",

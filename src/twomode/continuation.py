@@ -118,8 +118,8 @@ class SweepResult:
     spec: SweepSpec
     records: tuple         # ((axis_value, (SteadyBranch, ...)), ...) grid order
     folds: tuple           # refined axis values of branch-count changes
-    diagnostics: tuple     # stability.Diagnostic records: ordering-rule
-                           # disagreements and ramp notes
+    diagnostics: tuple     # stability.Diagnostic records: saddle-rule
+                           # defects, one self-oscillation count, ramp notes
     hysteresis: HysteresisResult | None = None
 
 
@@ -444,7 +444,7 @@ def _result(params, spec, options, solved, notes=()):
     """The SweepResult of one solved grid: records, diagnostics, folds and,
     when ``spec.direction`` is ``"both"``, both hysteresis traces.  The
     exact fold list is built at most once, and only when some
-    neighbouring samples' counts differ.
+    neighbouring samples' counts differ; self-oscillation counts sum.
     """
     folds = functools.cache(lambda: _folds(params, spec.drive, spec.axis,
                                            spec.start, spec.stop, options))
@@ -453,6 +453,11 @@ def _result(params, spec, options, solved, notes=()):
         _refine_count_change(spec.axis, folds(), v0, v1, len(b1) - len(b0),
                              _FOLD_REL_TOL) if len(b0) != len(b1) else None
         for (v0, b0, _), (v1, b1, _) in zip(solved, solved[1:])]
+    diags = [d for _, _, notes_at in solved for d in notes_at]
+    counts = [d.values for d in diags if d.kind == "self_oscillation"]
+    diags = tuple(d for d in diags if d.kind == "saddle_rule") + (
+        (Diagnostic("self_oscillation", tuple(map(sum, zip(*counts)))),)
+        if counts else ())
     hysteresis = None
     if spec.direction == "both":
         slots = functools.partial(_fold_slots, params, spec, options.sign,
@@ -463,7 +468,7 @@ def _result(params, spec, options, solved, notes=()):
     return SweepResult(
         spec=spec, records=tuple((v, branches) for v, branches, _ in solved),
         folds=tuple(v for v in changes if v is not None),
-        diagnostics=tuple(d for _, _, diags in solved for d in diags) + notes,
+        diagnostics=diags + notes,
         hysteresis=hysteresis)
 
 

@@ -13,11 +13,12 @@ eigenvalues of its own scaled Jacobian instead, from one more stacked
 real part sits below ``-eps``, Unstable when one exceeds ``+eps``,
 Marginal in between, with ``eps = marginal_band * omega_m``.
 
-The folk rule for these systems ("outermost branches stable, middle ones
-unstable", alternating) is computed alongside and compared; when it
-disagrees with the eigenvalue verdicts the point is flagged as a
-diagnostic, not an error, since the rule genuinely fails in anti-damped
-(blue-detuned, strongly driven) regimes.  Diagnostics are typed
+Every verdict is checked against the exact saddle rule: det J = L1 L2
+df/dq, Lk = (kappa_k^2 + Dk^2) / omega_m^2 with Dk the effective
+detuning and f the defect of :func:`steady.steady_residual`, so a branch
+with df/dq < 0 has a positive real eigenvalue and is never STABLE
+(MARGINAL stays legal); at df/dq = 0 the rule says nothing.  An UNSTABLE
+branch with df/dq > 0 is self-oscillating.  Diagnostics are typed
 :class:`Diagnostic` records that keep the raw values of their note, so
 code filters them by ``kind``; the text is built only when ``str()`` is
 called.
@@ -39,8 +40,8 @@ from .errors import ClassificationError, ParameterError, SweepError
 from .params import DrivePoint, SystemParams
 from .polyroots import all_roots_rows
 from .steady import (_GRID_BLOCK, _MAX_BRANCHES, SolverOptions, SteadyBranch,
-                     Verdict, _solve_rows, photon_numbers_from_q,
-                     steady_branches)
+                     Verdict, _residual_pair, _solve_rows,
+                     photon_numbers_from_q, steady_branches)
 
 # Scaled-Jacobian entries that are constant rates, and those that are a
 # rate times one field quadrature (the Q column and the force row), with
@@ -50,9 +51,6 @@ _RATE_COLS = np.array((0, 1, 2, 3, 5, 4, 5))
 _FIELD_ROWS = np.array((0, 1, 2, 3, 5, 5, 5, 5))
 _FIELD_COLS = np.array((4, 4, 4, 4, 0, 1, 2, 3))
 _FIELD_OF = np.array((1, 0, 3, 2, 0, 1, 2, 3))
-# DrivePoint fields that _classify_block reads: the four drive values a
-# diagnostic names, then the pump amplitudes.
-_DRIVE_FIELDS = ("delta1", "delta2", "power_l", "power_r", "amp_l", "amp_r")
 
 
 def branch_state(branch: SteadyBranch) -> np.ndarray:
@@ -181,21 +179,14 @@ def _verdicts(max_re: list, params: SystemParams,
             for m in max_re]
 
 
-@functools.cache
-def ordering_rule(count: int) -> tuple:
-    """Folk verdicts by branch position: stable at the ends, alternating."""
-    return tuple(Verdict.STABLE if i % 2 == 0 else Verdict.UNSTABLE
-                 for i in range(count))
-
-
 def classify_branches(branches, params: SystemParams, drive: DrivePoint,
                       options: SolverOptions = SolverOptions()):
-    """Classify every branch; also cross-check against the ordering rule.
+    """Classify every branch; also check each verdict against the saddle rule.
 
-    Returns (classified branches ascending in q_s, Diagnostic records).
-    Ordering-rule disagreement is reported, never raised.  All branches
-    go through one stacked :func:`_max_re_rows`, the kernel
-    :func:`solve_and_classify_grid` uses.
+    Returns (classified branches ascending in q_s, the Diagnostic records
+    of :func:`_notes` from df/dq on floats); a saddle-rule defect is
+    reported, never raised.  All branches go through one stacked
+    :func:`_max_re_rows`, the kernel :func:`solve_and_classify_grid` uses.
     """
     branches = tuple(branches)
     states = np.array([branch_state(b) for b in branches]).reshape(-1, 6)
@@ -206,9 +197,9 @@ def classify_branches(branches, params: SystemParams, drive: DrivePoint,
                      b.delta2_eff, verdict, m)
         for b, verdict, m in zip(branches, _verdicts(max_re, params, options),
                                  max_re))
-    return classified, _ordering_diagnostics(
-        tuple(b.verdict for b in classified), drive.delta1, drive.delta2,
-        drive.power_l, drive.power_r)
+    slope = _residual_pair(params, drive, options.sign)
+    return classified, _notes(classified, [slope(b.q_s)[1] for b in branches],
+                              lambda: drive)
 
 
 @dataclass(frozen=True)
@@ -218,9 +209,10 @@ class Diagnostic:
     It keeps the raw values its text needs and builds the text only when
     ``str()`` is called.  ``kind`` is one of:
 
-    - ``"ordering_rule"``: the eigenvalue verdicts of a drive point's
-      branches differ from :func:`ordering_rule`; ``values`` is
-      (delta1, delta2, power_l, power_r, verdicts);
+    - ``"saddle_rule"``: a STABLE branch has df/dq < 0, so a positive real
+      eigenvalue; ``values`` is (DrivePoint, q_s);
+    - ``"self_oscillation"``: UNSTABLE branches with df/dq > 0; ``values``
+      is (branches, drive points), summed over a sweep;
     - ``"ramp_truncated"``: a hysteresis ramp stopped short of a sample
       with no stable branch; ``values`` is (axis, axis value);
     - ``"no_ramp_fits"``: no quasi-static ramp fits inside the window;
@@ -231,14 +223,15 @@ class Diagnostic:
     values: tuple = ()
 
     def __str__(self) -> str:
-        if self.kind == "ordering_rule":
-            delta1, delta2, power_l, power_r, verdicts = self.values
-            rule = ordering_rule(len(verdicts))
-            return ("ordering-rule disagreement at drive "
-                    f"(delta1={delta1!r}, delta2={delta2!r}, "
-                    f"power_l={power_l!r}, power_r={power_r!r}): "
-                    f"eigenvalues say {tuple(v.name for v in verdicts)}, "
-                    f"rule says {tuple(v.name for v in rule)}")
+        if self.kind == "saddle_rule":
+            d, q_s = self.values
+            return ("saddle-rule defect at drive "
+                    f"(delta1={d.delta1!r}, delta2={d.delta2!r}, "
+                    f"power_l={d.power_l!r}, power_r={d.power_r!r}): branch "
+                    f"q_s={q_s!r} has df/dq < 0 but is classed STABLE")
+        if self.kind == "self_oscillation":
+            return ("self-oscillation: {} unstable branches with df/dq > 0 "
+                    "over {} drive points".format(*self.values))
         if self.kind == "ramp_truncated":
             return f"ramp truncated: {_no_stable_branch(*self.values)}"
         return ("no quasi-static ramp fits inside the window: every "
@@ -250,13 +243,17 @@ def _no_stable_branch(axis: str, value: float) -> str:
     return f"no stable branch at {axis}={value!r}; self-oscillating regime"
 
 
-def _ordering_diagnostics(verdicts: tuple, delta1: float, delta2: float,
-                          power_l: float, power_r: float) -> tuple:
-    """() when ``verdicts`` follow the ordering rule, else its Diagnostic."""
-    if verdicts == ordering_rule(len(verdicts)):
-        return ()
-    return (Diagnostic("ordering_rule",
-                       (delta1, delta2, power_l, power_r, verdicts)),)
+def _notes(branches, slopes: list, point) -> tuple:
+    """A point's diagnostics from each branch's df/dq: a ``"saddle_rule"``
+    record per STABLE branch with df/dq < 0, naming the DrivePoint
+    ``point()``, then the count of UNSTABLE ones with df/dq > 0, if any."""
+    notes, count = (), 0
+    for b, s in zip(branches, slopes):
+        count += s > 0.0 and b.verdict is Verdict.UNSTABLE
+        if s < 0.0 and b.verdict is Verdict.STABLE:
+            notes += (Diagnostic("saddle_rule", (point(), b.q_s)),)
+    return notes + ((Diagnostic("self_oscillation", (count, 1)),)
+                    if count else ())
 
 
 def solve_and_classify(params: SystemParams, drive: DrivePoint,
@@ -274,12 +271,12 @@ def solve_and_classify_grid(params: SystemParams, drive: DrivePoint,
 
     Every record equals the pointwise one, field for field.  Samples are
     done together, block by block: q_s of every branch from
-    :func:`steady._solve_rows`, which rescues its own rows, photon numbers
-    and effective detunings for all branches at once, then every branch
-    through :func:`_max_re_rows`, as in :func:`classify_branches`.  A block
-    whose steady solve fails is not classified: its first failing sample,
-    where the pointwise loop stops, raises a SweepError naming it (a
-    ParameterError as it is).  A ClassificationError is raised as it is.
+    :func:`steady._solve_rows`, which rescues its own rows, photon numbers,
+    effective detunings and df/dq for all branches at once, then every
+    branch through :func:`_max_re_rows`, as in :func:`classify_branches`.
+    A block whose steady solve fails is not classified: its first failing
+    sample, where the pointwise loop stops, raises a SweepError naming it
+    (a ParameterError as it is).  A ClassificationError is raised as it is.
     """
     values = np.asarray(values, dtype=float)
     records = []
@@ -300,10 +297,11 @@ def _classify_block(params, drive, axis, values, options):
                          axis_value=value) from exc
     columns, _ = drive.with_values(params, axis, values[:, None])
     n1, n2, d1, d2 = photon_numbers_from_q(q, params, columns)
+    slopes = _residual_pair(params, columns, options.sign)(q)[1].tolist()
     rows, cols = np.nonzero(~np.isnan(q))
-    fields = [np.broadcast_to(getattr(columns, name), q[:, :1].shape).ravel()
-              for name in _DRIVE_FIELDS]
-    delta1, delta2, _, _, amp_l, amp_r = (f[rows] for f in fields)
+    delta1, delta2, amp_l, amp_r = (
+        np.broadcast_to(getattr(columns, name), q[:, :1].shape).ravel()[rows]
+        for name in ("delta1", "delta2", "amp_l", "amp_r"))
     q_s = q[rows, cols].tolist()
     # steady_amplitudes per branch, from floats: Python divides complex
     # numbers as the scalar call does, numpy rounds quotients differently.
@@ -323,7 +321,9 @@ def _classify_block(params, drive, axis, values, options):
     by_sample = [[] for _ in range(len(values))]
     for r, record in zip(rows.tolist(), records):
         by_sample[r].append(SteadyBranch(*record))
-    drives = zip(*(f.tolist() for f in fields[:4]))
+    # a row's branches are its leading q columns; zip pairs them with slopes
     return [(tuple(branches),
-             _ordering_diagnostics(tuple(b.verdict for b in branches), *d))
-            for branches, d in zip(by_sample, drives)]
+             _notes(branches, row_slopes,
+                    functools.partial(drive.with_value, params, axis, v)))
+            for branches, row_slopes, v in zip(by_sample, slopes,
+                                               values.tolist())]

@@ -92,12 +92,7 @@ def _window_structure_ok(params, drive, folds, options):
         return False
     slopes = [residual_derivative(b.q_s, params, point, sign=options.sign)
               for b in branches]
-    expected_positive = True
-    for slope in slopes:
-        if (slope > 0.0) != expected_positive:
-            return False
-        expected_positive = not expected_positive
-    return True
+    return all((s > 0.0) == (i % 2 == 0) for i, s in enumerate(slopes))
 
 
 def fold_power_study(power_r: float = 1e-7, bracket=(1e-14, 1.0),

@@ -7,10 +7,10 @@ Two domains are used:
   involve dynamics;
 - a quasi-static domain (moderate mechanical Q, red detunings, pump
   placed inside a located fold window) for checks that assert the
-  slow-mechanics stability ordering.  Outside that domain the eigenvalue
-  test legitimately departs from the ordering rule through optical
-  anti-damping, which the library reports as diagnostics rather than
-  hiding.
+  slow-mechanics verdicts: outer branches stable, the middle one a
+  saddle.  Outside that domain optical anti-damping can make a branch
+  with df/dq > 0 unstable too, which the library counts as
+  self-oscillation rather than hiding.
 
 No sample is filtered for its oracle: the branch counts are checked
 against exact Sturm counts (``oracles.exact_count``), which resolve a
@@ -29,10 +29,10 @@ from twomode.steady import SolverOptions, steady_branches
 POWER_RANGE = (1e-12, 1e-1)
 DETUNING_SPAN = 2.0
 
-# Ordering-clean domain: the pump detuning stays a few linewidths red
+# Quasi-static domain: the pump detuning stays a few linewidths red
 # (folds exist above sqrt(3)*kappa1 ~ 0.225 omega_m) so the upper branch
 # never reaches the blue-sideband resonance where anti-damping overturns
-# the static ordering; the readout stays weak enough to be a spectator.
+# the static verdicts; the readout stays weak enough to be a spectator.
 QUASISTATIC_Q_RANGE = (2.0, 10.0)
 QUASISTATIC_DELTA1 = (0.30, 0.55)
 QUASISTATIC_DELTA2 = (0.3, 1.0)

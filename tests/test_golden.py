@@ -4,8 +4,10 @@
 fig3 --points 40``, ``preset fig2b --sign minus --points 40`` and the AC5
 ``both`` loop sweep at 60 points (``golden/loop.conf``), recorded before
 the diagnostics became typed records, the Newton polish stopped on exact
-2-cycles and CSV lines were formatted in one call.  They pin the note
-text, the ``repr`` cells and the polished roots.
+2-cycles and CSV lines were formatted in one call; the diagnostics lines
+of the two preset summaries were re-recorded when the saddle rule and
+its one self-oscillation count replaced the per-sample notes.  They pin
+the note text, the ``repr`` cells and the polished roots.
 
 ``golden/scalar_paths.json`` pins steady solves, each with the ``repr``
 of ``steady_branches``, and the route of ``real_roots`` it takes

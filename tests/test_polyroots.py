@@ -182,6 +182,15 @@ def test_real_roots_double_root_cluster():
         assert r == pytest.approx(2.0, rel=1e-6)
 
 
+@pytest.mark.xfail(strict=True, reason=(
+    "known defect: real_roots reports a tangency, a double root where p "
+    "keeps its sign, twice or not at all"))
+def test_real_roots_counts_a_tangency_once():
+    # (x-2)^2 (x+1) has two distinct real roots, -1 and the double root 2
+    p = oracles.from_roots([2.0, 2.0, -1.0])
+    assert len(_starts(p, -3.0, 5.0)) == 2
+
+
 def test_real_roots_polish_hits_tight_residual():
     # the starts are companion eigenvalues; on well-separated roots they
     # already meet a tight residual, so the polish starts at a root

@@ -14,11 +14,11 @@ from twomode import stability
 from twomode.errors import ClassificationError
 from twomode.params import DrivePoint, preset_hill_params, replace_params
 from twomode.polyroots import all_roots_rows
-from twomode.stability import (_ordering_diagnostics, branch_eigenvalues,
-                               branch_state, classify_branches,
-                               classify_stability, jacobian, ordering_rule,
-                               solve_and_classify)
-from twomode.steady import SolverOptions, Verdict, steady_branches
+from twomode.stability import (Diagnostic, branch_eigenvalues, branch_state,
+                               classify_branches, classify_stability,
+                               jacobian, solve_and_classify)
+from twomode.steady import (SolverOptions, Verdict, residual_derivative,
+                            steady_branches)
 
 from test_steady import FIVE_ROOT_DRIVE, _drive
 
@@ -118,55 +118,47 @@ def test_weak_drive_sideband_cooling(preset, options):
     assert -oracles.kappa_max(preset) <= b.max_re_eig < -100.0 * preset.gamma_m
 
 
-def test_self_oscillation_flagged_against_ordering_rule(preset, options):
+def test_self_oscillation_counted(preset, options):
     # stronger drive at the same detunings lands past the mechanical
-    # lasing threshold: a single branch, but anti-damped; the folk rule
-    # calls any single branch stable so a diagnostic is reported
+    # lasing threshold: a single branch with df/dq > 0, so not a saddle,
+    # but anti-damped; the point reports one self-oscillating branch
     d = _drive(preset, delta1=preset.omega_m, delta2=preset.omega_m,
                power_l=1e-9, power_r=1e-9)
     classified, diags = solve_and_classify(preset, d, options)
     assert len(classified) == 1
     assert classified[0].verdict is Verdict.UNSTABLE
     assert classified[0].max_re_eig > 0.0
-    assert len(diags) == 1
-    assert diags[0].kind == "ordering_rule"
-    assert diags[0].values == (d.delta1, d.delta2, d.power_l, d.power_r,
-                               (Verdict.UNSTABLE,))
-    assert str(diags[0]) == (
-        "ordering-rule disagreement at drive "
-        f"(delta1={d.delta1!r}, delta2={d.delta2!r}, power_l=1e-09, "
-        "power_r=1e-09): eigenvalues say ('UNSTABLE',), rule says "
-        "('STABLE',)")
-
-
-def test_ordering_rule_shape():
-    s, u = Verdict.STABLE, Verdict.UNSTABLE
-    assert ordering_rule(1) == (s,)
-    assert ordering_rule(3) == (s, u, s)
-    assert ordering_rule(5) == (s, u, s, u, s)
+    assert residual_derivative(classified[0].q_s, preset, d) > 0.0
+    assert diags == (Diagnostic("self_oscillation", (1, 1)),)
+    assert str(diags[0]) == ("self-oscillation: 1 unstable branches with "
+                             "df/dq > 0 over 1 drive points")
 
 
 def test_five_root_verdicts_frozen(preset, options):
-    # the eigenvalues overrule the alternation rule on the deep branches
+    # the slopes alternate node, saddle, node, saddle, node; the deep
+    # nodes are anti-damped, so they count as self-oscillating
     d = _drive(preset, **FIVE_ROOT_DRIVE)
     classified, diags = solve_and_classify(preset, d, options)
     names = tuple(b.verdict.name[0] for b in classified)
     assert names == ("S", "U", "U", "U", "U")
-    assert len(diags) == 1
+    assert [residual_derivative(b.q_s, preset, d) > 0.0
+            for b in classified] == [True, False, True, False, True]
+    assert diags == (Diagnostic("self_oscillation", (2, 1)),)
     heavy = replace_params(preset, q_m=5.0)
     d5 = _drive(heavy, **FIVE_ROOT_DRIVE)
     classified, diags = solve_and_classify(heavy, d5, options)
     names = tuple(b.verdict.name[0] for b in classified)
     assert names == ("S", "U", "U", "U", "S")
-    assert len(diags) == 1
+    assert diags == (Diagnostic("self_oscillation", (1, 1)),)
 
 
 def test_quasistatic_three_roots_alternate(options, rng):
+    s, u = Verdict.STABLE, Verdict.UNSTABLE
     for _ in range(4):
         params, point, branches, diags = sampling.draw_three_root_point(
             rng, options)
         assert diags == ()
-        assert tuple(b.verdict for b in branches) == ordering_rule(3)
+        assert tuple(b.verdict for b in branches) == (s, u, s)
 
 
 def test_marginal_band_classification(preset):
@@ -195,12 +187,20 @@ def test_classify_preserves_branch_fields(preset, options):
 
 
 def _scalar_classified(branches, params, drive, options):
-    """classify_branches through the oracle's per-branch route."""
+    """classify_branches through the oracle's per-branch route, with the
+    notes the saddle rule gives on the sign of each branch's det J."""
     classified = tuple(oracles.classify_branch(b, params, drive, options)
                        for b in branches)
-    return classified, _ordering_diagnostics(
-        tuple(b.verdict for b in classified), drive.delta1, drive.delta2,
-        drive.power_l, drive.power_r)
+    dets = [oracles.characteristic_closed_form(b, params, drive,
+                                               options.sign)[0]
+            for b in branches]
+    saddles = tuple(Diagnostic("saddle_rule", (drive, b.q_s))
+                    for b, det in zip(classified, dets)
+                    if det < 0.0 and b.verdict is Verdict.STABLE)
+    count = sum(det > 0.0 and b.verdict is Verdict.UNSTABLE
+                for b, det in zip(classified, dets))
+    return classified, saddles + (
+        (Diagnostic("self_oscillation", (count, 1)),) if count else ())
 
 
 def _classify_cases():
@@ -262,6 +262,84 @@ def test_characteristic_rows_match_closed_form():
                 assert (np.max(np.abs(row - want))
                         <= 1e-7 * np.max(np.abs(want))), (drive, sign, b.q_s)
     assert {1, 3, 5} <= counts
+
+
+def _positive_factor_draws():
+    """(params, drive) of seeded preset, mild-Q and five-root draws."""
+    rng = random.Random(0x5ADD1E)
+    preset = preset_hill_params()
+    draws = [(preset, sampling.draw_drive(rng, preset)) for _ in range(20)]
+    for _ in range(20):
+        mild = sampling.draw_mild_system(rng)
+        draws.append((mild, sampling.draw_drive(rng, mild)))
+    draws += [sampling.draw_five_root_point(rng, SolverOptions())
+              for _ in range(5)]
+    return draws
+
+
+def _lorentzians_times_slope(branch, params, drive, sign):
+    """(L1 L2 df/dq, the size of det J's largest terms) at a branch, with
+    Lk = (kappa_k^2 + Dk^2) / omega_m^2 and Dk its effective detuning."""
+    om = params.omega_m
+    (l1, f1), (l2, f2) = (
+        ((kappa / om) ** 2 + (d / om) ** 2,
+         4.0 * (g / om) ** 2 * n * abs(d / om))
+        for kappa, g, n, d in (
+            (params.kappa1, params.g1, branch.n_p1, branch.delta1_eff),
+            (params.kappa2, params.g2, branch.n_p2, branch.delta2_eff)))
+    slope = residual_derivative(branch.q_s, params, drive, sign)
+    return l1 * l2 * slope, l1 * l2 + f1 * l2 + f2 * l1
+
+
+def test_determinant_is_lorentzians_times_slope():
+    # det J = D(0) = L1 L2 df/dq with L1 L2 > 0, the saddle rule's ground:
+    # the closed form at lam = 0 and the determinant of the package's
+    # scaled Jacobian, each to 1e-12 of its largest term; no classified
+    # branch breaks the rule
+    seen = set()
+    for params, drive in _positive_factor_draws():
+        for sign in (1, -1):
+            options = SolverOptions(sign=sign)
+            raw = steady_branches(params, drive, options)
+            _, diags = classify_branches(raw, params, drive, options)
+            assert all(d.kind != "saddle_rule" for d in diags)
+            dets = np.linalg.det(stability._scaled_jacobians(
+                np.array([branch_state(b) for b in raw]), params,
+                drive.delta1, drive.delta2, sign))
+            for b, det in zip(raw, dets.tolist()):
+                want, scale = _lorentzians_times_slope(b, params, drive, sign)
+                closed = oracles.characteristic_closed_form(b, params, drive,
+                                                            sign)[0]
+                assert abs(closed - want) <= 1e-12 * scale, (drive, sign, b)
+                assert abs(det - want) <= 1e-12 * scale, (drive, sign, b)
+                seen.add((sign, want > 0.0))
+    assert seen == {(1, True), (1, False), (-1, True), (-1, False)}
+
+
+@pytest.mark.parametrize("route", ["point", "grid"])
+def test_saddle_classed_stable_is_named(monkeypatch, route):
+    # a classifier defect that calls every branch STABLE: only the middle
+    # branch of a three-branch point has df/dq < 0, so the saddle rule
+    # names it, with its drive point, and no other
+    options = SolverOptions()
+    params, drive, _, _ = sampling.draw_three_root_point(random.Random(11),
+                                                         options)
+    monkeypatch.setattr(stability, "_verdicts", lambda max_re, *_: (
+        [Verdict.STABLE] * len(max_re)))
+    if route == "point":
+        branches, diags = solve_and_classify(params, drive, options)
+    else:
+        ((branches, diags),) = stability.solve_and_classify_grid(
+            params, drive, "power_l", [drive.power_l], options)
+    middle = branches[1]
+    assert [residual_derivative(b.q_s, params, drive) > 0.0
+            for b in branches] == [True, False, True]
+    assert diags == (Diagnostic("saddle_rule", (drive, middle.q_s)),)
+    assert str(diags[0]) == (
+        f"saddle-rule defect at drive (delta1={drive.delta1!r}, "
+        f"delta2={drive.delta2!r}, power_l={drive.power_l!r}, "
+        f"power_r={drive.power_r!r}): branch q_s={middle.q_s!r} has "
+        "df/dq < 0 but is classed STABLE")
 
 
 def _reject_rows(monkeypatch, rejected):
@@ -396,7 +474,8 @@ def test_integrator_relaxes_to_stable_branch(preset, options):
                delta2=heavy.omega_m, power_l=2e-12, power_r=0.0)
     classified, diags = solve_and_classify(heavy, d, options)
     assert diags == ()
-    assert tuple(b.verdict for b in classified) == ordering_rule(3)
+    assert tuple(b.verdict for b in classified) == (
+        Verdict.STABLE, Verdict.UNSTABLE, Verdict.STABLE)
     b = classified[0]
     y = branch_state(b)
     kicked = y.copy()

@@ -18,9 +18,9 @@ from twomode import continuation, polyroots, stability, steady
 from twomode.continuation import SweepSpec, _solve_grid, axis_grid, sweep_1d
 from twomode.errors import ParameterError, PolynomialError, SweepError
 from twomode.params import DrivePoint, preset_hill_params, replace_params
-from twomode.stability import solve_and_classify
-from twomode.steady import (SolverOptions, q_upper_bound, steady_branches,
-                            steady_q_grid)
+from twomode.stability import Diagnostic, solve_and_classify
+from twomode.steady import (SolverOptions, Verdict, q_upper_bound,
+                            steady_branches, steady_q_grid)
 
 # The fig2b drive under --sign minus --kappa2 literal, and the bisection
 # midpoint of its fold scan where the scalar solve used to breach a
@@ -249,17 +249,37 @@ def test_sweep_records_cover_multi_root_rows(regime, branches):
     assert branches in [len(b) for _, b, _ in got]
 
 
-def test_sweep_records_carry_ordering_diagnostics():
-    # Blue-detuned readout driven hard enough to anti-damp the mechanics:
-    # the eigenvalue verdicts depart from the ordering rule.
-    params = preset_hill_params()
-    drive = DrivePoint.build(params, delta1=params.omega_m,
-                             delta2=-params.omega_m, power_l=2e-6,
-                             power_r=1e-7)
-    spec = SweepSpec(axis="delta1", start=0.0, stop=2.0 * params.omega_m,
-                     drive=drive, points=40)
-    got = _assert_sweep_matches_pointwise(params, spec, SolverOptions(sign=-1))
-    assert any(diags for _, _, diags in got)
+@pytest.mark.parametrize("case", ["blue", "five"])
+def test_sweep_self_oscillation_counts(case):
+    # each sample counts its UNSTABLE branches with df/dq > 0, read here
+    # from the sign of the closed-form det J, in grid and pointwise
+    # records alike; the sweep merges the counts into one record
+    if case == "blue":
+        # blue-detuned readout driven hard enough to anti-damp the mechanics
+        params = preset_hill_params()
+        drive = DrivePoint.build(params, delta1=params.omega_m,
+                                 delta2=-params.omega_m, power_l=2e-6,
+                                 power_r=1e-7)
+        spec = SweepSpec(axis="delta1", start=0.0,
+                         stop=2.0 * params.omega_m, drive=drive, points=40)
+        options = SolverOptions(sign=-1)
+    else:
+        params, spec, options = _sweep_case("five", 7)
+    counts = []
+    for v, branches, diags in _assert_sweep_matches_pointwise(params, spec,
+                                                              options):
+        point = spec.drive.with_value(params, spec.axis, v)
+        count = sum(b.verdict is Verdict.UNSTABLE
+                    and oracles.characteristic_closed_form(
+                        b, params, point, options.sign)[0] > 0.0
+                    for b in branches)
+        assert diags == ((Diagnostic("self_oscillation", (count, 1)),)
+                         if count else ())
+        counts.append(count)
+    assert sum(counts) > 0
+    assert sweep_1d(params, spec, options).diagnostics == (
+        Diagnostic("self_oscillation",
+                   (sum(counts), sum(c > 0 for c in counts))),)
 
 
 def test_sweep_records_where_pow_and_product_round_apart():
