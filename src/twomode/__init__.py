@@ -17,13 +17,11 @@ from .figures import FIGURE_PRESETS, power_window, run_preset
 from .params import (HBAR, DrivePoint, SystemParams, drive_amplitude,
                      preset_hill_params, replace_params, to_angular)
 from .polyroots import RealPolynomial, real_roots
-from .stability import (Diagnostic, branch_eigenvalues, branch_state,
-                        classify_branches, classify_stability, jacobian,
+from .stability import (Diagnostic, branch_state, classify_branches,
                         solve_and_classify)
-from .steady import (ScaledPolynomial, SolverOptions, SteadyBranch, Verdict,
-                     assemble_fixed_point_polynomial, effective_detunings,
-                     photon_numbers_from_q, q_upper_bound, steady_amplitudes,
-                     steady_branches, steady_q_grid, steady_residual)
+from .steady import (SolverOptions, SteadyBranch, Verdict, effective_detunings,
+                     photon_numbers_from_q, q_upper_bound, steady_branches,
+                     steady_residual)
 from .studies import (FoldStudyReport, SubUnityReport, fold_power_study,
                       subunity_search)
 
@@ -37,14 +35,10 @@ __all__ = [
     "to_angular", "drive_amplitude", "SystemParams", "DrivePoint",
     "preset_hill_params", "replace_params",
     "RealPolynomial", "real_roots",
-    "Verdict", "SolverOptions", "SteadyBranch", "ScaledPolynomial",
-    "assemble_fixed_point_polynomial", "steady_branches", "steady_q_grid",
-    "steady_residual",
-    "steady_amplitudes", "photon_numbers_from_q", "effective_detunings",
+    "Verdict", "SolverOptions", "SteadyBranch", "steady_branches",
+    "steady_residual", "photon_numbers_from_q", "effective_detunings",
     "q_upper_bound",
-    "branch_state", "jacobian",
-    "branch_eigenvalues", "classify_stability", "classify_branches",
-    "solve_and_classify", "Diagnostic",
+    "branch_state", "classify_branches", "solve_and_classify", "Diagnostic",
     "SweepSpec", "Trace", "HysteresisResult", "SweepResult", "axis_grid",
     "sweep_1d", "hysteresis_sweep", "clamped_hysteresis_sweep",
     "locate_folds",

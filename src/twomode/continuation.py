@@ -176,7 +176,7 @@ def _power_split(params, zero, unit, axis, sign, q_scale):
     a is the polynomial at ``zero`` (axis power 0) and b = s_k c_k L_j from
     :func:`steady._mode_terms` at ``unit`` (1 W), with L_j = 1 when g_j = 0.
     """
-    a = _assemble(params, zero, sign, q_scale).poly.coeffs
+    a = _assemble(params, zero, sign, q_scale).coeffs
     modes = _mode_terms(params, unit, sign, q_scale)
     (_, force), other = modes if axis == "power_l" else modes[::-1]
     return a, [force * c for c in other[0]] if other else [force]

@@ -19,9 +19,10 @@ Power windows for hysteresis presets are found adaptively: the exact pump
 power folds in [1e-14, 1] W (:func:`locate_folds` over 512 samples, each
 fold on its 1e-9 bisection lattice) bound the bistable window, which is
 padded outward by a factor of 5 on each side.  When the chosen
-conventions give no fold at any reachable power (which happens for the
-default sign and amplitude conventions) a fixed micro-watt window is used
-and the ramps simply show no jump.
+conventions give no fold in the bracket (fig2b, fig4a and fig4b under the
+default flags) the fixed window [1e-8, 1e-4] W is used; under the default
+flags its first sample already has no stable branch, so the ramp stops
+there with the note "no quasi-static ramp fits".
 """
 
 from __future__ import annotations

@@ -67,17 +67,6 @@ def _horner(coeffs, x):
     return acc
 
 
-def _residual_scale(coeffs, r) -> float:
-    """max_i |c_i| * |r|**i, the natural size of the polynomial near r."""
-    m, best, power = abs(r), 0.0, 1.0
-    for c in coeffs:
-        term = abs(c) * power
-        if term > best:
-            best = term
-        power *= m
-    return best
-
-
 @dataclass(frozen=True)
 class RealPolynomial:
     """Polynomial with real coefficients, ascending order, trimmed; the
@@ -97,14 +86,6 @@ class RealPolynomial:
     def __call__(self, x):
         """Horner evaluation; accepts scalars or arrays, real or complex."""
         return _horner(self.coeffs, x)
-
-    def derivative(self) -> "RealPolynomial":
-        der = tuple(i * c for i, c in enumerate(self.coeffs) if i > 0)
-        return RealPolynomial(coeffs=der or (0.0,))
-
-    def residual_scale(self, r) -> float:
-        """max_i |c_i| * |r|**i, the natural size of p near r."""
-        return _residual_scale(self.coeffs, r)
 
 
 def companion_roots(coeffs) -> np.ndarray:
@@ -194,10 +175,11 @@ def mul_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def _scale_rows(coeffs, x):
-    """:func:`_residual_scale` of each row at the entries of x.
+    """max_i |c_i| * |x|**i, the natural size of each row's polynomial
+    near each entry of x.
 
-    The powers of |x| are the scalar form's running product, one slab of
-    a (k, n, m) stack per step, so the stack is scaled and reduced once.
+    The powers of |x| are a running product, one slab of a (k, n, m)
+    stack per step, so the stack is scaled and reduced once.
     """
     power = np.empty((coeffs.shape[1],) + x.shape)
     power[0] = 1.0

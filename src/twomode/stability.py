@@ -5,9 +5,8 @@ first-order system is built in omega_m-scaled units, its characteristic
 polynomial is produced by the Faddeev-LeVerrier recurrence, and the
 eigenvalues come from one stacked companion eigenvalue call with a
 residual audit.  One stacked kernel classifies every branch: all
-branches of a point in :func:`classify_branches`, of a sweep grid in
-:func:`solve_and_classify_grid`, and a single branch in
-:func:`classify_stability`.  A row its root audit rejects takes the
+branches of a point in :func:`classify_branches`, and of a sweep grid
+in :func:`solve_and_classify_grid`.  A row its root audit rejects takes the
 eigenvalues of its own scaled Jacobian instead, from one more stacked
 ``np.linalg.eigvals`` call.  A branch is Stable when every eigenvalue
 real part sits below ``-eps``, Unstable when one exceeds ``+eps``,
@@ -60,29 +59,16 @@ def branch_state(branch: SteadyBranch) -> np.ndarray:
                      branch.q_s, 0.0])
 
 
-def jacobian(state, params: SystemParams, drive: DrivePoint,
-             sign: int = 1) -> np.ndarray:
-    """Analytic Jacobian of the real first-order mean-field system at
-    ``state`` (layout of :func:`branch_state`, P = dQ/dt) [rad/s].
-
-    It is omega_m D J D^-1, with J the omega_m-scaled Jacobian and
-    D = diag(1, 1, 1, 1, 1, omega_m) the scale of P.
-    """
-    om = params.omega_m
-    d = np.array([1.0, 1.0, 1.0, 1.0, 1.0, om])
-    jac = _scaled_jacobians(np.asarray(state, dtype=float)[None], params,
-                            drive.delta1, drive.delta2, sign)[0]
-    return om * d[:, None] * jac / d
-
-
 def _scaled_jacobians(states: np.ndarray, params: SystemParams, delta1,
                       delta2, sign: int) -> np.ndarray:
     """Jacobian in units of omega_m, with P likewise scaled, at each row of
     ``states`` (n, 5 or 6), as (n, 6, 6); the detunings are floats or (n,)
     arrays.
 
-    The matrix is similar to jacobian()/omega_m, so its eigenvalues are
-    exactly omega_m-scaled.
+    The rad/s Jacobian of the mean-field system, in the layout of
+    :func:`branch_state` (P = dQ/dt), is omega_m D J D^-1 with J this
+    matrix and D = diag(1, 1, 1, 1, 1, omega_m), so J's eigenvalues are
+    exactly its own over omega_m.
     """
     om = params.omega_m
     k1, k2 = params.kappa1 / om, params.kappa2 / om
@@ -149,24 +135,6 @@ def _max_re_rows(states, params: SystemParams, delta1, delta2,
     :func:`_eigenvalue_rows`."""
     roots = _eigenvalue_rows(states, params, delta1, delta2, sign)
     return (roots.real * params.omega_m).max(axis=1)
-
-
-def branch_eigenvalues(branch: SteadyBranch, params: SystemParams,
-                       drive: DrivePoint, sign: int = 1) -> np.ndarray:
-    """All six linearization eigenvalues at a branch [rad/s], sorted by
-    real then imaginary part."""
-    (lam,) = _eigenvalue_rows(branch_state(branch)[None], params,
-                              drive.delta1, drive.delta2, sign).tolist()
-    lam.sort(key=lambda z: (z.real, z.imag))
-    return np.asarray(lam, dtype=complex) * params.omega_m
-
-
-def classify_stability(branch: SteadyBranch, params: SystemParams,
-                       drive: DrivePoint,
-                       options: SolverOptions = SolverOptions()) -> SteadyBranch:
-    """Return the branch with its eigenvalue verdict and max Re(eig) filled."""
-    (classified,), _ = classify_branches((branch,), params, drive, options)
-    return classified
 
 
 def _verdicts(max_re: list, params: SystemParams,
@@ -303,7 +271,7 @@ def _classify_block(params, drive, axis, values, options):
         np.broadcast_to(getattr(columns, name), q[:, :1].shape).ravel()[rows]
         for name in ("delta1", "delta2", "amp_l", "amp_r"))
     q_s = q[rows, cols].tolist()
-    # steady_amplitudes per branch, from floats: Python divides complex
+    # steady._amplitudes per branch, from floats: Python divides complex
     # numbers as the scalar call does, numpy rounds quotients differently.
     root1, root2 = math.sqrt(params.kappa_e1), math.sqrt(params.kappa_e2)
     amp1 = [root1 * a / (params.kappa1 + 1j * (d - params.g1 * qv))

@@ -40,8 +40,8 @@ from .polyroots import (RealPolynomial, mul_coeffs, mul_rows, real_roots,
                         real_roots_rows, trim_rows)
 
 _POLISH_MAX_ITER = 12
-# Rows per block of steady_q_grid and solve_and_classify_grid: a default
-# 400-point sweep is one block, and its temporaries stay near 0.6 MB.
+# Rows per block of solve_and_classify_grid: a default 400-point sweep is
+# one block, and its temporaries stay near 0.6 MB.
 _GRID_BLOCK = 512
 _MAX_BRANCHES = 5
 
@@ -86,14 +86,6 @@ class SteadyBranch:
     max_re_eig: float = math.nan
 
 
-@dataclass(frozen=True)
-class ScaledPolynomial:
-    """Fixed-point polynomial in x = q / q_scale."""
-
-    poly: RealPolynomial
-    q_scale: float
-
-
 def effective_detunings(q, params: SystemParams, drive: DrivePoint):
     """Mechanically shifted detunings (delta_k - g_k q); q may be an array."""
     return drive.delta1 - params.g1 * q, drive.delta2 - params.g2 * q
@@ -107,11 +99,6 @@ def photon_numbers_from_q(q, params: SystemParams, drive: DrivePoint):
     n2 = (params.kappa_e2 * (drive.amp_r * drive.amp_r)
           / (params.kappa2**2 + d2 * d2))
     return n1, n2, d1, d2
-
-
-def steady_amplitudes(q, params: SystemParams, drive: DrivePoint):
-    """Complex mode amplitudes at displacement q."""
-    return _amplitudes(*effective_detunings(q, params, drive), params, drive)
 
 
 def _amplitudes(d1, d2, params: SystemParams, drive: DrivePoint):
@@ -210,7 +197,10 @@ def _mode_terms(params: SystemParams, drive: DrivePoint, sign: int,
 
 
 def _assemble(params: SystemParams, drive: DrivePoint, sign: int,
-              q_scale: float) -> ScaledPolynomial:
+              q_scale: float) -> RealPolynomial:
+    """The fixed-point polynomial in x = q / q_scale, see :func:`_mode_terms`:
+    its real zeros times ``q_scale`` are the zeros of :func:`steady_residual`,
+    and its degree is 1 + 2 * (number of modes with g_k != 0)."""
     modes = list(filter(None, _mode_terms(params, drive, sign, q_scale)))
     coeffs = [0.0, 1.0]
     for lorentz, _ in modes:
@@ -222,24 +212,7 @@ def _assemble(params: SystemParams, drive: DrivePoint, sign: int,
                 term = mul_coeffs(term, lorentz)
         for i, c in enumerate(term):
             coeffs[i] -= signed_c * c
-    return ScaledPolynomial(poly=RealPolynomial.from_coeffs(coeffs), q_scale=q_scale)
-
-
-def assemble_fixed_point_polynomial(params: SystemParams, drive: DrivePoint,
-                                    sign: int = 1) -> ScaledPolynomial:
-    """Clear the fixed-point condition to a polynomial in x = q / q_scale.
-
-    The real zeros of the result, rescaled by ``q_scale``, are exactly the
-    zeros of :func:`steady_residual`.  Degree is ``1 + 2 * (number of
-    modes with g_k != 0)``; with both couplings active the leading
-    coefficient is ``(g1 g2 q_scale^2 / omega_m^2)^2 > 0``.
-
-    ``q_scale = max(q_upper_bound, 1)``.  At strong drive this is loose
-    (the roots sit many decades below it); the branch solver then works on
-    a tighter internal rescale, but this public form is the reference.
-    """
-    q_scale = max(q_upper_bound(params, drive), 1.0)
-    return _assemble(params, drive, sign, q_scale)
+    return RealPolynomial.from_coeffs(coeffs)
 
 
 def _polish_root(q: float, lo: float, hi: float, params, drive, sign) -> float:
@@ -295,13 +268,13 @@ def steady_branches(params: SystemParams, drive: DrivePoint,
     if qb == 0.0:
         return (_branch_at(0.0, params, drive),)
     q_scale = max(qb, 1.0)
-    scaled = _assemble(params, drive, options.sign, q_scale)
+    poly = _assemble(params, drive, options.sign, q_scale)
     lo = -1.05 * qb if options.sign < 0 else 0.0
     hi = 1.05 * qb
     return tuple(
         _branch_at(_polish_root(x * q_scale, a * q_scale, b * q_scale,
                                 params, drive, options.sign), params, drive)
-        for x, a, b in real_roots(scaled.poly, lo / q_scale, hi / q_scale))
+        for x, a, b in real_roots(poly, lo / q_scale, hi / q_scale))
 
 
 # Grid solver: steady_branches over many drives at once.  Every helper
@@ -385,12 +358,19 @@ def _polish_rows(q, lo, hi, params, drive, sign):
 
 
 def _solve_rows(params, drive, axis, values, options, out):
-    """Write the steady_q_grid rows of ``values`` into ``out``; a row
-    :func:`real_roots_rows` or the masks before it leave out is solved by
-    :func:`steady_branches`.
+    """Write into row i of ``out`` (n, 5) the q_s of every branch at
+    ``drive.with_value(params, axis, values[i])``, ascending, as
+    :func:`steady_branches` gives them.
 
-    Returns None, or ``(i, exc)`` for the first row whose scalar solve
-    raises; rows after it are not solved, since every caller raises it.
+    Rows are solved together: one stacked companion eigenvalue call per
+    polynomial degree, then the sign-change rule of :func:`real_roots` and
+    the Newton polish on the residual as masked array steps.  A row that
+    needs a path only the scalar solver has (no coupled mode driven,
+    non-finite coefficient, zero root, failed eigenvalue iteration, no
+    eigenvalue position inside the root bounds, or a sign change beside a
+    complex position) is solved by :func:`steady_branches`.  Returns None,
+    or ``(i, exc)`` for the first row whose scalar solve raises; rows
+    after it are not solved, since every caller raises it.
     """
     columns, ok = drive.with_values(params, axis, values[:, None])
     sign = options.sign
@@ -425,30 +405,3 @@ def _solve_rows(params, drive, axis, values, options, out):
             return i, exc
         out[i, :len(qs)] = qs
     return None
-
-
-def steady_q_grid(params: SystemParams, drive: DrivePoint, axis: str,
-                  values, options: SolverOptions = SolverOptions()) -> np.ndarray:
-    """q_s of every branch at ``drive.with_value(params, axis, v)`` for each v.
-
-    Row i holds what ``steady_branches`` gives at ``values[i]``: the q_s of
-    each branch, ascending, NaN-padded to 5 columns.  Rows are solved
-    together, block by block: one stacked companion eigenvalue call per
-    polynomial degree, then the sign-change rule of :func:`real_roots` and
-    the Newton polish on the residual as masked array steps.  A row that
-    needs a path only the scalar solver has (no coupled mode driven,
-    non-finite coefficient, zero root, failed eigenvalue iteration, no
-    eigenvalue position inside the root bounds, or a sign change beside a
-    complex position) is solved by :func:`steady_branches` in
-    :func:`_solve_rows`; the first that raises
-    stops the grid with that error.
-    """
-    values = np.asarray(values, dtype=float)
-    out = np.full((len(values), _MAX_BRANCHES), np.nan)
-    for start in range(0, len(values), _GRID_BLOCK):
-        block = slice(start, start + _GRID_BLOCK)
-        failed = _solve_rows(params, drive, axis, values[block], options,
-                             out[block])
-        if failed is not None:
-            raise failed[1]
-    return out

@@ -11,7 +11,9 @@ the exact fold bisection: each is the scalar-solve route it replaced; and
 2-cycle, which runs the same loop to its iteration cap; and
 :func:`classify_branch`, the reference for the stacked classify kernel,
 which is the per-branch route it replaced: one branch's Jacobian through
-the Faddeev-LeVerrier recurrence, then ``np.roots``.
+the Faddeev-LeVerrier recurrence, then ``np.roots``.  :func:`jacobian` and
+:func:`q_grid` are adapters, not references: the package's own Jacobian
+in rad/s and its batched steady-state rows, in the form tests compare.
 
 Branch counts are exact: :func:`sturm_count` counts the distinct real
 roots of :func:`fixed_point_quintic`, whose inputs are read exactly, in
@@ -36,8 +38,9 @@ from twomode.errors import PolynomialError
 from twomode.polyroots import RealPolynomial
 from twomode.stability import (_characteristic_rows, _scaled_jacobians,
                                branch_state)
-from twomode.steady import (_POLISH_MAX_ITER, Verdict, residual_derivative,
-                            steady_branches, steady_residual)
+from twomode.steady import (_POLISH_MAX_ITER, Verdict, _solve_rows,
+                            residual_derivative, steady_branches,
+                            steady_residual)
 
 
 def from_roots(roots, leading=1.0):
@@ -49,6 +52,11 @@ def from_roots(roots, leading=1.0):
     if np.max(np.abs(coeffs.imag)) > 1e-9 * max(np.max(np.abs(coeffs.real)), 1.0):
         raise PolynomialError("roots do not produce a real polynomial")
     return RealPolynomial.from_coeffs(coeffs.real.tolist())
+
+
+def residual_scale(coeffs, r):
+    """max_i |c_i| * |r|**i, the natural size of a polynomial near r."""
+    return max(abs(c) * abs(r) ** i for i, c in enumerate(coeffs))
 
 
 def kappa_max(params):
@@ -225,6 +233,28 @@ def polish_root_full(q, lo, hi, params, drive, sign, trail=None):
         if abs(step) <= 1e-16 * (1.0 + abs(x)):
             break
     return best
+
+
+def jacobian(state, params, drive, sign=1):
+    """The package's analytic Jacobian at ``state`` (layout of
+    ``branch_state``, P = dQ/dt) in rad/s: ``_scaled_jacobians`` times
+    omega_m, with P's row and column taken out of omega_m units."""
+    d = np.array([1.0, 1.0, 1.0, 1.0, 1.0, params.omega_m])
+    jac = _scaled_jacobians(np.asarray(state, dtype=float)[None], params,
+                            drive.delta1, drive.delta2, sign)[0]
+    return params.omega_m * d[:, None] * jac / d
+
+
+def q_grid(params, drive, axis, values, options):
+    """``steady._solve_rows`` over all ``values`` at once: row i holds the
+    q_s of each branch at ``values[i]``, NaN-padded to 5 columns.  The
+    first failing row's error is raised."""
+    values = np.asarray(values, dtype=float)
+    out = np.full((len(values), 5), np.nan)
+    failed = _solve_rows(params, drive, axis, values, options, out)
+    if failed is not None:
+        raise failed[1]
+    return out
 
 
 def characteristic_coefficients(branch, params, drive, sign=1):

@@ -27,7 +27,7 @@ from twomode.continuation import (SweepSpec, _folds, hysteresis_sweep,
                                   locate_folds, sweep_1d)
 from twomode.params import (POWER_AXES, DrivePoint, preset_hill_params,
                             replace_params)
-from twomode.stability import branch_state, jacobian, solve_and_classify
+from twomode.stability import branch_state, solve_and_classify
 from twomode.steady import SolverOptions, Verdict, steady_branches
 from twomode.studies import fold_power_study, subunity_search
 
@@ -278,7 +278,8 @@ def test_ac2_branch_structure_and_ode_verdicts(oracle_batch, options):
                 worst_return = max(worst_return, err)
                 assert err < 1e-4, (point, b.q_s, err)
         mid = branches[1]
-        evals, evecs = np.linalg.eig(jacobian(branch_state(mid), params, point))
+        evals, evecs = np.linalg.eig(
+            oracles.jacobian(branch_state(mid), params, point))
         lead = int(np.argmax(evals.real))
         v = np.real(evecs[:, lead])
         v = v / np.max(np.abs(v) / _state_scale(mid, params))

@@ -24,8 +24,7 @@ from twomode.io import summarize
 from twomode.params import (POWER_AXES, DrivePoint, preset_hill_params,
                             replace_params)
 from twomode.stability import Diagnostic, solve_and_classify
-from twomode.steady import (SolverOptions, Verdict, steady_branches,
-                            steady_q_grid)
+from twomode.steady import SolverOptions, Verdict, steady_branches
 
 from test_steady import _drive
 
@@ -488,7 +487,7 @@ def test_power_split_is_affine_in_the_axis_power(monkeypatch):
         for power in (sampling.log_uniform(rng, *sampling.POWER_RANGE)
                       for _ in range(3)):
             got = steady._assemble(params, drive.with_value(params, axis, power),
-                                   options.sign, q_scale).poly.coeffs
+                                   options.sign, q_scale).coeffs
             want = [ai - power * bi for ai, bi in
                     itertools.zip_longest(a, b, fillvalue=0.0)]
             top = max(map(abs, [*a, *(power * bi for bi in b)]))
@@ -506,7 +505,7 @@ def _refuse_solves(monkeypatch):
         raise AssertionError("a steady state was solved")
 
     for module in (steady, stability, continuation):
-        for name in ("steady_branches", "steady_q_grid"):
+        for name in ("steady_branches", "_solve_rows"):
             if hasattr(module, name):
                 monkeypatch.setattr(module, name, refuse)
 
@@ -599,7 +598,7 @@ def test_detuning_fold_lists_match_the_grid_counts():
     for params, drive, axis, lo, hi, options in windows:
         values = axis_grid(SweepSpec(axis=axis, start=lo, stop=hi,
                                      drive=drive, points=1024))
-        q_s = steady_q_grid(params, drive, axis, values, options)
+        q_s = oracles.q_grid(params, drive, axis, values, options)
         counts = np.count_nonzero(~np.isnan(q_s), axis=1)
         folds = _folds(params, drive, axis, lo, hi, options)
         at = np.array([v for v, _, _ in folds], dtype=float)

@@ -13,12 +13,10 @@ import sampling
 from twomode import steady
 from twomode.errors import ParameterError, PolynomialError
 from twomode.params import DrivePoint, preset_hill_params, replace_params
-from twomode.steady import (_POLISH_MAX_ITER, SolverOptions,
-                            assemble_fixed_point_polynomial,
+from twomode.steady import (_POLISH_MAX_ITER, SolverOptions, _amplitudes,
                             effective_detunings, photon_numbers_from_q,
                             q_upper_bound, residual_derivative,
-                            steady_amplitudes, steady_branches,
-                            steady_q_grid, steady_residual)
+                            steady_branches, steady_residual)
 
 from test_steady_grid import REGIMES, _case
 
@@ -79,7 +77,7 @@ def test_photon_numbers_match_amplitudes(preset, rng):
     for _ in range(50):
         q = rng.uniform(-1e5, 1e5)
         n1, n2, d1, d2 = photon_numbers_from_q(q, preset, d)
-        a1, a2 = steady_amplitudes(q, preset, d)
+        a1, a2 = _amplitudes(*effective_detunings(q, preset, d), preset, d)
         assert n1 == pytest.approx(abs(a1) ** 2, rel=1e-10)
         assert n2 == pytest.approx(abs(a2) ** 2, rel=1e-10)
 
@@ -132,13 +130,18 @@ def test_q_upper_bound_dominates_force(preset, rng):
         assert steady_residual(1.0001 * qb + 1.0, preset, d) > 0.0
 
 
+def _peak_poly(params, drive):
+    """The fixed-point polynomial on the peak bound's scale, and the scale."""
+    q_scale = max(q_upper_bound(params, drive), 1.0)
+    return steady._assemble(params, drive, 1, q_scale), q_scale
+
+
 def test_polynomial_assembly_degree_and_lead(preset):
     d = _drive(preset, **FIVE_ROOT_DRIVE)
-    sp = assemble_fixed_point_polynomial(preset, d)
-    assert sp.poly.degree == 5
-    assert sp.q_scale == max(q_upper_bound(preset, d), 1.0)
-    lead = sp.poly.coeffs[-1]
-    want = (preset.g1 * preset.g2 * sp.q_scale**2 / preset.omega_m**2) ** 2
+    poly, q_scale = _peak_poly(preset, d)
+    assert poly.degree == 5
+    lead = poly.coeffs[-1]
+    want = (preset.g1 * preset.g2 * q_scale**2 / preset.omega_m**2) ** 2
     assert lead > 0.0
     assert lead == pytest.approx(want, rel=1e-12)
 
@@ -148,14 +151,13 @@ def test_polynomial_degree_reductions(preset):
                 power_l=1e-10, power_r=2e-11)
     one_mode = replace_params(preset, g2=0.0)
     d = _drive(one_mode, **base)
-    assert assemble_fixed_point_polynomial(one_mode, d).poly.degree == 3
+    assert _peak_poly(one_mode, d)[0].degree == 3
     other = replace_params(preset, g1=0.0)
     d = _drive(other, **base)
-    assert assemble_fixed_point_polynomial(other, d).poly.degree == 3
+    assert _peak_poly(other, d)[0].degree == 3
     uncoupled = replace_params(preset, g1=0.0, g2=0.0)
     d = _drive(uncoupled, **base)
-    sp = assemble_fixed_point_polynomial(uncoupled, d)
-    assert sp.poly.coeffs == (0.0, 1.0)
+    assert _peak_poly(uncoupled, d)[0].coeffs == (0.0, 1.0)
 
 
 def test_decoupled_mode_cannot_perturb_coefficients(preset):
@@ -167,9 +169,7 @@ def test_decoupled_mode_cannot_perturb_coefficients(preset):
                power_l=1e-6, power_r=4e-11)
     b = _drive(p0, delta1=1.7 * preset.omega_m, delta2=preset.omega_m,
                power_l=1e-15, power_r=4e-11)
-    pa = assemble_fixed_point_polynomial(p0, a)
-    pb = assemble_fixed_point_polynomial(p0, b)
-    assert pa.poly.coeffs == pb.poly.coeffs
+    assert _peak_poly(p0, a)[0].coeffs == _peak_poly(p0, b)[0].coeffs
     ba = steady_branches(p0, a)
     bb = steady_branches(p0, b)
     assert [x.q_s for x in ba] == [x.q_s for x in bb]
@@ -178,10 +178,10 @@ def test_decoupled_mode_cannot_perturb_coefficients(preset):
 
 def test_scaled_roots_are_residual_zeros(preset):
     d = _drive(preset, **FIVE_ROOT_DRIVE)
-    sp = assemble_fixed_point_polynomial(preset, d)
+    poly, q_scale = _peak_poly(preset, d)
     from twomode.polyroots import real_roots
-    hi = 1.05 * q_upper_bound(preset, d) / sp.q_scale
-    qs = [x * sp.q_scale for x, _, _ in real_roots(sp.poly, 0.0, hi)]
+    hi = 1.05 * q_upper_bound(preset, d) / q_scale
+    qs = [x * q_scale for x, _, _ in real_roots(poly, 0.0, hi)]
     assert len(qs) == 5
     for q in qs:
         assert abs(steady_residual(q, preset, d)) <= 1e-8 * (1.0 + abs(q))
@@ -305,7 +305,7 @@ def _solve_everywhere(params, drive, axis, values, options):
     """The grid solve, then a scalar solve at every value; a solve that
     raises is skipped."""
     with contextlib.suppress(PolynomialError):
-        steady_q_grid(params, drive, axis, values, options)
+        oracles.q_grid(params, drive, axis, values, options)
     for v in values.tolist():
         with contextlib.suppress(PolynomialError):
             steady_branches(params, drive.with_value(params, axis, v), options)
@@ -376,7 +376,7 @@ def test_polish_rows_stop_before_the_iteration_cap(monkeypatch):
         return evaluate
 
     monkeypatch.setattr(steady, "_residual_pair", counted)
-    steady_q_grid(params, drive, "delta1", values, SolverOptions())
+    oracles.q_grid(params, drive, "delta1", values, SolverOptions())
     # the rows evaluate f and f' once at the start and once per step
     assert 0 < ranks.count(2) - 1 < _POLISH_MAX_ITER
 
